@@ -87,8 +87,8 @@ def _cmd_train(cfg, args) -> int:
 def _cmd_eval(cfg, args) -> int:
     policy = load_policy(args.policy)
     problems = eval_problems(cfg)
-    acc = final_answer_accuracy(policy, problems, max_len=cfg.corpus.max_len)
     traces = [greedy_decode(policy, p.question, cfg.corpus.max_len) for p in problems]
+    acc = final_answer_accuracy(policy, problems, max_len=cfg.corpus.max_len, traces=traces)
     quality = trace_quality(traces)
     name = os.path.splitext(os.path.basename(args.policy))[0]
     lines = [

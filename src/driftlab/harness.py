@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ExperimentConfig, config_hash
+from .config import ConfigError, ExperimentConfig, config_hash
 from .metrics import (
     ExAccErrCurve,
     exaccerr,
@@ -182,7 +182,9 @@ def _run_cell(args) -> CellResult:
     probs_eval = eval_problems(cfg)
     probs_drift = drift_problems(cfg)
     rseed = rollout_seed(cfg, seed)
-    cell.accuracy = final_answer_accuracy(policy, probs_eval, max_len=cfg.corpus.max_len)
+    # one greedy decode of the eval set feeds both accuracy and trace quality
+    traces = [greedy_decode(policy, p.question, cfg.corpus.max_len) for p in probs_eval]
+    cell.accuracy = final_answer_accuracy(policy, probs_eval, max_len=cfg.corpus.max_len, traces=traces)
     if do_drift:
         cell.exaccerr_curve = prefix_drift_eval(
             init, policy, teacher, probs_drift, cfg.eval.horizons, seed=rseed, max_len=cfg.corpus.max_len
@@ -191,7 +193,6 @@ def _run_cell(args) -> CellResult:
         cell.exaccerr_curve = exaccerr(
             teacher, policy, probs_drift, cfg.eval.horizons, seed=rseed, max_len=cfg.corpus.max_len
         )
-    traces = [greedy_decode(policy, p.question, cfg.corpus.max_len) for p in probs_eval]
     cell.quality = trace_quality(traces)
     save_policy(policy, os.path.join(out_dir, f"policy_{label}_s{seed}.txt"))
     write_lines(
@@ -297,7 +298,16 @@ def run_matrix(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> MatrixResult:
 
 def run_drift(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> MatrixResult:
     """Prefix-drift study: generated prefixes come from the untrained base
-    student, truncated at each horizon; emits drift.csv and per-seed rows."""
+    student, truncated at each horizon; emits drift.csv and per-seed rows.
+
+    Horizons beyond ``max_len`` are rejected before any cell trains.
+    """
+    longest = max(cfg.eval.horizons)
+    if longest > cfg.corpus.max_len:
+        raise ConfigError(
+            f"drift horizon {longest} exceeds max_len {cfg.corpus.max_len}: "
+            "prefixes are rolled out to at most max_len tokens"
+        )
     os.makedirs(out_dir, exist_ok=True)
     cells = [(label, spec, seed) for label, spec in cfg.objectives for seed in cfg.train.seeds]
     results = _run_cells(cfg, cells, out_dir, jobs, do_drift=True)
@@ -321,7 +331,7 @@ def run_drift(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> MatrixResult:
         if c.status != "ok":
             continue
         for j, h in enumerate(c.exaccerr_curve.horizons):
-            run_lines.append(f"{c.label},{c.seed},{h},{c.exaccerr_curve.values[j]!r}")
+            run_lines.append(f"{c.label},{c.seed},{h},{float(c.exaccerr_curve.values[j])!r}")
     write_lines(os.path.join(out_dir, "drift_runs.csv"), run_lines)
     res.files = ["drift.csv", "drift_runs.csv"]
     return res

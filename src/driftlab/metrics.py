@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .policy import greedy_decode, sample_sequence
-from .task import ProblemInstance
+from .policy import greedy_decode, sample_sequence, score_trace, trace_distributions
+from .task import ProblemInstance, answer_token
 from .vocab import ANSWER_MARK, EOS, TokenSequence
 
 KL_FLOOR = 1e-9
@@ -49,44 +49,28 @@ class TraceQualityReport:
     n_traces: int
 
 
-def extract_answer(trace: TokenSequence) -> int | None:
-    toks = trace.tokens
-    if ANSWER_MARK in toks:
-        idx = toks.index(ANSWER_MARK)
-        if idx + 1 < len(toks):
-            return toks[idx + 1]
-    return None
-
-
-def final_answer_accuracy(policy, problems: list[ProblemInstance], max_len: int = 24) -> float:
+def final_answer_accuracy(policy, problems: list[ProblemInstance], max_len: int = 24, traces=None) -> float:
     """Greedy-decode each problem; correct iff the token after the first answer
-    marker equals the gold answer. No marker within ``max_len`` counts as wrong."""
+    marker equals the gold answer. No marker within ``max_len`` counts as wrong.
+
+    ``traces`` are greedy decodes of ``problems`` that the caller has already
+    made (for trace quality, say); they are scored instead of decoding again.
+    """
     if not problems:
         raise ValueError("need at least one problem")
-    hits = 0
-    for problem in problems:
-        decoded = greedy_decode(policy, problem.question, max_len)
-        if extract_answer(decoded) == problem.gold_answer:
-            hits += 1
+    if traces is None:
+        traces = [greedy_decode(policy, problem.question, max_len) for problem in problems]
+    hits = sum(answer_token(trace) == problem.gold_answer for problem, trace in zip(problems, traces, strict=True))
     return hits / len(problems)
 
 
-def _kl_forward(p: np.ndarray, q_log: np.ndarray) -> float:
-    mask = p > 0.0
-    return float(np.sum(p[mask] * (np.log(p[mask]) - q_log[mask])))
-
-
 def rollout_divergences(teacher, student, question: TokenSequence, rollout) -> np.ndarray:
-    """Per-position KL(teacher || student) along the given rollout's prefixes."""
-    ctx = list(question.tokens)
-    out = []
-    toks = rollout.tokens if isinstance(rollout, TokenSequence) else tuple(rollout)
-    for tok in toks:
-        p = teacher.next_token_distribution(ctx)
-        q_log = student.log_next_token_distribution(ctx)
-        out.append(_kl_forward(p, q_log))
-        ctx.append(tok)
-    return np.array(out)
+    """Per-position KL(teacher || student) along the given rollout's prefixes,
+    from one teacher pass and one student forward over the whole rollout."""
+    p = trace_distributions(teacher, question, rollout)
+    q_log = score_trace(student, question, rollout).logp
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(p > 0.0, p * (np.log(p) - q_log), 0.0).sum(axis=-1)
 
 
 def _cumulative(divs: np.ndarray, horizons) -> np.ndarray:

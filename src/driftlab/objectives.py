@@ -1,9 +1,10 @@
 """Distillation objectives over cached teacher traces.
 
-Every offline loss shares one skeleton: walk the trace positions, compute the
-student's next-token log-probabilities on teacher-trace prefixes, and combine
-them with per-token correction weights. The weights are transforms of the
-token-level log-density gap
+Every offline loss shares one kernel: one student forward scores all T
+teacher-trace prefixes of a record at once, and its (T, V) log-softmax is
+shared by the per-token correction weights and the loss, whose (T, V)
+logit gradient goes back through one batched backward. The weights are
+transforms of the token-level log-density gap
 
     delta_t = log p_student(y_t | prefix) - log p_teacher(y_t | prefix)
 
@@ -31,9 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .policy import GradientBuffer, sample_token
+from .policy import GradientBuffer, TraceScores, sample_sequence, score_trace, trace_distributions
 from .task import CorpusRecord
-from .vocab import EOS, TokenSequence
+from .vocab import TokenSequence
 
 TAU_DIVIDE = "divide"
 TAU_MULTIPLY = "multiply"
@@ -46,11 +47,14 @@ class ObjectiveError(ValueError):
     pass
 
 
-def _sigmoid(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
+def _sigmoid(x):
+    """Logistic function, elementwise; exp never overflows on either side of 0."""
+    z = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+
+
+def _scalar_or_array(values: np.ndarray):
+    return float(values) if values.ndim == 0 else values
 
 
 @dataclass(frozen=True)
@@ -70,7 +74,7 @@ class WeightTransform:
         if self.tau_convention not in (TAU_DIVIDE, TAU_MULTIPLY):
             raise ObjectiveError(f"unknown tau convention {self.tau_convention!r}")
 
-    def scaled(self, delta: float) -> float:
+    def scaled(self, delta):
         if self.tau_convention == TAU_DIVIDE:
             return delta / self.tau
         return delta * self.tau
@@ -100,28 +104,37 @@ class LossResult:
     token_weights: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
-def token_delta(student_logp: float, teacher_logp: float) -> float:
-    """Log-density gap; both inputs are treated as stop-gradient constants."""
-    if not (np.isfinite(student_logp) and np.isfinite(teacher_logp)):
+def token_delta(student_logp, teacher_logp):
+    """Log-density gap; both inputs are treated as stop-gradient constants.
+
+    Scalars give a float; arrays give the elementwise gaps.
+    """
+    s = np.asarray(student_logp, dtype=np.float64)
+    t = np.asarray(teacher_logp, dtype=np.float64)
+    if not (np.isfinite(s).all() and np.isfinite(t).all()):
         raise ObjectiveError("log-probabilities must be finite")
-    return float(student_logp) - float(teacher_logp)
+    return _scalar_or_array(s - t)
 
 
-def apply_transform(delta: float, transform: WeightTransform) -> float:
-    if not np.isfinite(delta):
+def apply_transform(delta, transform: WeightTransform):
+    """Per-token weight of a gap, or elementwise weights of an array of gaps."""
+    d = np.asarray(delta, dtype=np.float64)
+    if not np.isfinite(d).all():
         raise ObjectiveError("delta must be finite")
     kind = transform.kind
     if kind == "constant-one":
-        return 1.0
-    if kind == "sigmoid":
-        return _sigmoid(transform.scaled(delta))
-    if kind == "raw-ratio":
-        return math.exp(delta)
-    if kind == "clip-exp":
-        return math.exp(min(max(delta, -transform.clip), transform.clip))
-    if kind == "relu":
-        return max(delta, 0.0)
-    raise ObjectiveError(f"transform {kind!r} has no per-token form (use sequence_weight)")
+        w = np.ones_like(d)
+    elif kind == "sigmoid":
+        w = _sigmoid(transform.scaled(d))
+    elif kind == "raw-ratio":
+        w = np.exp(d)
+    elif kind == "clip-exp":
+        w = np.exp(np.clip(d, -transform.clip, transform.clip))
+    elif kind == "relu":
+        w = np.maximum(d, 0.0)
+    else:
+        raise ObjectiveError(f"transform {kind!r} has no per-token form (use sequence_weight)")
+    return _scalar_or_array(w)
 
 
 def sequence_weight(trace_deltas, transform: WeightTransform) -> float:
@@ -129,14 +142,14 @@ def sequence_weight(trace_deltas, transform: WeightTransform) -> float:
     deltas = list(trace_deltas)
     if not deltas:
         raise ObjectiveError("need at least one delta")
-    return _sigmoid(transform.scaled(float(sum(deltas))))
+    return float(_sigmoid(transform.scaled(float(sum(deltas)))))
 
 
 def nce_identity_residual(p_student: float, p_teacher: float) -> float:
     """|sigmoid(log(p_s/p_t)) - p_s/(p_s+p_t)|; zero up to rounding."""
     if not (0.0 < p_student < 1.0 and 0.0 < p_teacher < 1.0):
         raise ObjectiveError("probabilities must lie strictly inside (0, 1)")
-    lhs = _sigmoid(math.log(p_student / p_teacher))
+    lhs = float(_sigmoid(math.log(p_student / p_teacher)))
     rhs = p_student / (p_student + p_teacher)
     return abs(lhs - rhs)
 
@@ -146,71 +159,75 @@ def _require_cached_logps(record: CorpusRecord) -> None:
         raise ObjectiveError("record is missing cached teacher log-probabilities")
 
 
-def _student_position_logs(policy, record: CorpusRecord) -> list[np.ndarray]:
-    """Student log-distribution at every teacher-trace prefix of the record."""
-    ctx = list(record.question.tokens)
-    logs = []
-    for tok in record.trace.tokens:
-        logs.append(policy.log_next_token_distribution(ctx))
-        ctx.append(tok)
-    return logs
+def _running_sum(terms: np.ndarray) -> float:
+    """Left-to-right sum from 0.0: the rounding of a token-by-token accumulation."""
+    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
 
 
-def record_token_weights(policy, record: CorpusRecord, transform: WeightTransform) -> np.ndarray:
-    """Correction weights for each trace token, computed from the live student."""
+def _scores(policy, record: CorpusRecord, scores: TraceScores | None) -> TraceScores:
+    return score_trace(policy, record.question, record.trace) if scores is None else scores
+
+
+def record_token_weights(
+    policy, record: CorpusRecord, transform: WeightTransform, *, scores: TraceScores | None = None
+) -> np.ndarray:
+    """Correction weights for each trace token, computed from the live student.
+
+    ``scores`` is the student forward of this record when the caller already
+    has it; the weights then share its log-softmax with the loss.
+    """
     _require_cached_logps(record)
     if transform.kind == "constant-one":
         return np.ones(len(record.trace))
-    logs = _student_position_logs(policy, record)
-    deltas = [
-        token_delta(logs[t][tok], record.teacher_token_logps[t])
-        for t, tok in enumerate(record.trace.tokens)
-    ]
+    logp = _scores(policy, record, scores).logp
+    deltas = token_delta(logp[np.arange(len(record.trace)), list(record.trace.tokens)], record.teacher_token_logps)
     if transform.kind == "sequence-sigmoid":
-        w = sequence_weight(deltas, transform)
-        return np.full(len(deltas), w)
-    return np.array([apply_transform(d, transform) for d in deltas])
+        return np.full(len(deltas), sequence_weight(deltas, transform))
+    return np.asarray(apply_transform(deltas, transform))
 
 
-def sft_loss_frozen(policy, record: CorpusRecord, weights: np.ndarray) -> LossResult:
+def sft_loss_frozen(
+    policy, record: CorpusRecord, weights: np.ndarray, *, scores: TraceScores | None = None
+) -> LossResult:
     """Weighted negative log-likelihood with the weights held fixed."""
+    scores = _scores(policy, record, scores)
+    w = np.asarray(weights, dtype=np.float64)
+    rows, toks = np.arange(len(record.trace)), list(record.trace.tokens)
+    loss = _running_sum(-w * scores.logp[rows, toks])
+    dlogits = w[:, None] * np.exp(scores.logp)
+    dlogits[rows, toks] -= w
     buf = GradientBuffer.for_policy(policy)
-    ctx = list(record.question.tokens)
-    loss = 0.0
-    for t, tok in enumerate(record.trace.tokens):
-        w = float(weights[t])
-        logp = policy.log_next_token_distribution(ctx)
-        loss -= w * float(logp[tok])
-        probs = np.exp(logp)
-        dlogits = w * probs
-        dlogits[tok] -= w
-        policy.accumulate_logit_grad(ctx, dlogits, buf)
-        ctx.append(tok)
-    return LossResult(loss=loss, grad=buf, token_weights=np.asarray(weights, dtype=np.float64))
+    scores.backward(dlogits, buf)
+    return LossResult(loss=loss, grad=buf, token_weights=w)
 
 
 def sft_loss(policy, record: CorpusRecord, transform: WeightTransform = CONSTANT_ONE) -> LossResult:
-    weights = record_token_weights(policy, record, transform)
-    return sft_loss_frozen(policy, record, weights)
+    scores = score_trace(policy, record.question, record.trace)
+    weights = record_token_weights(policy, record, transform, scores=scores)
+    return sft_loss_frozen(policy, record, weights, scores=scores)
 
 
-def _position_kl_terms(p_teacher: np.ndarray, q_log: np.ndarray, direction: str):
-    """Per-position divergence value and its gradient w.r.t. the student logits."""
+def _kl_terms(p_teacher: np.ndarray, q_log: np.ndarray, direction: str):
+    """Per-position divergence values and their gradients w.r.t. the student logits.
+
+    Rows are positions: (T, V) teacher distributions and student log-distributions
+    give T values and (T, V) logit gradients.
+    """
     if direction not in ("forward", "reverse", "symmetric"):
         raise ObjectiveError(f"unknown KL direction {direction!r}")
     q = np.exp(q_log)
-    if direction in ("forward", "symmetric"):
-        mask = p_teacher > 0.0
-        fwd = float(np.sum(p_teacher[mask] * (np.log(p_teacher[mask]) - q_log[mask])))
-        fwd_dlogits = q - p_teacher
-    if direction in ("reverse", "symmetric"):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = q_log - np.log(p_teacher)
-        # entries with q = 0 contribute nothing (0 log 0 convention); q is only
-        # exactly zero for hand-built policies, softmax students never hit this
-        qs = np.where(q > 0.0, q * s, 0.0)
-        rev = float(np.sum(qs))
-        rev_dlogits = np.where(q > 0.0, q * (s - rev), 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_p = np.log(p_teacher)
+        if direction in ("forward", "symmetric"):
+            # teacher zeros contribute nothing (0 log 0 convention)
+            fwd = np.where(p_teacher > 0.0, p_teacher * (log_p - q_log), 0.0).sum(axis=-1)
+            fwd_dlogits = q - p_teacher
+        if direction in ("reverse", "symmetric"):
+            s = q_log - log_p
+            # entries with q = 0 contribute nothing (0 log 0 convention); q is only
+            # exactly zero for hand-built policies, softmax students never hit this
+            rev = np.where(q > 0.0, q * s, 0.0).sum(axis=-1)
+            rev_dlogits = np.where(q > 0.0, q * (s - rev[..., None]), 0.0)
     if direction == "forward":
         return fwd, fwd_dlogits
     if direction == "reverse":
@@ -218,19 +235,15 @@ def _position_kl_terms(p_teacher: np.ndarray, q_log: np.ndarray, direction: str)
     return 0.5 * (fwd + rev), 0.5 * (fwd_dlogits + rev_dlogits)
 
 
-def kl_loss_frozen(policy, record: CorpusRecord, teacher, direction: str, weights: np.ndarray) -> LossResult:
+def kl_loss_frozen(
+    policy, record: CorpusRecord, teacher, direction: str, weights: np.ndarray, *, scores: TraceScores | None = None
+) -> LossResult:
+    scores = _scores(policy, record, scores)
+    w = np.asarray(weights, dtype=np.float64)
+    values, dlogits = _kl_terms(trace_distributions(teacher, record.question, record.trace), scores.logp, direction)
     buf = GradientBuffer.for_policy(policy)
-    ctx = list(record.question.tokens)
-    loss = 0.0
-    for t, tok in enumerate(record.trace.tokens):
-        w = float(weights[t])
-        p_teacher = teacher.next_token_distribution(ctx)
-        q_log = policy.log_next_token_distribution(ctx)
-        value, dlogits = _position_kl_terms(p_teacher, q_log, direction)
-        loss += w * value
-        policy.accumulate_logit_grad(ctx, w * dlogits, buf)
-        ctx.append(tok)
-    return LossResult(loss=loss, grad=buf, token_weights=np.asarray(weights, dtype=np.float64))
+    scores.backward(w[:, None] * dlogits, buf)
+    return LossResult(loss=_running_sum(w * values), grad=buf, token_weights=w)
 
 
 def kl_loss(
@@ -247,12 +260,13 @@ def kl_loss(
     Teacher zeros contribute nothing to the forward term (0 log 0 = 0); the
     reverse term is finite only where the teacher has full support.
     """
-    weights = record_token_weights(policy, record, transform)
-    return kl_loss_frozen(policy, record, teacher, direction, weights)
+    scores = score_trace(policy, record.question, record.trace)
+    weights = record_token_weights(policy, record, transform, scores=scores)
+    return kl_loss_frozen(policy, record, teacher, direction, weights, scores=scores)
 
 
 def _js_terms(p_teacher: np.ndarray, q_log: np.ndarray, beta: float):
-    """Generalized JS divergence value and gradient w.r.t. student logits.
+    """Generalized JS divergence values and gradients w.r.t. student logits, per row.
 
     Support bookkeeping: tokens outside both supports contribute nothing and
     get zero gradient; the mixture is positive wherever either side is.
@@ -261,39 +275,35 @@ def _js_terms(p_teacher: np.ndarray, q_log: np.ndarray, beta: float):
     mix = beta * q + (1.0 - beta) * p_teacher
     safe_mix = np.where(mix > 0.0, mix, 1.0)
     log_mix = np.log(safe_mix)
-    value = 0.0
+    value = np.zeros(q.shape[:-1])
+    infinite = np.zeros(q.shape[:-1], dtype=bool)
     if beta > 0.0:
-        mask = p_teacher > 0.0
-        value += beta * float(np.sum(p_teacher[mask] * (np.log(p_teacher[mask]) - log_mix[mask])))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            value += beta * np.where(p_teacher > 0.0, p_teacher * (np.log(p_teacher) - log_mix), 0.0).sum(axis=-1)
     support_q = q > 0.0
     if beta < 1.0:
-        if np.any(support_q & (mix <= 0.0)):
-            # student mass outside the mixture's support: the divergence is
-            # genuinely infinite (only reachable at beta=0 with a noiseless teacher)
-            return float("inf"), np.zeros_like(q)
+        # student mass outside the mixture's support: the divergence is
+        # genuinely infinite (only reachable at beta=0 with a noiseless teacher)
+        infinite = np.any(support_q & (mix <= 0.0), axis=-1)
         with np.errstate(invalid="ignore"):
-            value += (1.0 - beta) * float(np.sum(np.where(support_q, q * (q_log - log_mix), 0.0)))
+            value += (1.0 - beta) * np.where(support_q, q * (q_log - log_mix), 0.0).sum(axis=-1)
     dq = -(beta**2) * np.where(mix > 0.0, p_teacher / safe_mix, 0.0)
     if beta < 1.0:
         rel = np.where(support_q, q_log - log_mix, 0.0)
         dq = dq + (1.0 - beta) * (rel + 1.0 - beta * q / safe_mix)
-    dlogits = q * (dq - float(np.sum(q * dq)))
+    dlogits = q * (dq - np.sum(q * dq, axis=-1, keepdims=True))
+    value[infinite] = np.inf
+    dlogits[infinite] = 0.0
     return value, dlogits
 
 
 def js_sequence_loss(policy, teacher, question: TokenSequence, supervision: TokenSequence, beta: float):
     """Sum of per-position generalized JS terms along one supervision sequence."""
+    scores = score_trace(policy, question, supervision)
+    values, dlogits = _js_terms(trace_distributions(teacher, question, supervision), scores.logp, beta)
     buf = GradientBuffer.for_policy(policy)
-    ctx = list(question.tokens)
-    loss = 0.0
-    for tok in supervision.tokens:
-        p_teacher = teacher.next_token_distribution(ctx)
-        q_log = policy.log_next_token_distribution(ctx)
-        value, dlogits = _js_terms(p_teacher, q_log, beta)
-        loss += value
-        policy.accumulate_logit_grad(ctx, dlogits, buf)
-        ctx.append(tok)
-    return loss, buf
+    scores.backward(dlogits, buf)
+    return _running_sum(values), buf
 
 
 def gkd_step(
@@ -334,16 +344,9 @@ def gkd_step(
     return LossResult(loss=total, grad=buf, token_weights=weights), used
 
 
-def _sample_trace(policy, question: TokenSequence, rng: np.random.Generator, max_len: int) -> TokenSequence:
-    ctx = list(question.tokens)
-    out = []
-    for _ in range(max_len):
-        tok = sample_token(policy.next_token_distribution(ctx), rng)
-        out.append(tok)
-        ctx.append(tok)
-        if tok == EOS:
-            break
-    return TokenSequence(tuple(out), "trace")
+# GKD's student rollouts, under a module-level name of their own so that
+# bench/tracer.py can time them apart from evaluation rollouts
+_sample_trace = sample_sequence
 
 
 _KL_DIRECTIONS = {"forward-kl": "forward", "reverse-kl": "reverse", "symmetric-kl": "symmetric"}

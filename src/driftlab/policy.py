@@ -15,6 +15,7 @@ probability, so they stay finite. All arithmetic is float64.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,15 +37,22 @@ class NonDeterministicLossError(RuntimeError):
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    m = logits.max()
-    shifted = logits - m
-    return shifted - np.log(np.exp(shifted).sum())
+    """Log-softmax over the last axis, for one logit row or a (T, V) stack."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max()
     e = np.exp(shifted)
     return e / e.sum()
+
+
+def check_tokens(tokens, vocab_size: int) -> None:
+    """Raise PolicyError unless every token lies in the vocabulary."""
+    if tokens and (min(tokens) < 0 or max(tokens) >= vocab_size):
+        bad = next(t for t in tokens if not 0 <= t < vocab_size)
+        raise PolicyError(f"context token {bad} outside vocabulary of size {vocab_size}")
 
 
 @dataclass
@@ -69,28 +77,53 @@ class GradientBuffer:
 
 
 class ParametricPolicy:
-    """Shared machinery for trainable softmax policies."""
+    """Shared machinery for trainable softmax policies.
+
+    A family implements ``forward(windows)``, which maps a (T, k) array of
+    context windows to (T, V) logits plus a cache, and ``backward(cache,
+    dlogits, buf)``. Scoring a whole teacher-forced trace and scoring a single
+    context are the T-row and the one-row case of the same two calls.
+    """
 
     family: str
     order: int
     vocab: Vocabulary
     params: np.ndarray
 
-    def _context_window(self, context) -> list[int]:
-        toks = list(context.tokens) if isinstance(context, TokenSequence) else list(context)
+    def _windows(self, tokens: list[int], start: int, stop: int) -> np.ndarray:
+        """(stop - start, k) windows: row i holds the last k tokens of tokens[: start + i]."""
+        if start < 1:
+            raise PolicyError("context must be non-empty (sequences start at BOS)")
+        check_tokens(tokens, self.vocab.size)
+        k = self.order
+        padded = np.array([BOS] * k + tokens, dtype=np.int64)
+        return padded[start + np.arange(stop - start)[:, None] + np.arange(k)]
+
+    def _context_window(self, context) -> np.ndarray:
+        """The (1, k) window of a single context; built directly, as decoding
+        calls this once per token."""
+        toks = list(context)
         if not toks:
             raise PolicyError("context must be non-empty (sequences start at BOS)")
-        V = self.vocab.size
-        for t in toks:
-            if not 0 <= t < V:
-                raise PolicyError(f"context token {t} outside vocabulary of size {V}")
+        check_tokens(toks, self.vocab.size)
         window = toks[-self.order :]
-        if len(window) < self.order:
-            window = [BOS] * (self.order - len(window)) + window
-        return window
+        return np.array([[BOS] * (self.order - len(window)) + window], dtype=np.int64)
+
+    def trace_windows(self, question, trace) -> np.ndarray:
+        """(T, k) windows of the T teacher-forced prefixes question + trace[:t]."""
+        q, full = _joined(question, trace)
+        return self._windows(full, q, len(full))
+
+    def forward(self, windows: np.ndarray):
+        """(T, V) logits for a stack of windows, and the cache ``backward`` needs."""
+        raise NotImplementedError
+
+    def backward(self, cache, dlogits: np.ndarray, buf: GradientBuffer) -> None:
+        """Add the parameter gradient of (T, V) d(loss)/d(logits) rows into ``buf``."""
+        raise NotImplementedError
 
     def logits(self, context) -> np.ndarray:
-        raise NotImplementedError
+        return self.forward(self._context_window(context))[0][0]
 
     def next_token_distribution(self, context) -> np.ndarray:
         return _softmax(self.logits(context))
@@ -100,7 +133,8 @@ class ParametricPolicy:
 
     def accumulate_logit_grad(self, context, dlogits: np.ndarray, buf: GradientBuffer) -> None:
         """Backpropagate a d(loss)/d(logits) vector for one context into ``buf``."""
-        raise NotImplementedError
+        _, cache = self.forward(self._context_window(context))
+        self.backward(cache, np.asarray(dlogits)[None, :], buf)
 
     def clone(self) -> "ParametricPolicy":
         raise NotImplementedError
@@ -126,24 +160,17 @@ class TabularPolicy(ParametricPolicy):
             if params.shape != (n,):
                 raise PolicyError(f"tabular params must have shape ({n},), got {params.shape}")
             self.params = params.copy()
+        self._place = V ** np.arange(order - 1, -1, -1, dtype=np.int64)
 
     def context_index(self, context) -> int:
-        window = self._context_window(context)
-        V = self.vocab.size
-        idx = 0
-        for t in window:
-            idx = idx * V + t
-        return idx
+        return int(self._context_window(context)[0].dot(self._place))
 
-    def logits(self, context) -> np.ndarray:
-        V = self.vocab.size
-        row = self.context_index(context)
-        return self.params[row * V : (row + 1) * V]
+    def forward(self, windows):
+        rows = windows.dot(self._place)
+        return self.params.reshape(self.n_contexts, -1).take(rows, axis=0), rows
 
-    def accumulate_logit_grad(self, context, dlogits, buf: GradientBuffer) -> None:
-        V = self.vocab.size
-        row = self.context_index(context)
-        buf.values[row * V : (row + 1) * V] += dlogits
+    def backward(self, rows, dlogits, buf: GradientBuffer) -> None:
+        np.add.at(buf.values.reshape(self.n_contexts, -1), rows, dlogits)
 
     def clone(self) -> "TabularPolicy":
         return TabularPolicy(self.vocab, self.order, self.params)
@@ -154,6 +181,8 @@ class FeedForwardPolicy(ParametricPolicy):
 
     Parameter layout (flat, in order): embedding table (V, d), input weights
     (H, k*d), input bias (H,), output weights (V, H), output bias (V,).
+    The reshaped views of ``params`` are built once per assignment, so
+    in-place updates of ``params`` reach the forward pass without a copy.
     """
 
     family = FAMILY_FEEDFORWARD
@@ -174,8 +203,9 @@ class FeedForwardPolicy(ParametricPolicy):
         self.order = order
         self.embed_dim = embed_dim
         self.hidden_dim = hidden_dim
-        V = vocab.size
-        n = V * embed_dim + hidden_dim * (order * embed_dim) + hidden_dim + V * hidden_dim + V
+        V, d, H = vocab.size, embed_dim, hidden_dim
+        self._shapes = ((V, d), (H, order * d), (H,), (V, H), (V,))
+        n = sum(int(np.prod(shape)) for shape in self._shapes)
         if params is not None:
             params = np.asarray(params, dtype=np.float64)
             if params.shape != (n,):
@@ -185,51 +215,41 @@ class FeedForwardPolicy(ParametricPolicy):
             self.params = init_scale * rng.standard_normal(n)
         else:
             self.params = np.zeros(n, dtype=np.float64)
-        self._cuts = np.cumsum(
-            [V * embed_dim, hidden_dim * order * embed_dim, hidden_dim, V * hidden_dim]
-        )
 
-    def _views(self):
-        V, d, H, k = self.vocab.size, self.embed_dim, self.hidden_dim, self.order
-        e, w1, b1, w2, b2 = np.split(self.params, self._cuts)
-        return (
-            e.reshape(V, d),
-            w1.reshape(H, k * d),
-            b1,
-            w2.reshape(V, H),
-            b2,
-        )
+    @property
+    def params(self) -> np.ndarray:
+        return self._params
 
-    def _forward(self, context):
-        window = self._context_window(context)
-        E, W1, b1, W2, b2 = self._views()
-        x = E[window].reshape(-1)
-        h = np.tanh(W1 @ x + b1)
-        logits = W2 @ h + b2
-        return window, x, h, logits
+    @params.setter
+    def params(self, value: np.ndarray) -> None:
+        self._params = value
+        self._views = self._unflatten(value)
 
-    def logits(self, context) -> np.ndarray:
-        return self._forward(context)[3]
+    def _unflatten(self, flat: np.ndarray):
+        """Views (E, W1, b1, W2, b2) into a flat parameter-shaped vector."""
+        views, start = [], 0
+        for shape in self._shapes:
+            size = int(np.prod(shape))
+            views.append(flat[start : start + size].reshape(shape))
+            start += size
+        return views
 
-    def accumulate_logit_grad(self, context, dlogits, buf: GradientBuffer) -> None:
-        window, x, h, _ = self._forward(context)
-        E, W1, b1, W2, b2 = self._views()
-        d = self.embed_dim
-        dW2 = np.outer(dlogits, h)
-        db2 = dlogits
-        dh = W2.T @ dlogits
-        dpre = dh * (1.0 - h * h)
-        dW1 = np.outer(dpre, x)
-        db1 = dpre
-        dx = W1.T @ dpre
-        gE, gW1, gb1, gW2, gb2 = np.split(buf.values, self._cuts)
-        gE = gE.reshape(E.shape)
-        for j, tok in enumerate(window):
-            gE[tok] += dx[j * d : (j + 1) * d]
-        gW1 += dW1.reshape(-1)
-        gb1 += db1
-        gW2 += dW2.reshape(-1)
-        gb2 += db2
+    def forward(self, windows):
+        E, W1, b1, W2, b2 = self._views
+        X = E[windows].reshape(len(windows), self.order * self.embed_dim)
+        H = np.tanh(X @ W1.T + b1)
+        return H @ W2.T + b2, (windows, X, H)
+
+    def backward(self, cache, dlogits, buf: GradientBuffer) -> None:
+        windows, X, H = cache
+        E, W1, _, W2, _ = self._views
+        gE, gW1, gb1, gW2, gb2 = self._unflatten(buf.values)
+        gW2 += dlogits.T @ H
+        gb2 += dlogits.sum(axis=0)
+        dpre = (dlogits @ W2) * (1.0 - H * H)
+        gW1 += dpre.T @ X
+        gb1 += dpre.sum(axis=0)
+        np.add.at(gE, windows, (dpre @ W1).reshape(windows.shape + (self.embed_dim,)))
 
     def clone(self) -> "FeedForwardPolicy":
         return FeedForwardPolicy(
@@ -239,6 +259,61 @@ class FeedForwardPolicy(ParametricPolicy):
             self.hidden_dim,
             params=self.params,
         )
+
+
+@dataclass
+class TraceScores:
+    """Student log-distributions at every prefix of one teacher-forced trace.
+
+    ``logp`` is (T, V); ``backward(dlogits, buf)`` adds the parameter gradient
+    of (T, V) d(loss)/d(logits) rows into ``buf``.
+    """
+
+    logp: np.ndarray
+    backward: Callable[[np.ndarray, GradientBuffer], None]
+
+
+def score_trace(policy, question, trace) -> TraceScores:
+    """One forward over all T prefixes question + trace[:t] of a trace.
+
+    Trainable policies run it as one batched call. Any other object with the
+    per-prefix methods ``log_next_token_distribution`` and
+    ``accumulate_logit_grad`` gets its per-prefix calls stacked instead.
+    """
+    if isinstance(policy, ParametricPolicy):
+        logits, cache = policy.forward(policy.trace_windows(question, trace))
+        return TraceScores(_log_softmax(logits), lambda dlogits, buf: policy.backward(cache, dlogits, buf))
+    contexts = _prefixes(question, trace)
+    logp = np.array([policy.log_next_token_distribution(ctx) for ctx in contexts]).reshape(-1, policy.vocab.size)
+
+    def backward(dlogits, buf):
+        for ctx, row in zip(contexts, dlogits):
+            policy.accumulate_logit_grad(ctx, row, buf)
+
+    return TraceScores(logp, backward)
+
+
+def trace_distributions(model, question, trace) -> np.ndarray:
+    """(T, V) next-token distributions at every prefix question + trace[:t].
+
+    Uses the model's own one-pass ``trace_distributions`` when it has one (the
+    analytic teacher does), and stacks per-prefix calls otherwise.
+    """
+    if hasattr(model, "trace_distributions"):
+        return model.trace_distributions(question, trace)
+    contexts = _prefixes(question, trace)
+    return np.array([model.next_token_distribution(ctx) for ctx in contexts]).reshape(-1, model.vocab.size)
+
+
+def _joined(question, trace) -> tuple[int, list[int]]:
+    """Question length and the question and trace tokens as one list."""
+    q = list(question)
+    return len(q), q + list(trace)
+
+
+def _prefixes(question, trace) -> list[list[int]]:
+    q, full = _joined(question, trace)
+    return [full[:t] for t in range(q, len(full))]
 
 
 def sample_token(probs: np.ndarray, rng: np.random.Generator) -> int:
@@ -282,12 +357,8 @@ def log_prob_sequence(policy, question: TokenSequence, trace: TokenSequence) -> 
     """Sum of per-token conditional log-probabilities of ``trace`` (EOS included)."""
     if len(trace) == 0:
         raise PolicyError("cannot score an empty trace")
-    ctx = list(question.tokens)
-    total = 0.0
-    for tok in trace.tokens:
-        total += float(policy.log_next_token_distribution(ctx)[tok])
-        ctx.append(tok)
-    return total
+    logp = score_trace(policy, question, trace).logp
+    return float(logp[np.arange(len(trace)), list(trace.tokens)].sum())
 
 
 def accumulate_weighted_grad_logp(policy, context, token: int, weight: float, buf: GradientBuffer) -> GradientBuffer:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .policy import PolicyError, sample_token
-from .vocab import ADD, ANSWER_MARK, BOS, EOS, MUL, TokenSequence, Vocabulary
+from .policy import check_tokens, sample_token
+from .vocab import ADD, ANSWER_MARK, BOS, EOS, MUL, VALUE_BASE, TokenSequence, Vocabulary
 
 
 class TaskError(ValueError):
@@ -141,69 +141,90 @@ class ChainTeacher:
         self.epsilon = spec.epsilon
 
     def _parse_question(self, tokens):
-        cfg, vocab = self.cfg, self.vocab
+        cfg = self.cfg
+        lo, hi = VALUE_BASE, VALUE_BASE + cfg.modulus
         q = tokens[: cfg.question_len]
-        if len(q) < cfg.question_len or q[0] != BOS or not vocab.is_value(q[1]):
+        if len(q) < cfg.question_len or q[0] != BOS or not lo <= q[1] < hi:
             return None
-        ops, operands = [], []
-        for j in range(cfg.chain_length):
-            op, a = q[2 + 2 * j], q[3 + 2 * j]
-            if op not in (ADD, MUL) or not vocab.is_value(a):
-                return None
-            ops.append(op)
-            operands.append(vocab.residue(a))
-        return vocab.residue(q[1]), ops, operands
+        ops, operands = q[2::2], q[3::2]
+        if any(op != ADD and op != MUL for op in ops) or not all(lo <= a < hi for a in operands):
+            return None
+        return q[1] - lo, ops, [a - lo for a in operands]
 
-    def expected_next(self, context) -> int | None:
-        """Semantically correct continuation for this prefix, or None for the sink."""
-        tokens = list(context.tokens) if isinstance(context, TokenSequence) else list(context)
-        for t in tokens:
-            if not self.vocab.contains(t):
-                raise PolicyError(f"context token {t} outside vocabulary of size {self.vocab.size}")
+    def _scan(self, tokens: list[int], start: int) -> list[int | None]:
+        """Run the automaton once along ``tokens``; return the expected next token
+        (None for the sink) after each prefix tokens[:n], start <= n <= len(tokens)."""
+        check_tokens(tokens, self.vocab.size)
+        m, L, qlen = self.cfg.modulus, self.cfg.chain_length, self.cfg.question_len
+        end = len(tokens)
         parsed = self._parse_question(tokens)
         if parsed is None:
-            return None
+            return [None] * (end - start + 1)
         running, ops, operands = parsed
-        L = self.cfg.chain_length
+        # prefixes shorter than the question have no sensible continuation
+        targets: list[int | None] = [None] * max(0, qlen - start)
         steps = 0
         phase = _PHASE_STEPS
-        for tok in tokens[self.cfg.question_len :]:
-            if tok == EOS or phase == _PHASE_SINK:
+        for n in range(qlen, end + 1):
+            if phase == _PHASE_SINK:
+                targets.extend([None] * (end + 1 - max(n, start)))
+                break
+            if n >= start:
+                if phase == _PHASE_STEPS and steps < L:
+                    targets.append(VALUE_BASE + chain_step(running, ops[steps], operands[steps], m))
+                elif phase == _PHASE_STEPS:
+                    targets.append(ANSWER_MARK)
+                elif phase == _PHASE_ANSWER:
+                    targets.append(VALUE_BASE + running)
+                else:
+                    targets.append(EOS)
+            if n == end:
+                break
+            tok = tokens[n]
+            is_value = VALUE_BASE <= tok < VALUE_BASE + m
+            if tok == EOS:
                 phase = _PHASE_SINK
             elif phase == _PHASE_STEPS:
-                if self.vocab.is_value(tok):
-                    running = self.vocab.residue(tok)
+                if is_value:
+                    running = tok - VALUE_BASE
                     steps = min(steps + 1, L)
                 elif tok == ANSWER_MARK:
                     phase = _PHASE_ANSWER
                 else:
                     phase = _PHASE_SINK
             elif phase == _PHASE_ANSWER:
-                if self.vocab.is_value(tok):
+                if is_value:
                     phase = _PHASE_POST
                 elif tok != ANSWER_MARK:
                     phase = _PHASE_SINK
-            # _PHASE_POST absorbs everything: the correct continuation stays EOS
-        if phase == _PHASE_SINK:
-            return None
-        if phase == _PHASE_STEPS:
-            if steps < L:
-                return self.vocab.value_token(chain_step(running, ops[steps], operands[steps], self.cfg.modulus))
-            return ANSWER_MARK
-        if phase == _PHASE_ANSWER:
-            return self.vocab.value_token(running)
-        return EOS
+            # _PHASE_POST absorbs everything but EOS: the correct continuation stays EOS
+        return targets
+
+    def expected_next(self, context) -> int | None:
+        """Semantically correct continuation for this prefix, or None for the sink."""
+        tokens = list(context)
+        return self._scan(tokens, len(tokens))[-1]
+
+    def _distributions(self, targets) -> np.ndarray:
+        """One row per expected token: ``1 - eps`` on it, or a point mass on EOS for None."""
+        V = self.vocab.size
+        dists = np.full((len(targets), V), self.epsilon / (V - 1))
+        for row, target in enumerate(targets):
+            if target is None:
+                dists[row] = 0.0
+                dists[row, EOS] = 1.0
+            else:
+                dists[row, target] = 1.0 - self.epsilon
+        return dists
 
     def next_token_distribution(self, context) -> np.ndarray:
-        V = self.vocab.size
-        target = self.expected_next(context)
-        if target is None:
-            dist = np.zeros(V)
-            dist[EOS] = 1.0
-            return dist
-        dist = np.full(V, self.epsilon / (V - 1))
-        dist[target] = 1.0 - self.epsilon
-        return dist
+        return self._distributions([self.expected_next(context)])[0]
+
+    def trace_distributions(self, question, trace) -> np.ndarray:
+        """(T, V) distributions at every prefix question + trace[:t], from one
+        automaton pass; row t equals ``next_token_distribution`` of that prefix."""
+        q, trace = list(question), list(trace)
+        return self._distributions(self._scan(q + trace, len(q))[: len(trace)])
 
     def log_next_token_distribution(self, context) -> np.ndarray:
         with np.errstate(divide="ignore"):

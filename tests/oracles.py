@@ -1,13 +1,19 @@
-"""Shared test-side oracles: hand-built policies and tree enumeration.
+"""Shared test-side oracles: hand-built policies, tree enumeration, and the
+per-token reference losses.
 
 Everything here is deliberately independent of the package internals it is
 used to check; divergences and rollout trees are recomputed from scratch.
+The reference losses walk a trace one prefix at a time through the public
+per-prefix methods (``log_next_token_distribution``,
+``accumulate_logit_grad``, the teacher's ``next_token_distribution``), which
+is the form the whole-trace kernel in ``driftlab.objectives`` replaces.
 """
 
 import math
 
 import numpy as np
 
+from driftlab.policy import GradientBuffer
 from driftlab.vocab import EOS, SimpleVocab, TokenSequence
 
 
@@ -152,3 +158,136 @@ def hand_fixture_traces():
         "multi_answer_rate": 0.2,
     }
     return traces, expected
+
+
+# --- per-token reference losses ------------------------------------------------
+
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + math.exp(-x)) if x >= 0 else math.exp(x) / (1.0 + math.exp(x))
+
+
+def _scaled(delta, transform):
+    return delta / transform.tau if transform.tau_convention == "divide" else delta * transform.tau
+
+
+def reference_weight(delta, transform):
+    """Scalar weight of one log-density gap, written out per transform."""
+    kind = transform.kind
+    if kind == "constant-one":
+        return 1.0
+    if kind == "sigmoid":
+        return _sigmoid(_scaled(delta, transform))
+    if kind == "raw-ratio":
+        return math.exp(delta)
+    if kind == "clip-exp":
+        return math.exp(min(max(delta, -transform.clip), transform.clip))
+    if kind == "relu":
+        return max(delta, 0.0)
+    raise ValueError(f"no per-token form for {kind!r}")
+
+
+def reference_token_weights(policy, record, transform):
+    """Correction weights from one student call per trace prefix."""
+    if transform.kind == "constant-one":
+        return np.ones(len(record.trace))
+    ctx = list(record.question.tokens)
+    deltas = []
+    for tok, teacher_logp in zip(record.trace.tokens, record.teacher_token_logps):
+        deltas.append(float(policy.log_next_token_distribution(ctx)[tok]) - float(teacher_logp))
+        ctx.append(tok)
+    if transform.kind == "sequence-sigmoid":
+        return np.full(len(deltas), _sigmoid(_scaled(sum(deltas), transform)))
+    return np.array([reference_weight(d, transform) for d in deltas])
+
+
+def reference_sft_loss(policy, record, weights):
+    """Weighted negative log-likelihood, one prefix at a time."""
+    buf = GradientBuffer(np.zeros_like(policy.params))
+    ctx = list(record.question.tokens)
+    loss = 0.0
+    for t, tok in enumerate(record.trace.tokens):
+        w = float(weights[t])
+        logp = policy.log_next_token_distribution(ctx)
+        loss -= w * float(logp[tok])
+        dlogits = w * np.exp(logp)
+        dlogits[tok] -= w
+        policy.accumulate_logit_grad(ctx, dlogits, buf)
+        ctx.append(tok)
+    return loss, buf
+
+
+def reference_kl_terms(p, q_log, direction):
+    """One position's divergence and its gradient w.r.t. the student logits."""
+    q = np.exp(q_log)
+    mask = p > 0.0
+    fwd = float(np.sum(p[mask] * (np.log(p[mask]) - q_log[mask])))
+    fwd_d = q - p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = q_log - np.log(p)
+    rev = float(np.sum(np.where(q > 0.0, q * s, 0.0)))
+    rev_d = np.where(q > 0.0, q * (s - rev), 0.0)
+    if direction == "forward":
+        return fwd, fwd_d
+    if direction == "reverse":
+        return rev, rev_d
+    return 0.5 * (fwd + rev), 0.5 * (fwd_d + rev_d)
+
+
+def reference_kl_loss(policy, record, teacher, direction, weights):
+    """Token-weighted divergence, one teacher and one student call per prefix."""
+    buf = GradientBuffer(np.zeros_like(policy.params))
+    ctx = list(record.question.tokens)
+    loss = 0.0
+    for t, tok in enumerate(record.trace.tokens):
+        w = float(weights[t])
+        p, q_log = teacher.next_token_distribution(ctx), policy.log_next_token_distribution(ctx)
+        value, dlogits = reference_kl_terms(p, q_log, direction)
+        loss += w * value
+        policy.accumulate_logit_grad(ctx, w * dlogits, buf)
+        ctx.append(tok)
+    return loss, buf
+
+
+def reference_js_loss(policy, teacher, question, supervision, beta):
+    """Generalized JS sequence loss, one position at a time."""
+    buf = GradientBuffer(np.zeros_like(policy.params))
+    ctx = list(question.tokens)
+    loss = 0.0
+    for tok in supervision.tokens:
+        p = teacher.next_token_distribution(ctx)
+        q_log = policy.log_next_token_distribution(ctx)
+        q = np.exp(q_log)
+        mix = beta * q + (1.0 - beta) * p
+        safe = np.where(mix > 0.0, mix, 1.0)
+        value = 0.0
+        if beta > 0.0:
+            mask = p > 0.0
+            value += beta * float(np.sum(p[mask] * (np.log(p[mask]) - np.log(safe[mask]))))
+        if beta < 1.0 and np.any((q > 0.0) & (mix <= 0.0)):
+            # student mass outside the mixture's support: infinite, no gradient
+            loss += float("inf")
+            ctx.append(tok)
+            continue
+        if beta < 1.0:
+            value += (1.0 - beta) * float(np.sum(np.where(q > 0.0, q * (q_log - np.log(safe)), 0.0)))
+        dq = -(beta**2) * np.where(mix > 0.0, p / safe, 0.0)
+        if beta < 1.0:
+            dq = dq + (1.0 - beta) * (np.where(q > 0.0, q_log - np.log(safe), 0.0) + 1.0 - beta * q / safe)
+        loss += value
+        policy.accumulate_logit_grad(ctx, q * (dq - float(np.sum(q * dq))), buf)
+        ctx.append(tok)
+    return loss, buf
+
+
+def reference_rollout_divergences(teacher, student, question, rollout):
+    """KL(teacher || student) at each prefix of a rollout, one call pair per prefix."""
+    ctx = list(question.tokens)
+    out = []
+    for tok in rollout:
+        p = teacher.next_token_distribution(ctx)
+        q_log = student.log_next_token_distribution(ctx)
+        mask = p > 0.0
+        out.append(float(np.sum(p[mask] * (np.log(p[mask]) - q_log[mask]))))
+        ctx.append(tok)
+    return np.array(out)

@@ -199,6 +199,32 @@ def test_drift_outputs(tmp_path):
     assert len(body) == 2 * 3
 
 
+def test_drift_runs_values_are_plain_floats(tmp_path):
+    cfg_path = write_config(tmp_path)
+    out = str(tmp_path / "results")
+    assert main(["gen-corpus", "--config", cfg_path, "--out", out]) == EXIT_OK
+    assert main(["drift", "--config", cfg_path, "--out", out]) == EXIT_OK
+    with open(os.path.join(out, "drift_runs.csv")) as fh:
+        lines = fh.read().splitlines()
+    assert lines[1] == "method,seed,horizon,exaccerr"
+    rows = [line.split(",") for line in lines[2:]]
+    assert len(rows) == 2 * 2 * 3
+    for _, seed, horizon, value in rows:
+        int(seed), int(horizon), float(value)  # a numpy repr such as np.float64(...) fails here
+
+
+def test_drift_horizon_beyond_max_len_fails_before_training(tmp_path, capsys):
+    text = SMALL_CONFIG.replace("max_len = 16", "max_len = 8").replace("horizons = 2,4,8", "horizons = 2,16")
+    cfg_path = write_config(tmp_path, text)
+    out = str(tmp_path / "results")
+    assert main(["gen-corpus", "--config", cfg_path, "--out", out]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["drift", "--config", cfg_path, "--out", out]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "16" in err and "max_len 8" in err
+    assert not [f for f in os.listdir(out) if f.startswith(("history_", "policy_"))]
+
+
 def test_report_merges_outputs(tmp_path, capsys):
     cfg_path = write_config(tmp_path)
     out = str(tmp_path / "results")
