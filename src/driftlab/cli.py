@@ -86,6 +86,11 @@ def _cmd_train(cfg, args) -> int:
 
 def _cmd_eval(cfg, args) -> int:
     policy = load_policy(args.policy)
+    if policy.vocab.modulus != cfg.task.modulus:
+        raise HarnessError(
+            f"snapshot {args.policy} was trained for modulus {policy.vocab.modulus}, "
+            f"but [task] modulus is {cfg.task.modulus}"
+        )
     problems = eval_problems(cfg)
     traces = [greedy_decode(policy, p.question, cfg.corpus.max_len) for p in problems]
     acc = final_answer_accuracy(policy, problems, max_len=cfg.corpus.max_len, traces=traces)

@@ -1,7 +1,9 @@
 """Experiment configuration: flat sectioned key=value files.
 
 Sections: [task] [teacher] [train] [objective.<label>] [eval]. The format is
-deliberately dumb so whole experiments diff cleanly; the config hash is taken
+deliberately dumb so whole experiments diff cleanly. The keys of the fixed
+sections are the fields of the settings dataclasses (``_LAYOUT``), so parsing
+and the canonical text follow the dataclasses. The config hash is taken
 over a canonical re-serialization of the parsed values, which makes it stable
 under reformatting and key reordering. Every output file of a run embeds this
 hash, and runners refuse to mix files with different hashes.
@@ -10,7 +12,7 @@ hash, and runners refuse to mix files with different hashes.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .objectives import ObjectiveSpec, WeightTransform
 from .task import TaskConfig, TeacherSpec
@@ -70,21 +72,13 @@ class TrainSettings:
             raise ConfigError(f"unknown student family {self.family!r}")
         if not self.seeds:
             raise ConfigError("at least one training seed is required")
+        if min(self.order, self.embed_dim, self.hidden_dim) < 1:
+            raise ConfigError("order, embed_dim and hidden_dim must be >= 1")
+        self.train_config(self.seeds[0])  # TrainConfig checks the optimizer settings
 
     def train_config(self, seed: int) -> TrainConfig:
-        return TrainConfig(
-            learning_rate=self.learning_rate,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            warmup_fraction=self.warmup_fraction,
-            clip_norm=self.clip_norm,
-            seed=seed,
-            optimizer=self.optimizer,
-            adam_beta1=self.adam_beta1,
-            adam_beta2=self.adam_beta2,
-            adam_eps=self.adam_eps,
-            weight_decay=self.weight_decay,
-        )
+        shared = {f.name: getattr(self, f.name) for f in fields(TrainConfig) if f.name != "seed"}
+        return TrainConfig(seed=seed, **shared)
 
 
 @dataclass(frozen=True)
@@ -133,17 +127,66 @@ def default_config() -> ExperimentConfig:
     return ExperimentConfig(objectives=default_objectives())
 
 
-def _parse_bool(val: str, key: str) -> bool:
+def _parse_bool(val: str) -> bool:
     low = val.lower()
     if low in ("true", "1", "yes"):
         return True
     if low in ("false", "0", "no"):
         return False
-    raise ConfigError(f"{key}: expected a boolean, got {val!r}")
+    raise ValueError("expected true/false, 1/0 or yes/no")
 
 
 def _parse_int_list(val: str) -> tuple[int, ...]:
     return tuple(int(v.strip()) for v in val.split(",") if v.strip())
+
+
+def _parse_ops(val: str) -> tuple[int, ...]:
+    try:
+        return tuple(_OP_BY_NAME[name.strip().upper()] for name in val.split(","))
+    except KeyError as exc:
+        raise ValueError(f"unknown operator {exc.args[0]!r}") from None
+
+
+# (parse, format) per field annotation; floats are written with repr so the
+# canonical text round-trips exactly
+_CODECS = {
+    "int": (int, str),
+    "float": (float, repr),
+    "str": (str, str),
+    "bool": (_parse_bool, lambda v: "true" if v else "false"),
+    "tuple[int, ...]": (_parse_int_list, lambda v: ",".join(str(x) for x in v)),
+}
+_OPS_CODEC = (_parse_ops, lambda ops: ",".join(_NAME_BY_OP[o] for o in ops))
+
+# file section -> (ExperimentConfig attribute, settings class), in file order;
+# the [objective.<label>] sections are written between [train] and [eval]
+_LAYOUT = (
+    ("task", (("task", TaskConfig), ("corpus", CorpusSettings))),
+    ("teacher", (("teacher", TeacherSpec),)),
+    ("train", (("train", TrainSettings),)),
+    ("eval", (("eval", EvalConfig),)),
+)
+_RENAMES = {("corpus", "seed"): "corpus_seed", ("eval", "seed"): "eval_seed"}
+
+
+def _section_keys(members) -> dict[str, tuple]:
+    """File key -> (attribute, field name, parse, format) for one section."""
+    keys = {}
+    for attr, cls in members:
+        for f in fields(cls):
+            codec = _OPS_CODEC if (cls, f.name) == (TaskConfig, "ops") else _CODECS[f.type]
+            keys[_RENAMES.get((attr, f.name), f.name)] = (attr, f.name, *codec)
+    return keys
+
+
+_KEYS = {section: _section_keys(members) for section, members in _LAYOUT}
+
+
+def _cast(parse, val: str, key: str, section: str):
+    try:
+        return parse(val)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key} = {val!r}: {exc}") from None
 
 
 def _sections(text: str) -> dict[str, dict[str, str]]:
@@ -170,145 +213,62 @@ def _sections(text: str) -> dict[str, dict[str, str]]:
     return sections
 
 
-def _take(section: dict[str, str], section_name: str, casts: dict[str, object]) -> dict[str, object]:
-    out: dict[str, object] = {}
-    for key, val in section.items():
-        if key not in casts:
-            raise ConfigError(f"unknown key {key!r} in [{section_name}]")
-        out[key] = casts[key](val)  # type: ignore[operator]
-    return out
-
-
 def _parse_objective(label: str, body: dict[str, str]) -> ObjectiveSpec:
+    section = f"objective.{label}"
     allowed = {"base", "transform", "tau", "tau_convention", "clip_c", "gkd_lambda", "gkd_beta"}
     for key in body:
         if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} in [objective.{label}]")
+            raise ConfigError(f"unknown key {key!r} in [{section}]")
     base_raw = body.get("base", "sft").lower()
     if base_raw not in _BASE_ALIASES:
-        raise ConfigError(f"objective.{label}: unknown base {base_raw!r}")
+        raise ConfigError(f"{section}: unknown base {base_raw!r}")
+
+    def number(key: str, default: float) -> float:
+        return _cast(float, body[key], key, section) if key in body else default
+
     transform = WeightTransform(
         kind=body.get("transform", "constant-one"),
-        tau=float(body.get("tau", 1.0)),
-        clip=float(body.get("clip_c", 5.0)),
+        tau=number("tau", 1.0),
+        clip=number("clip_c", 5.0),
         tau_convention=body.get("tau_convention", "divide"),
     )
     return ObjectiveSpec(
         base=_BASE_ALIASES[base_raw],
         transform=transform,
-        gkd_lambda=float(body.get("gkd_lambda", 0.0)),
-        gkd_beta=float(body.get("gkd_beta", 0.5)),
+        gkd_lambda=number("gkd_lambda", 0.0),
+        gkd_beta=number("gkd_beta", 0.5),
     )
 
 
 def parse_config(text: str) -> ExperimentConfig:
     sections = _sections(text)
-    known = {"task", "teacher", "train", "eval"}
     for name in sections:
-        if name not in known and not name.startswith("objective."):
+        if name not in _KEYS and not name.startswith("objective."):
             raise ConfigError(f"unknown section [{name}]")
 
-    task_body = dict(sections.get("task", {}))
-    task_kw = _take(
-        task_body,
-        "task",
-        {
-            "modulus": int,
-            "chain_length": int,
-            "ops": str,
-            "n_problems": int,
-            "samples_per_problem": int,
-            "max_len": int,
-            "corpus_seed": int,
-        },
-    )
-    ops_raw = task_kw.pop("ops", None)
-    ops = TaskConfig().ops
-    if ops_raw is not None:
-        try:
-            ops = tuple(_OP_BY_NAME[name.strip().upper()] for name in str(ops_raw).split(","))
-        except KeyError as exc:
-            raise ConfigError(f"unknown operator {exc.args[0]!r} in [task] ops") from None
-    corpus_kw = {
-        "n_problems": task_kw.pop("n_problems", CorpusSettings.n_problems),
-        "samples_per_problem": task_kw.pop("samples_per_problem", CorpusSettings.samples_per_problem),
-        "max_len": task_kw.pop("max_len", CorpusSettings.max_len),
-        "seed": task_kw.pop("corpus_seed", CorpusSettings.seed),
-    }
-
-    teacher_kw = _take(
-        dict(sections.get("teacher", {})),
-        "teacher",
-        {
-            "epsilon_instructed": float,
-            "epsilon_plain": float,
-            "instructed": lambda v: _parse_bool(v, "instructed"),
-        },
-    )
-    train_kw = _take(
-        dict(sections.get("train", {})),
-        "train",
-        {
-            "learning_rate": float,
-            "epochs": int,
-            "batch_size": int,
-            "warmup_fraction": float,
-            "clip_norm": float,
-            "optimizer": str,
-            "adam_beta1": float,
-            "adam_beta2": float,
-            "adam_eps": float,
-            "weight_decay": float,
-            "family": str,
-            "order": int,
-            "embed_dim": int,
-            "hidden_dim": int,
-            "init_scale": float,
-            "seeds": _parse_int_list,
-        },
-    )
+    kwargs: dict[str, dict[str, object]] = {attr: {} for _, members in _LAYOUT for attr, _ in members}
+    for section, keys in _KEYS.items():
+        for key, val in sections.get(section, {}).items():
+            if key not in keys:
+                raise ConfigError(f"unknown key {key!r} in [{section}]")
+            attr, name, parse, _ = keys[key]
+            kwargs[attr][name] = _cast(parse, val, key, section)
     # per-family training defaults from the coarse sweep: tabular trains with
     # sgd at 0.1, the feed-forward family with adam at 3e-3
-    if train_kw.get("family") == "feedforward":
-        train_kw.setdefault("optimizer", "adam")
-        train_kw.setdefault("learning_rate", 3e-3)
-    eval_kw = _take(
-        dict(sections.get("eval", {})),
-        "eval",
-        {
-            "horizons": _parse_int_list,
-            "eval_size": int,
-            "drift_problems": int,
-            "eval_seed": int,
-        },
-    )
-    if "eval_seed" in eval_kw:
-        eval_kw["seed"] = eval_kw.pop("eval_seed")
-
-    objectives = []
-    for name, body in sections.items():
-        if name.startswith("objective."):
-            label = name[len("objective.") :]
-            if not label:
-                raise ConfigError("objective sections need a label: [objective.<label>]")
-            objectives.append((label, _parse_objective(label, body)))
-    if not objectives:
-        objectives = list(default_objectives())
+    if kwargs["train"].get("family") == "feedforward":
+        kwargs["train"].setdefault("optimizer", "adam")
+        kwargs["train"].setdefault("learning_rate", 3e-3)
 
     try:
-        task = TaskConfig(
-            modulus=task_kw.get("modulus", TaskConfig.modulus),
-            chain_length=task_kw.get("chain_length", TaskConfig.chain_length),
-            ops=ops,
-        )
-        return ExperimentConfig(
-            task=task,
-            corpus=CorpusSettings(**corpus_kw),
-            teacher=TeacherSpec(**teacher_kw),
-            train=TrainSettings(**train_kw),
-            eval=EvalConfig(**eval_kw),
-            objectives=tuple(objectives),
-        )
+        objectives = []
+        for name, body in sections.items():
+            if name.startswith("objective."):
+                label = name[len("objective.") :]
+                if not label:
+                    raise ConfigError("objective sections need a label: [objective.<label>]")
+                objectives.append((label, _parse_objective(label, body)))
+        settings = {attr: cls(**kwargs[attr]) for _, members in _LAYOUT for attr, cls in members}
+        return ExperimentConfig(**settings, objectives=tuple(objectives) or default_objectives())
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -318,57 +278,32 @@ def load_config(path) -> ExperimentConfig:
         return parse_config(fh.read())
 
 
+def _format_objective(label: str, spec: ObjectiveSpec) -> str:
+    return "\n".join(
+        [
+            f"[objective.{label}]",
+            f"base = {spec.base}",
+            f"transform = {spec.transform.kind}",
+            f"tau = {spec.transform.tau!r}",
+            f"tau_convention = {spec.transform.tau_convention}",
+            f"clip_c = {spec.transform.clip!r}",
+            f"gkd_lambda = {spec.gkd_lambda!r}",
+            f"gkd_beta = {spec.gkd_beta!r}",
+        ]
+    )
+
+
 def format_config(cfg: ExperimentConfig) -> str:
     """Canonical serialization; also the byte stream the config hash covers."""
-    lines = ["[task]"]
-    lines.append(f"modulus = {cfg.task.modulus}")
-    lines.append(f"chain_length = {cfg.task.chain_length}")
-    lines.append(f"ops = {','.join(_NAME_BY_OP[o] for o in cfg.task.ops)}")
-    lines.append(f"n_problems = {cfg.corpus.n_problems}")
-    lines.append(f"samples_per_problem = {cfg.corpus.samples_per_problem}")
-    lines.append(f"max_len = {cfg.corpus.max_len}")
-    lines.append(f"corpus_seed = {cfg.corpus.seed}")
-    lines.append("")
-    lines.append("[teacher]")
-    lines.append(f"epsilon_instructed = {cfg.teacher.epsilon_instructed!r}")
-    lines.append(f"epsilon_plain = {cfg.teacher.epsilon_plain!r}")
-    lines.append(f"instructed = {'true' if cfg.teacher.instructed else 'false'}")
-    lines.append("")
-    lines.append("[train]")
-    t = cfg.train
-    lines.append(f"learning_rate = {t.learning_rate!r}")
-    lines.append(f"epochs = {t.epochs}")
-    lines.append(f"batch_size = {t.batch_size}")
-    lines.append(f"warmup_fraction = {t.warmup_fraction!r}")
-    lines.append(f"clip_norm = {t.clip_norm!r}")
-    lines.append(f"optimizer = {t.optimizer}")
-    lines.append(f"adam_beta1 = {t.adam_beta1!r}")
-    lines.append(f"adam_beta2 = {t.adam_beta2!r}")
-    lines.append(f"adam_eps = {t.adam_eps!r}")
-    lines.append(f"weight_decay = {t.weight_decay!r}")
-    lines.append(f"family = {t.family}")
-    lines.append(f"order = {t.order}")
-    lines.append(f"embed_dim = {t.embed_dim}")
-    lines.append(f"hidden_dim = {t.hidden_dim}")
-    lines.append(f"init_scale = {t.init_scale!r}")
-    lines.append(f"seeds = {','.join(str(s) for s in t.seeds)}")
-    lines.append("")
-    for label, spec in cfg.objectives:
-        lines.append(f"[objective.{label}]")
-        lines.append(f"base = {spec.base}")
-        lines.append(f"transform = {spec.transform.kind}")
-        lines.append(f"tau = {spec.transform.tau!r}")
-        lines.append(f"tau_convention = {spec.transform.tau_convention}")
-        lines.append(f"clip_c = {spec.transform.clip!r}")
-        lines.append(f"gkd_lambda = {spec.gkd_lambda!r}")
-        lines.append(f"gkd_beta = {spec.gkd_beta!r}")
-        lines.append("")
-    lines.append("[eval]")
-    lines.append(f"horizons = {','.join(str(h) for h in cfg.eval.horizons)}")
-    lines.append(f"eval_size = {cfg.eval.eval_size}")
-    lines.append(f"drift_problems = {cfg.eval.drift_problems}")
-    lines.append(f"eval_seed = {cfg.eval.seed}")
-    return "\n".join(lines) + "\n"
+    blocks = []
+    for section, keys in _KEYS.items():
+        if section == "eval":
+            blocks.extend(_format_objective(label, spec) for label, spec in cfg.objectives)
+        lines = [f"[{section}]"]
+        for key, (attr, name, _, fmt) in keys.items():
+            lines.append(f"{key} = {fmt(getattr(getattr(cfg, attr), name))}")
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

@@ -169,9 +169,8 @@ class CellResult:
 
 
 def _run_cell(args) -> CellResult:
-    cfg, label, spec, seed, out_dir, do_drift = args
+    cfg, label, spec, seed, out_dir, do_drift, (corpus, probs_eval, probs_drift) = args
     teacher = teacher_policy(cfg.teacher, cfg.task)
-    corpus = load_corpus_checked(cfg, out_dir)
     init = make_student(cfg, seed)
     tc = cfg.train.train_config(seed)
     try:
@@ -179,8 +178,6 @@ def _run_cell(args) -> CellResult:
     except TrainAbortError as abort:
         return CellResult(label=label, seed=seed, status="aborted", abort_step=abort.step)
     cell = CellResult(label=label, seed=seed, history=history)
-    probs_eval = eval_problems(cfg)
-    probs_drift = drift_problems(cfg)
     rseed = rollout_seed(cfg, seed)
     # one greedy decode of the eval set feeds both accuracy and trace quality
     traces = [greedy_decode(policy, p.question, cfg.corpus.max_len) for p in probs_eval]
@@ -203,7 +200,9 @@ def _run_cell(args) -> CellResult:
 
 
 def _run_cells(cfg: ExperimentConfig, cells, out_dir, jobs: int, do_drift: bool) -> list[CellResult]:
-    args = [(cfg, label, spec, seed, out_dir, do_drift) for label, spec, seed in cells]
+    # the corpus and both problem sets are the same for every cell: build them once
+    shared = (load_corpus_checked(cfg, out_dir), eval_problems(cfg), drift_problems(cfg))
+    args = [(cfg, label, spec, seed, out_dir, do_drift, shared) for label, spec, seed in cells]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_cell, args))
@@ -221,6 +220,13 @@ def mean_std(values) -> tuple[float, float]:
     return float(arr.mean()), std
 
 
+def _by_label(cells: list[CellResult]) -> dict[str, list[CellResult]]:
+    out: dict[str, list[CellResult]] = {}
+    for c in cells:
+        out.setdefault(c.label, []).append(c)
+    return out
+
+
 @dataclass
 class MatrixResult:
     cells: list[CellResult]
@@ -229,65 +235,73 @@ class MatrixResult:
     files: list[str] = field(default_factory=list)
 
     def by_label(self) -> dict[str, list[CellResult]]:
-        out: dict[str, list[CellResult]] = {}
-        for c in self.cells:
-            out.setdefault(c.label, []).append(c)
-        return out
+        return _by_label(self.cells)
+
+    def ok_by_label(self) -> dict[str, list[CellResult]]:
+        """The cells that finished training, per label, in label order."""
+        by_label = self.by_label()
+        return {label: [c for c in by_label[label] if c.status == "ok"] for label in sorted(by_label)}
 
 
 def _dataset_name(cfg: ExperimentConfig) -> str:
     return f"chain-m{cfg.task.modulus}-L{cfg.task.chain_length}"
 
 
+def _run_objectives(cfg: ExperimentConfig, out_dir, jobs: int, do_drift: bool) -> MatrixResult:
+    """Train and evaluate every (objective, seed) cell of the config."""
+    os.makedirs(out_dir, exist_ok=True)
+    cells = [(label, spec, seed) for label, spec in cfg.objectives for seed in cfg.train.seeds]
+    results = _run_cells(cfg, cells, out_dir, jobs, do_drift)
+    return MatrixResult(cells=results, dataset=_dataset_name(cfg), out_dir=str(out_dir))
+
+
+def _write_curves(path, header: str, ok: dict[str, list[CellResult]]) -> None:
+    """Per-label mean of the cells' exaccerr curves, one row per horizon."""
+    lines = [header, "method,horizon,exaccerr"]
+    for label, group in ok.items():
+        if not group:
+            continue
+        for j, h in enumerate(group[0].exaccerr_curve.horizons):
+            mean, _ = mean_std([c.exaccerr_curve.values[j] for c in group])
+            lines.append(f"{label},{h},{mean!r}")
+    write_lines(path, lines)
+
+
 def run_matrix(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> MatrixResult:
     """Train every (objective, seed) cell from the shared corpus and initial
     policy, evaluate, and emit per-metric CSVs plus a per-objective summary."""
-    os.makedirs(out_dir, exist_ok=True)
-    cells = [(label, spec, seed) for label, spec in cfg.objectives for seed in cfg.train.seeds]
-    results = _run_cells(cfg, cells, out_dir, jobs, do_drift=False)
-    dataset = _dataset_name(cfg)
-    res = MatrixResult(cells=results, dataset=dataset, out_dir=str(out_dir))
-
+    res = _run_objectives(cfg, out_dir, jobs, do_drift=False)
     header = output_header(cfg)
-    by_label = res.by_label()
-    ok = {label: [c for c in group if c.status == "ok"] for label, group in by_label.items()}
+    ok = res.ok_by_label()
 
     acc_lines = [header, "method,dataset,accuracy"]
-    for label in sorted(by_label):
-        if ok[label]:
-            mean, _ = mean_std([c.accuracy for c in ok[label]])
-            acc_lines.append(f"{label},{dataset},{mean!r}")
+    for label, group in ok.items():
+        if group:
+            mean, _ = mean_std([c.accuracy for c in group])
+            acc_lines.append(f"{label},{res.dataset},{mean!r}")
     write_lines(os.path.join(out_dir, "accuracy.csv"), acc_lines)
 
-    exa_lines = [header, "method,horizon,exaccerr"]
-    for label in sorted(by_label):
-        if not ok[label]:
-            continue
-        horizons = ok[label][0].exaccerr_curve.horizons
-        for j, h in enumerate(horizons):
-            mean, _ = mean_std([c.exaccerr_curve.values[j] for c in ok[label]])
-            exa_lines.append(f"{label},{h},{mean!r}")
-    write_lines(os.path.join(out_dir, "exaccerr.csv"), exa_lines)
+    _write_curves(os.path.join(out_dir, "exaccerr.csv"), header, ok)
 
     tq_lines = [header, "method,mean_len,rep4,post_answer,multi_answer"]
-    for label in sorted(by_label):
-        if not ok[label]:
+    for label, group in ok.items():
+        if not group:
             continue
-        ml, _ = mean_std([c.quality.mean_length for c in ok[label]])
-        r4, _ = mean_std([c.quality.repeated_4gram_fraction for c in ok[label]])
-        pa, _ = mean_std([c.quality.post_answer_rate for c in ok[label]])
-        ma, _ = mean_std([c.quality.multi_answer_rate for c in ok[label]])
+        ml, _ = mean_std([c.quality.mean_length for c in group])
+        r4, _ = mean_std([c.quality.repeated_4gram_fraction for c in group])
+        pa, _ = mean_std([c.quality.post_answer_rate for c in group])
+        ma, _ = mean_std([c.quality.multi_answer_rate for c in group])
         tq_lines.append(f"{label},{ml!r},{r4!r},{pa!r},{ma!r}")
     write_lines(os.path.join(out_dir, "trace_quality.csv"), tq_lines)
 
     sum_lines = [header, "method,n_seeds_ok,accuracy_mean,accuracy_std"]
-    for label in sorted(by_label):
-        mean, std = mean_std([c.accuracy for c in ok[label]])
-        sum_lines.append(f"{label},{len(ok[label])},{mean!r},{std!r}")
+    for label, group in ok.items():
+        mean, std = mean_std([c.accuracy for c in group])
+        sum_lines.append(f"{label},{len(group)},{mean!r},{std!r}")
     write_lines(os.path.join(out_dir, "summary.csv"), sum_lines)
 
     run_lines = [header, "method,seed,status,abort_step,accuracy"]
-    for c in results:
+    for c in res.cells:
         acc = repr(c.accuracy) if c.status == "ok" else ""
         run_lines.append(f"{c.label},{c.seed},{c.status},{c.abort_step if c.status != 'ok' else ''},{acc}")
     write_lines(os.path.join(out_dir, "runs.csv"), run_lines)
@@ -308,26 +322,12 @@ def run_drift(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> MatrixResult:
             f"drift horizon {longest} exceeds max_len {cfg.corpus.max_len}: "
             "prefixes are rolled out to at most max_len tokens"
         )
-    os.makedirs(out_dir, exist_ok=True)
-    cells = [(label, spec, seed) for label, spec in cfg.objectives for seed in cfg.train.seeds]
-    results = _run_cells(cfg, cells, out_dir, jobs, do_drift=True)
-    res = MatrixResult(cells=results, dataset=_dataset_name(cfg), out_dir=str(out_dir))
+    res = _run_objectives(cfg, out_dir, jobs, do_drift=True)
     header = output_header(cfg)
-    by_label = res.by_label()
-    ok = {label: [c for c in group if c.status == "ok"] for label, group in by_label.items()}
-
-    drift_lines = [header, "method,horizon,exaccerr"]
-    for label in sorted(by_label):
-        if not ok[label]:
-            continue
-        horizons = ok[label][0].exaccerr_curve.horizons
-        for j, h in enumerate(horizons):
-            mean, _ = mean_std([c.exaccerr_curve.values[j] for c in ok[label]])
-            drift_lines.append(f"{label},{h},{mean!r}")
-    write_lines(os.path.join(out_dir, "drift.csv"), drift_lines)
+    _write_curves(os.path.join(out_dir, "drift.csv"), header, res.ok_by_label())
 
     run_lines = [header, "method,seed,horizon,exaccerr"]
-    for c in results:
+    for c in res.cells:
         if c.status != "ok":
             continue
         for j, h in enumerate(c.exaccerr_curve.horizons):
@@ -350,9 +350,7 @@ def run_ablate_weights(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> Ablatio
     os.makedirs(out_dir, exist_ok=True)
     cells = [(label, spec, seed) for label, _, spec in ABLATION_VARIANTS for seed in cfg.train.seeds]
     results = _run_cells(cfg, cells, out_dir, jobs, do_drift=False)
-    by_label: dict[str, list[CellResult]] = {}
-    for c in results:
-        by_label.setdefault(c.label, []).append(c)
+    by_label = _by_label(results)
 
     rows = []
     weight_ranges: dict[str, tuple[float, float]] = {}

@@ -434,22 +434,31 @@ def load_policy(path) -> ParametricPolicy:
         i += 1
         if key == "n_params":
             break
-    n = int(header["n_params"])
+
+    def header_int(key: str) -> int:
+        if key not in header:
+            raise PolicyError(f"snapshot {path} has no {key}= header line")
+        try:
+            return int(header[key])
+        except ValueError:
+            raise PolicyError(f"snapshot {path}: {key}={header[key]!r} is not an integer") from None
+
+    n = header_int("n_params")
     params = np.array([float(v) for v in lines[i : i + n]], dtype=np.float64)
     if params.size != n:
         raise PolicyError(f"snapshot truncated: expected {n} params, found {params.size}")
-    vocab = Vocabulary(int(header["modulus"]))
-    if vocab.size != int(header["vocab_size"]):
+    vocab = Vocabulary(header_int("modulus"))
+    if vocab.size != header_int("vocab_size"):
         raise PolicyError("snapshot vocab_size inconsistent with modulus")
-    family = header["family"]
+    family = header.get("family")
     if family == FAMILY_TABULAR:
-        return TabularPolicy(vocab, int(header["order"]), params)
+        return TabularPolicy(vocab, header_int("order"), params)
     if family == FAMILY_FEEDFORWARD:
         return FeedForwardPolicy(
             vocab,
-            int(header["order"]),
-            int(header["embed_dim"]),
-            int(header["hidden_dim"]),
+            header_int("order"),
+            header_int("embed_dim"),
+            header_int("hidden_dim"),
             params=params,
         )
     raise PolicyError(f"unknown policy family {family!r}")

@@ -9,12 +9,19 @@ import pytest
 from driftlab.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from driftlab.config import (
     ConfigError,
+    CorpusSettings,
+    EvalConfig,
+    ExperimentConfig,
+    TrainSettings,
     config_hash,
     default_config,
     format_config,
     parse_config,
 )
-from driftlab.task import read_corpus
+from driftlab.objectives import ObjectiveSpec, WeightTransform
+from driftlab.policy import TabularPolicy, save_policy
+from driftlab.task import TaskConfig, TeacherSpec, read_corpus
+from driftlab.vocab import MUL, Vocabulary
 
 SMALL_CONFIG = """
 [task]
@@ -106,6 +113,62 @@ def test_duplicate_labels_rejected():
 def test_default_config_parses():
     cfg = default_config()
     assert config_hash(cfg) == config_hash(parse_config(format_config(cfg)))
+
+
+def test_config_hash_golden_values():
+    # measured before the config format was derived from the dataclasses; every
+    # corpus header, manifest and output CSV carries these bytes
+    assert config_hash(default_config()) == "916c6d4323787939"
+    assert config_hash(parse_config(SMALL_CONFIG)) == "b0dc1ac4b4d0fec0"
+    assert config_hash(parse_config("[train]\nfamily = feedforward\n")) == "eae4a1ffdaa2d451"
+
+
+def test_every_field_round_trips():
+    cfg = ExperimentConfig(
+        task=TaskConfig(modulus=11, chain_length=3, ops=(MUL,)),
+        corpus=CorpusSettings(n_problems=7, samples_per_problem=2, max_len=20, seed=99),
+        teacher=TeacherSpec(epsilon_instructed=0.01, epsilon_plain=0.2, instructed=False),
+        train=TrainSettings(
+            learning_rate=0.25, epochs=2, batch_size=4, warmup_fraction=0.1, clip_norm=2.5,
+            optimizer="adam", adam_beta1=0.8, adam_beta2=0.99, adam_eps=1e-6, weight_decay=0.01,
+            family="feedforward", order=3, embed_dim=5, hidden_dim=6, init_scale=0.3, seeds=(4, 2),
+        ),
+        eval=EvalConfig(horizons=(1, 3), eval_size=10, drift_problems=20, seed=3),
+        objectives=(
+            ("c", ObjectiveSpec("reverse-kl", WeightTransform("clip-exp", tau=2.0, clip=3.0, tau_convention="multiply"))),
+            ("g", ObjectiveSpec("gkd", gkd_lambda=0.25, gkd_beta=0.75)),
+        ),
+    )
+    assert parse_config(format_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("learning_rate = 0.2", "learning_rate = -1"),
+        ("optimizer = sgd", "optimizer = adamw"),
+        ("epochs = 1", "epochs = 0"),
+        ("clip_norm = 1.0", "clip_norm = 0"),
+        ("warmup_fraction = 0.05", "warmup_fraction = 1.5"),
+        ("order = 1", "order = 0"),
+        ("modulus = 5", "modulus = five"),
+        ("tau = 1.0", "tau = x"),
+        ("instructed = true", "instructed = maybe"),
+    ],
+)
+def test_invalid_values_rejected_at_parse(old, new):
+    assert SMALL_CONFIG.count(old) == 1
+    with pytest.raises(ConfigError):
+        parse_config(SMALL_CONFIG.replace(old, new))
+
+
+@pytest.mark.parametrize("old, new", [("modulus = 5", "modulus = five"), ("learning_rate = 0.2", "learning_rate = -1")])
+def test_invalid_value_exits_2_before_writing(tmp_path, capsys, old, new):
+    cfg_path = write_config(tmp_path, SMALL_CONFIG.replace(old, new))
+    out = tmp_path / "results"
+    assert main(["gen-corpus", "--config", cfg_path, "--out", str(out)]) == EXIT_CONFIG
+    assert new.split(" = ")[0] in capsys.readouterr().err
+    assert not (out / "corpus.txt").exists()
 
 
 def test_gen_corpus_and_manifest(tmp_path):
@@ -297,3 +360,44 @@ def test_parallel_matrix_matches_serial(tmp_path):
         assert main(["matrix", "--config", cfg_path, "--out", out, "--jobs", jobs]) == EXIT_OK
     names = ["accuracy.csv", "exaccerr.csv", "trace_quality.csv", "summary.csv", "runs.csv"]
     assert file_hashes(out1, names) == file_hashes(out2, names)
+
+
+def _snapshot(tmp_path, modulus=5, drop=None, edit=None):
+    path = str(tmp_path / "policy.txt")
+    save_policy(TabularPolicy(Vocabulary(modulus), 1), path)
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if drop is not None:
+        lines = [line for line in lines if not line.startswith(f"{drop}=")]
+    if edit is not None:
+        key, val = edit
+        lines = [f"{key}={val}" if line.startswith(f"{key}=") else line for line in lines]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"drop": "modulus"}, "no modulus= header line"),
+        ({"drop": "n_params"}, "no n_params= header line"),
+        ({"edit": ("order", "one")}, "order='one' is not an integer"),
+    ],
+)
+def test_eval_broken_snapshot_header(tmp_path, capsys, kwargs, message):
+    cfg_path = write_config(tmp_path)
+    out = str(tmp_path / "results")
+    policy_path = _snapshot(tmp_path, **kwargs)
+    assert main(["eval", "--config", cfg_path, "--out", out, "--policy", policy_path]) == EXIT_RUNTIME
+    assert message in capsys.readouterr().err
+
+
+def test_eval_rejects_snapshot_of_other_modulus(tmp_path, capsys):
+    cfg_path = write_config(tmp_path)
+    out = str(tmp_path / "results")
+    policy_path = _snapshot(tmp_path, modulus=7)
+    assert main(["eval", "--config", cfg_path, "--out", out, "--policy", policy_path]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "modulus 7" in err and "modulus is 5" in err
+    assert not os.path.exists(os.path.join(out, "eval_policy.csv"))
