@@ -25,7 +25,7 @@ from .harness import (
     write_lines,
 )
 from .metrics import final_answer_accuracy, trace_quality
-from .policy import greedy_decode, load_policy, save_policy
+from .policy import load_policy, rollouts, save_policy
 from .task import teacher_policy
 from .training import TrainAbortError, train
 
@@ -92,7 +92,7 @@ def _cmd_eval(cfg, args) -> int:
             f"but [task] modulus is {cfg.task.modulus}"
         )
     problems = eval_problems(cfg)
-    traces = [greedy_decode(policy, p.question, cfg.corpus.max_len) for p in problems]
+    traces = rollouts(policy, [p.question for p in problems], cfg.corpus.max_len).traces
     acc = final_answer_accuracy(policy, problems, max_len=cfg.corpus.max_len, traces=traces)
     quality = trace_quality(traces)
     name = os.path.splitext(os.path.basename(args.policy))[0]

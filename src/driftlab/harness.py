@@ -28,8 +28,10 @@ from .metrics import (
     trace_quality,
 )
 from .objectives import ObjectiveSpec, WeightTransform
-from .policy import FeedForwardPolicy, TabularPolicy, greedy_decode, save_policy
+from .policy import FeedForwardPolicy, TabularPolicy, rollouts, save_policy
+from .policy import greedy_decode  # noqa: F401 -- bench/tracer.py wraps this name here
 from .task import (
+    TaskError,
     TraceCorpus,
     filter_teacher_correct,
     generate_corpus,
@@ -153,7 +155,10 @@ def load_corpus_checked(cfg: ExperimentConfig, out_dir) -> TraceCorpus:
         raise HarnessError(
             f"corpus hash mismatch: file says {first!r}, config gives {expected!r}; regenerate the corpus"
         )
-    return read_corpus(corpus_path)
+    try:
+        return read_corpus(corpus_path, cfg.task.vocab())
+    except TaskError as exc:
+        raise HarnessError(f"malformed corpus: {exc}") from None
 
 
 @dataclass
@@ -168,8 +173,19 @@ class CellResult:
     history: RunHistory | None = None
 
 
+# the corpus and both problem sets of the running study, the same for every
+# cell: set once per process, by the pool initializer in each worker
+_shared_inputs: tuple | None = None
+
+
+def _share_inputs(shared: tuple | None) -> None:
+    global _shared_inputs
+    _shared_inputs = shared
+
+
 def _run_cell(args) -> CellResult:
-    cfg, label, spec, seed, out_dir, do_drift, (corpus, probs_eval, probs_drift) = args
+    cfg, label, spec, seed, out_dir, do_drift = args
+    corpus, probs_eval, probs_drift = _shared_inputs
     teacher = teacher_policy(cfg.teacher, cfg.task)
     init = make_student(cfg, seed)
     tc = cfg.train.train_config(seed)
@@ -180,7 +196,7 @@ def _run_cell(args) -> CellResult:
     cell = CellResult(label=label, seed=seed, history=history)
     rseed = rollout_seed(cfg, seed)
     # one greedy decode of the eval set feeds both accuracy and trace quality
-    traces = [greedy_decode(policy, p.question, cfg.corpus.max_len) for p in probs_eval]
+    traces = rollouts(policy, [p.question for p in probs_eval], cfg.corpus.max_len).traces
     cell.accuracy = final_answer_accuracy(policy, probs_eval, max_len=cfg.corpus.max_len, traces=traces)
     if do_drift:
         cell.exaccerr_curve = prefix_drift_eval(
@@ -200,14 +216,19 @@ def _run_cell(args) -> CellResult:
 
 
 def _run_cells(cfg: ExperimentConfig, cells, out_dir, jobs: int, do_drift: bool) -> list[CellResult]:
-    # the corpus and both problem sets are the same for every cell: build them once
+    # the corpus and both problem sets are the same for every cell: build them
+    # once, and hand them to each worker process once rather than with every cell
     shared = (load_corpus_checked(cfg, out_dir), eval_problems(cfg), drift_problems(cfg))
-    args = [(cfg, label, spec, seed, out_dir, do_drift, shared) for label, spec, seed in cells]
+    args = [(cfg, label, spec, seed, out_dir, do_drift) for label, spec, seed in cells]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_share_inputs, initargs=(shared,)) as pool:
             results = list(pool.map(_run_cell, args))
     else:
-        results = [_run_cell(a) for a in args]
+        _share_inputs(shared)
+        try:
+            results = [_run_cell(a) for a in args]
+        finally:
+            _share_inputs(None)
     results.sort(key=lambda c: (c.label, c.seed))
     return results
 

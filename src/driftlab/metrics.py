@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .policy import greedy_decode, sample_sequence, score_trace, trace_distributions
+from .policy import rollouts, score_trace, trace_distributions
+from .policy import greedy_decode, sample_sequence  # noqa: F401 -- bench/tracer.py wraps these names here
 from .task import ProblemInstance, answer_token
 from .vocab import ANSWER_MARK, EOS, TokenSequence
 
@@ -59,7 +60,7 @@ def final_answer_accuracy(policy, problems: list[ProblemInstance], max_len: int 
     if not problems:
         raise ValueError("need at least one problem")
     if traces is None:
-        traces = [greedy_decode(policy, problem.question, max_len) for problem in problems]
+        traces = rollouts(policy, [problem.question for problem in problems], max_len).traces
     hits = sum(answer_token(trace) == problem.gold_answer for problem, trace in zip(problems, traces, strict=True))
     return hits / len(problems)
 
@@ -71,6 +72,18 @@ def rollout_divergences(teacher, student, question: TokenSequence, rollout) -> n
     q_log = score_trace(student, question, rollout).logp
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(p > 0.0, p * (np.log(p) - q_log), 0.0).sum(axis=-1)
+
+
+def _accumulated(teacher, student, source, questions, max_len: int, seed: int, tag: int, horizons) -> list[np.ndarray]:
+    """Roll ``source`` out once per question in lockstep, row idx drawing from
+    its own stream SeedSequence([seed, idx, tag]) so that curves are paired
+    across policies, and accumulate KL(teacher || student) along each rollout
+    up to every horizon."""
+    streams = (
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, idx, tag]))) for idx in range(len(questions))
+    )
+    traces = rollouts(source, questions, max_len, streams, private_streams=True).traces
+    return [_cumulative(rollout_divergences(teacher, student, q, y), horizons) for q, y in zip(questions, traces)]
 
 
 def _cumulative(divs: np.ndarray, horizons) -> np.ndarray:
@@ -111,14 +124,9 @@ def exaccerr(
     horizons = tuple(horizons)
     if not horizons or any(h < 1 for h in horizons):
         raise ValueError("horizons must be non-empty and >= 1")
-    refs, selfs = [], []
-    for idx, problem in enumerate(problems):
-        rng_t = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, idx, 0])))
-        rng_s = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, idx, 1])))
-        y_teacher = sample_sequence(teacher, problem.question, rng_t, max_len)
-        y_student = sample_sequence(student, problem.question, rng_s, max_len)
-        refs.append(_cumulative(rollout_divergences(teacher, student, problem.question, y_teacher), horizons))
-        selfs.append(_cumulative(rollout_divergences(teacher, student, problem.question, y_student), horizons))
+    questions = [problem.question for problem in problems]
+    refs = _accumulated(teacher, student, teacher, questions, max_len, seed, 0, horizons)
+    selfs = _accumulated(teacher, student, student, questions, max_len, seed, 1, horizons)
     return _aggregate_curve(refs, selfs, horizons, floor)
 
 
@@ -143,18 +151,9 @@ def prefix_drift_eval(
         raise ValueError("horizons must be non-empty and >= 1")
     if max(horizons) > max_len:
         raise ValueError("horizons must stay within the rollout length cap")
-    refs, selfs = [], []
-    for idx, problem in enumerate(problems):
-        rng_t = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, idx, 0])))
-        rng_p = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, idx, 1])))
-        y_teacher = sample_sequence(teacher, problem.question, rng_t, max_len)
-        prefix = sample_sequence(prefix_source_policy, problem.question, rng_p, max(horizons))
-        refs.append(
-            _cumulative(rollout_divergences(teacher, trained_policy, problem.question, y_teacher), horizons)
-        )
-        selfs.append(
-            _cumulative(rollout_divergences(teacher, trained_policy, problem.question, prefix), horizons)
-        )
+    questions = [problem.question for problem in problems]
+    refs = _accumulated(teacher, trained_policy, teacher, questions, max_len, seed, 0, horizons)
+    selfs = _accumulated(teacher, trained_policy, prefix_source_policy, questions, max(horizons), seed, 1, horizons)
     return _aggregate_curve(refs, selfs, horizons, floor)
 
 

@@ -43,9 +43,10 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
+    """Softmax over the last axis, for one logit row or a (P, V) stack."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def check_tokens(tokens, vocab_size: int) -> None:
@@ -135,6 +136,9 @@ class ParametricPolicy:
         """Backpropagate a d(loss)/d(logits) vector for one context into ``buf``."""
         _, cache = self.forward(self._context_window(context))
         self.backward(cache, np.asarray(dlogits)[None, :], buf)
+
+    def rollout_state(self, questions) -> "_WindowState":
+        return _WindowState(self, questions)
 
     def clone(self) -> "ParametricPolicy":
         raise NotImplementedError
@@ -316,41 +320,117 @@ def _prefixes(question, trace) -> list[list[int]]:
     return [full[:t] for t in range(q, len(full))]
 
 
-def sample_token(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw; deterministic given the generator state."""
-    u = rng.random()
-    idx = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-    return min(idx, len(probs) - 1)
+class _WindowState:
+    """P growing contexts of a trainable policy, kept as a (P, k) window array:
+    one ``forward`` call gives the next-token distributions of any rows."""
+
+    def __init__(self, policy: ParametricPolicy, questions):
+        self.policy = policy
+        windows = [policy._context_window(q)[0] for q in questions]
+        self.windows = np.array(windows, dtype=np.int64).reshape(-1, policy.order)
+
+    def distributions(self, rows: np.ndarray) -> np.ndarray:
+        return _softmax(self.policy.forward(self.windows[rows])[0])
+
+    def advance(self, rows: np.ndarray, tokens: np.ndarray) -> None:
+        self.windows[rows, :-1] = self.windows[rows, 1:]
+        self.windows[rows, -1] = tokens
+
+
+class _StackedState:
+    """P growing contexts of a model seen only through ``next_token_distribution``;
+    its per-row calls are stacked."""
+
+    def __init__(self, model, questions):
+        self.model = model
+        self.contexts = [list(q) for q in questions]
+        for ctx in self.contexts:
+            check_tokens(ctx, model.vocab.size)
+
+    def distributions(self, rows: np.ndarray) -> np.ndarray:
+        return np.array([self.model.next_token_distribution(self.contexts[i]) for i in rows])
+
+    def advance(self, rows: np.ndarray, tokens: np.ndarray) -> None:
+        for i, tok in zip(rows.tolist(), tokens.tolist()):
+            self.contexts[i].append(tok)
+
+
+@dataclass
+class Rollouts:
+    """P rollouts made in lockstep: ``traces[i]`` is row i's trace, and
+    ``token_probs[i, t]`` the probability the model gave its token t (0 past the end)."""
+
+    traces: list[TokenSequence]
+    token_probs: np.ndarray
+
+
+def rollouts(model, questions, max_len: int, streams=None, private_streams: bool = False) -> Rollouts:
+    """Roll out every question together, until EOS or ``max_len`` tokens.
+
+    Each step makes one (P, V) array of next-token distributions for the live
+    rows and picks one token per row: the argmax (ties to the lowest index)
+    when ``streams`` is None, otherwise an inverse-CDF draw of one uniform from
+    that row's own generator ``streams[i]``, one per emitted token and none
+    after EOS. With ``private_streams`` nothing else draws from those
+    generators, so each row's ``max_len`` uniforms come from one call: PCG64
+    gives the same values as that many single draws, and the unused tail is
+    never seen. ``streams`` is then read once, in row order, and may be a
+    generator expression, so that no more than one generator is alive at a
+    time.
+
+    Models with a ``rollout_state(questions)`` keep their own P-row state (the
+    window array of a trainable policy, the teacher's automaton); any other
+    model gets its per-row ``next_token_distribution`` calls stacked.
+    """
+    if max_len < 1:
+        raise PolicyError("max_len must be >= 1")
+    state = model.rollout_state(questions) if hasattr(model, "rollout_state") else _StackedState(model, questions)
+    P = len(questions)
+    tokens = np.zeros((P, max_len), dtype=np.int64)
+    probs = np.zeros((P, max_len))
+    if private_streams:
+        uniforms = np.empty((P, max_len))
+        for row, rng in zip(uniforms, streams, strict=True):
+            row[:] = rng.random(max_len)
+    live = np.arange(P)
+    for t in range(max_len):
+        if not live.size:
+            break
+        dists = state.distributions(live)
+        if streams is None:
+            toks = dists.argmax(axis=1)
+        else:
+            u = uniforms[live, t] if private_streams else np.array([streams[i].random() for i in live.tolist()])
+            # the inverse CDF: the first token whose cumulative sum exceeds u,
+            # and the last token for a u at or past the rounded total
+            cdf = dists.cumsum(axis=1)
+            cdf[:, -1] = np.inf
+            toks = (cdf > u[:, None]).argmax(axis=1)
+        tokens[live, t] = toks
+        probs[live, t] = dists[np.arange(live.size), toks]
+        going = toks != EOS
+        if np.count_nonzero(going) < live.size:
+            live, toks = live[going], toks[going]
+        if t + 1 < max_len:
+            state.advance(live, toks)
+    traces = [TokenSequence(_until_eos(row.tolist()), "trace") for row in tokens]
+    return Rollouts(traces, probs)
+
+
+def _until_eos(tokens: list[int]) -> tuple[int, ...]:
+    return tuple(tokens[: tokens.index(EOS) + 1] if EOS in tokens else tokens)
 
 
 def sample_sequence(policy, question: TokenSequence, rng: np.random.Generator, max_len: int) -> TokenSequence:
-    """Autoregressively sample until EOS or ``max_len`` tokens."""
-    if max_len < 1:
-        raise PolicyError("max_len must be >= 1")
-    ctx = list(question.tokens)
-    out: list[int] = []
-    for _ in range(max_len):
-        tok = sample_token(policy.next_token_distribution(ctx), rng)
-        out.append(tok)
-        ctx.append(tok)
-        if tok == EOS:
-            break
-    return TokenSequence(tuple(out), "trace")
+    """Autoregressively sample until EOS or ``max_len`` tokens: the one-row
+    case of ``rollouts``, drawing one uniform per token from ``rng``."""
+    return rollouts(policy, [question], max_len, [rng]).traces[0]
 
 
 def greedy_decode(policy, question: TokenSequence, max_len: int) -> TokenSequence:
-    """Greedy rollout; argmax ties break toward the lowest token index."""
-    if max_len < 1:
-        raise PolicyError("max_len must be >= 1")
-    ctx = list(question.tokens)
-    out: list[int] = []
-    for _ in range(max_len):
-        tok = int(np.argmax(policy.next_token_distribution(ctx)))
-        out.append(tok)
-        ctx.append(tok)
-        if tok == EOS:
-            break
-    return TokenSequence(tuple(out), "trace")
+    """Greedy rollout, the one-row case of ``rollouts``; argmax ties break
+    toward the lowest token index."""
+    return rollouts(policy, [question], max_len).traces[0]
 
 
 def log_prob_sequence(policy, question: TokenSequence, trace: TokenSequence) -> float:

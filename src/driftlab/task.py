@@ -14,12 +14,13 @@ mass on EOS.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .policy import check_tokens, sample_token
-from .vocab import ADD, ANSWER_MARK, BOS, EOS, MUL, VALUE_BASE, TokenSequence, Vocabulary
+from .policy import check_tokens, rollouts
+from .vocab import ADD, ANSWER_MARK, BOS, EOS, MUL, N_SPECIAL, VALUE_BASE, TokenSequence, Vocabulary
 
 
 class TaskError(ValueError):
@@ -117,19 +118,78 @@ class TeacherSpec:
         return self.epsilon_instructed if self.instructed else self.epsilon_plain
 
 
-_PHASE_STEPS = 0
-_PHASE_ANSWER = 1
-_PHASE_POST = 2
-_PHASE_SINK = 3
+# Automaton states, one integer each: the sink (0), after the answer, where
+# only EOS is correct (1), after the answer marker with running value r
+# (2 + r), and emitting chain values with running value r after k steps
+# (2 + m + k*m + r, 0 <= k <= L).
+_SINK = 0
+_POST = 1
+
+
+def _transition(m: int, L: int, state: int, tok: int) -> int:
+    """The state after ``tok`` is emitted in ``state``."""
+    is_value = VALUE_BASE <= tok < VALUE_BASE + m
+    if tok == EOS or state == _SINK:
+        return _SINK
+    if state == _POST:
+        # absorbs everything but EOS: the correct continuation stays EOS
+        return _POST
+    if state < 2 + m:  # after the answer marker
+        if is_value:
+            return _POST
+        return state if tok == ANSWER_MARK else _SINK
+    steps, running = divmod(state - 2 - m, m)
+    if is_value:
+        return 2 + m + min(steps + 1, L) * m + tok - VALUE_BASE
+    return 2 + running if tok == ANSWER_MARK else _SINK
+
+
+def _emission(m: int, L: int, state: int, op: int, operand: int) -> int:
+    """The correct next token in ``state`` (-1 for the sink), where the
+    question's next chain step is ``op operand``."""
+    if state == _SINK:
+        return -1
+    if state == _POST:
+        return EOS
+    if state < 2 + m:
+        return VALUE_BASE + state - 2
+    steps, running = divmod(state - 2 - m, m)
+    if steps == L:
+        return ANSWER_MARK
+    return VALUE_BASE + chain_step(running, op, operand, m)
+
+
+@functools.lru_cache(maxsize=None)
+def _automaton(m: int, L: int):
+    """The rules tabulated for modulus m and chain length L, as nested tuples
+    and as read-only arrays: the next state per (state, token), the chain step
+    whose operator and operand each state's emission reads (0 if it reads
+    none), and the emission per (state, operator token, operand)."""
+    states = range(2 + m * (L + 2))
+    nxt = tuple(tuple(_transition(m, L, state, tok) for tok in range(N_SPECIAL + m)) for state in states)
+    step = tuple(min(max(state - 2 - m, 0) // m, L - 1) for state in states)
+    emit = tuple(
+        tuple(tuple(_emission(m, L, state, op, a) if op in (ADD, MUL) else -1 for a in range(m)) for op in range(MUL + 1))
+        for state in states
+    )
+    arrays = tuple(np.array(table, dtype=np.int64) for table in (nxt, step, emit))
+    for array in arrays:
+        array.flags.writeable = False
+    return (nxt, step, emit, *arrays)
 
 
 class ChainTeacher:
     """Analytic expert policy over full (question + trace prefix) contexts.
 
-    The automaton phases: emitting chain values, emitting the answer after the
+    The automaton states: emitting chain values, emitting the answer after the
     marker, expecting EOS after the answer, and a sink for prefixes with no
     correct continuation (point mass on EOS). Stray value tokens update the
     running value, so the expert continues consistently from wrong states.
+
+    The rules are written once, in ``_transition`` and ``_emission``, and
+    tabulated once per (modulus, chain length). The scan of one
+    teacher-forced trace and the P-row state of a lockstep rollout only look
+    states up in those tables.
     """
 
     family = "analytic-teacher"
@@ -139,6 +199,15 @@ class ChainTeacher:
         self.cfg = cfg
         self.vocab = cfg.vocab()
         self.epsilon = spec.epsilon
+        (self._next, self._step, self._emit, self._next_array, self._step_array, self._emit_array) = _automaton(
+            cfg.modulus, cfg.chain_length
+        )
+        # row t + 1 has ``1 - eps`` on token t; row 0 is the sink's point mass on EOS
+        V = self.vocab.size
+        self._dist_rows = np.full((V + 1, V), self.epsilon / (V - 1))
+        self._dist_rows[np.arange(1, V + 1), np.arange(V)] = 1.0 - self.epsilon
+        self._dist_rows[0] = 0.0
+        self._dist_rows[0, EOS] = 1.0
 
     def _parse_question(self, tokens):
         cfg = self.cfg
@@ -151,74 +220,44 @@ class ChainTeacher:
             return None
         return q[1] - lo, ops, [a - lo for a in operands]
 
-    def _scan(self, tokens: list[int], start: int) -> list[int | None]:
-        """Run the automaton once along ``tokens``; return the expected next token
-        (None for the sink) after each prefix tokens[:n], start <= n <= len(tokens)."""
+    def _walk(self, tokens: list[int]):
+        """The state after each prefix tokens[:n], 0 <= n <= len(tokens), and
+        the question's operators and operands. Prefixes shorter than the
+        question, and every prefix of a malformed question, are in the sink."""
         check_tokens(tokens, self.vocab.size)
-        m, L, qlen = self.cfg.modulus, self.cfg.chain_length, self.cfg.question_len
-        end = len(tokens)
+        qlen, L = self.cfg.question_len, self.cfg.chain_length
         parsed = self._parse_question(tokens)
         if parsed is None:
-            return [None] * (end - start + 1)
-        running, ops, operands = parsed
-        # prefixes shorter than the question have no sensible continuation
-        targets: list[int | None] = [None] * max(0, qlen - start)
-        steps = 0
-        phase = _PHASE_STEPS
-        for n in range(qlen, end + 1):
-            if phase == _PHASE_SINK:
-                targets.extend([None] * (end + 1 - max(n, start)))
-                break
-            if n >= start:
-                if phase == _PHASE_STEPS and steps < L:
-                    targets.append(VALUE_BASE + chain_step(running, ops[steps], operands[steps], m))
-                elif phase == _PHASE_STEPS:
-                    targets.append(ANSWER_MARK)
-                elif phase == _PHASE_ANSWER:
-                    targets.append(VALUE_BASE + running)
-                else:
-                    targets.append(EOS)
-            if n == end:
-                break
-            tok = tokens[n]
-            is_value = VALUE_BASE <= tok < VALUE_BASE + m
-            if tok == EOS:
-                phase = _PHASE_SINK
-            elif phase == _PHASE_STEPS:
-                if is_value:
-                    running = tok - VALUE_BASE
-                    steps = min(steps + 1, L)
-                elif tok == ANSWER_MARK:
-                    phase = _PHASE_ANSWER
-                else:
-                    phase = _PHASE_SINK
-            elif phase == _PHASE_ANSWER:
-                if is_value:
-                    phase = _PHASE_POST
-                elif tok != ANSWER_MARK:
-                    phase = _PHASE_SINK
-            # _PHASE_POST absorbs everything but EOS: the correct continuation stays EOS
-        return targets
+            return [_SINK] * (len(tokens) + 1), [ADD] * L, [0] * L
+        v0, ops, operands = parsed
+        state = 2 + self.cfg.modulus + v0
+        states = [_SINK] * qlen + [state]
+        nxt = self._next
+        for tok in tokens[qlen:]:
+            state = nxt[state][tok]
+            states.append(state)
+        return states, ops, operands
+
+    def _scan(self, tokens: list[int], start: int) -> np.ndarray:
+        """Run the automaton once along ``tokens``; return the expected next token
+        (-1 for the sink) after each prefix tokens[:n], start <= n <= len(tokens)."""
+        states, ops, operands = self._walk(tokens)
+        emit, step = self._emit, self._step
+        return np.array([emit[s][ops[step[s]]][operands[step[s]]] for s in states[start:]], dtype=np.int64)
 
     def expected_next(self, context) -> int | None:
         """Semantically correct continuation for this prefix, or None for the sink."""
         tokens = list(context)
-        return self._scan(tokens, len(tokens))[-1]
+        target = int(self._scan(tokens, len(tokens))[-1])
+        return None if target < 0 else target
 
-    def _distributions(self, targets) -> np.ndarray:
-        """One row per expected token: ``1 - eps`` on it, or a point mass on EOS for None."""
-        V = self.vocab.size
-        dists = np.full((len(targets), V), self.epsilon / (V - 1))
-        for row, target in enumerate(targets):
-            if target is None:
-                dists[row] = 0.0
-                dists[row, EOS] = 1.0
-            else:
-                dists[row, target] = 1.0 - self.epsilon
-        return dists
+    def _distributions(self, targets: np.ndarray) -> np.ndarray:
+        """One row per expected token: ``1 - eps`` on it, or a point mass on EOS for -1."""
+        return self._dist_rows[targets + 1]
 
     def next_token_distribution(self, context) -> np.ndarray:
-        return self._distributions([self.expected_next(context)])[0]
+        tokens = list(context)
+        return self._distributions(self._scan(tokens, len(tokens)))[-1]
 
     def trace_distributions(self, question, trace) -> np.ndarray:
         """(T, V) distributions at every prefix question + trace[:t], from one
@@ -229,6 +268,48 @@ class ChainTeacher:
     def log_next_token_distribution(self, context) -> np.ndarray:
         with np.errstate(divide="ignore"):
             return np.log(self.next_token_distribution(context))
+
+    def rollout_state(self, questions) -> "_TeacherState":
+        return _TeacherState(self, questions)
+
+
+class _TeacherState:
+    """The automaton in P growing contexts: each question is parsed once, and
+    each row's state then advances by one table lookup per emitted token. A
+    context shorter than a question sits in the sink until it is one long, and
+    is parsed then."""
+
+    def __init__(self, teacher: ChainTeacher, questions):
+        self.teacher = teacher
+        P, L = len(questions), teacher.cfg.chain_length
+        self.states = np.empty(P, dtype=np.int64)
+        self.ops, self.operands = np.empty((P, L), dtype=np.int64), np.empty((P, L), dtype=np.int64)
+        self.short = {}
+        for i, question in enumerate(questions):
+            ctx = list(question)
+            states, self.ops[i], self.operands[i] = teacher._walk(ctx)
+            self.states[i] = states[-1]
+            if len(ctx) < teacher.cfg.question_len:
+                self.short[i] = ctx
+
+    def distributions(self, rows: np.ndarray) -> np.ndarray:
+        t = self.teacher
+        states = self.states[rows]
+        step = t._step_array[states]
+        return t._distributions(t._emit_array[states, self.ops[rows, step], self.operands[rows, step]])
+
+    def advance(self, rows: np.ndarray, tokens: np.ndarray) -> None:
+        self.states[rows] = self.teacher._next_array[self.states[rows], tokens]
+        if not self.short:
+            return
+        for i, tok in zip(rows.tolist(), tokens.tolist()):
+            ctx = self.short.get(i)
+            if ctx is not None:
+                ctx.append(tok)
+                if len(ctx) == self.teacher.cfg.question_len:
+                    del self.short[i]
+                    states, self.ops[i], self.operands[i] = self.teacher._walk(ctx)
+                    self.states[i] = states[-1]
 
 
 def teacher_policy(spec: TeacherSpec, cfg: TaskConfig) -> ChainTeacher:
@@ -278,21 +359,6 @@ def answer_token(trace: TokenSequence) -> int | None:
     return None
 
 
-def _sample_with_logps(teacher: ChainTeacher, question: TokenSequence, rng: np.random.Generator, max_len: int):
-    ctx = list(question.tokens)
-    toks: list[int] = []
-    logps: list[float] = []
-    for _ in range(max_len):
-        dist = teacher.next_token_distribution(ctx)
-        tok = sample_token(dist, rng)
-        toks.append(tok)
-        logps.append(float(np.log(dist[tok])))
-        ctx.append(tok)
-        if tok == EOS:
-            break
-    return toks, logps
-
-
 def generate_corpus(
     teacher: ChainTeacher,
     problems: list[ProblemInstance],
@@ -303,27 +369,29 @@ def generate_corpus(
     """Sample teacher traces with exact cached log-probabilities.
 
     Each record's stream is derived from (seed, record index), so parallel and
-    serial generation produce identical corpora. Traces that hit ``max_len``
-    without EOS are kept but flagged teacher-incorrect.
+    serial generation produce identical corpora. All records are sampled in
+    lockstep, and each caches the log of the probabilities its tokens were
+    drawn with. Traces that hit ``max_len`` without EOS are kept but flagged
+    teacher-incorrect.
     """
     if samples_per_problem < 1:
         raise TaskError("samples_per_problem must be >= 1")
+    sources = [problem for problem in problems for _ in range(samples_per_problem)]
+    streams = (
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, r_idx]))) for r_idx in range(len(sources))
+    )
+    sampled = rollouts(teacher, [p.question for p in sources], max_len, streams, private_streams=True)
     records = []
-    for p_idx, problem in enumerate(problems):
-        for s in range(samples_per_problem):
-            r_idx = p_idx * samples_per_problem + s
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, r_idx])))
-            toks, logps = _sample_with_logps(teacher, problem.question, rng, max_len)
-            trace = TokenSequence(tuple(toks), "trace")
-            correct = trace.ends_with_eos and answer_token(trace) == problem.gold_answer
-            records.append(
-                CorpusRecord(
-                    question=problem.question,
-                    trace=trace,
-                    teacher_token_logps=np.array(logps, dtype=np.float64),
-                    teacher_correct=bool(correct),
-                )
+    for problem, trace, probs in zip(sources, sampled.traces, sampled.token_probs):
+        correct = trace.ends_with_eos and answer_token(trace) == problem.gold_answer
+        records.append(
+            CorpusRecord(
+                question=problem.question,
+                trace=trace,
+                teacher_token_logps=np.log(probs[: len(trace)]),
+                teacher_correct=bool(correct),
             )
+        )
     return TraceCorpus(records)
 
 
@@ -356,21 +424,45 @@ def write_corpus(corpus: TraceCorpus, path, header_comment: str | None = None) -
         fh.write("\n".join(lines) + "\n")
 
 
-def read_corpus(path) -> TraceCorpus:
+def read_corpus(path, vocab: Vocabulary | None = None) -> TraceCorpus:
+    """Read a corpus written by ``write_corpus``, checking every record line.
+
+    A line must have the four fields, a log-probability per trace token, each
+    finite and at most 0, and a correct flag of 0 or 1; with ``vocab``, every
+    token must lie in it. Any other line raises TaskError naming the file and
+    the line number.
+    """
     records = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
-            q, t, lp, flag = line.split("\t")
-            toks = tuple(int(v) for v in t.split())
-            records.append(
-                CorpusRecord(
-                    question=TokenSequence(tuple(int(v) for v in q.split()), "question"),
-                    trace=TokenSequence(toks, "trace"),
-                    teacher_token_logps=np.array([float(v) for v in lp.split()], dtype=np.float64),
-                    teacher_correct=flag == "1",
-                )
-            )
+            try:
+                records.append(_parse_record(line, vocab))
+            except ValueError as exc:
+                raise TaskError(f"{path} line {lineno}: {exc}") from None
     return TraceCorpus(records)
+
+
+def _parse_record(line: str, vocab: Vocabulary | None) -> CorpusRecord:
+    fields = line.split("\t")
+    if len(fields) != 4:
+        raise ValueError(f"expected 4 tab-separated fields, found {len(fields)}")
+    q, t, lp, flag = fields
+    question, trace = [int(v) for v in q.split()], [int(v) for v in t.split()]
+    if vocab is not None:
+        check_tokens(question + trace, vocab.size)
+    logps = np.array([float(v) for v in lp.split()], dtype=np.float64)
+    if len(logps) != len(trace):
+        raise ValueError(f"{len(logps)} log-probabilities for a trace of {len(trace)} tokens")
+    if not np.all(np.isfinite(logps) & (logps <= 0.0)):
+        raise ValueError("log-probabilities must be finite and at most 0")
+    if flag not in ("0", "1"):
+        raise ValueError(f"correct flag must be 0 or 1, found {flag!r}")
+    return CorpusRecord(
+        question=TokenSequence(tuple(question), "question"),
+        trace=TokenSequence(tuple(trace), "trace"),
+        teacher_token_logps=logps,
+        teacher_correct=flag == "1",
+    )

@@ -6,15 +6,20 @@ used to check; divergences and rollout trees are recomputed from scratch.
 The reference losses walk a trace one prefix at a time through the public
 per-prefix methods (``log_next_token_distribution``,
 ``accumulate_logit_grad``, the teacher's ``next_token_distribution``), which
-is the form the whole-trace kernel in ``driftlab.objectives`` replaces.
+is the form the whole-trace kernel in ``driftlab.objectives`` replaces. The
+reference rollouts likewise decode one problem at a time, one
+``next_token_distribution`` call per token, which is the form the lockstep
+``driftlab.policy.rollouts`` replaces.
 """
 
 import math
 
 import numpy as np
 
+from driftlab.metrics import _aggregate_curve, _cumulative, rollout_divergences
 from driftlab.policy import GradientBuffer
-from driftlab.vocab import EOS, SimpleVocab, TokenSequence
+from driftlab.task import CorpusRecord, TraceCorpus, answer_token, generate_problems
+from driftlab.vocab import ADD, ANSWER_MARK, BOS, EOS, MUL, SimpleVocab, TokenSequence
 
 
 class PrefixTablePolicy:
@@ -291,3 +296,97 @@ def reference_rollout_divergences(teacher, student, question, rollout):
         out.append(float(np.sum(p[mask] * (np.log(p[mask]) - q_log[mask]))))
         ctx.append(tok)
     return np.array(out)
+
+
+def random_prefixes(cfg, n, seed):
+    """Question/trace splits: well-formed questions followed by random trace
+    tokens (EOS mid-trace, repeated answer markers), truncated questions, and
+    fully random token strings."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    V = cfg.vocab().size
+    problems = generate_problems(cfg, n, seed=seed)
+    special = [ANSWER_MARK, ANSWER_MARK, EOS, BOS, ADD, MUL]
+    out = []
+    for i, p in enumerate(problems):
+        tail = list(p.gold_trace.tokens[: rng.integers(0, len(p.gold_trace) + 1)])
+        for _ in range(rng.integers(0, 8)):
+            pos = int(rng.integers(0, len(tail) + 1))
+            tok = special[rng.integers(len(special))] if rng.random() < 0.5 else int(rng.integers(V))
+            tail.insert(pos, tok)
+        kind = i % 3
+        if kind == 0:
+            full = list(p.question.tokens) + tail
+        elif kind == 1:
+            full = list(p.question.tokens[: rng.integers(0, cfg.question_len)]) + tail
+        else:
+            full = [int(t) for t in rng.integers(0, V, size=rng.integers(0, 24))]
+        cut = int(rng.integers(0, len(full) + 1))
+        out.append((full[:cut], full[cut:]))
+    return out
+
+
+# --- per-problem reference rollouts --------------------------------------------
+
+
+def stream(*entropy):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(entropy))))
+
+
+def reference_rollout(model, question, max_len, rng=None):
+    """One rollout, one ``next_token_distribution`` call per token: the argmax
+    without ``rng``, else an inverse-CDF draw of one ``rng.random()`` per token.
+    Returns the tokens and the probability of each."""
+    ctx = list(question)
+    toks, probs = [], []
+    for _ in range(max_len):
+        dist = model.next_token_distribution(ctx)
+        if rng is None:
+            tok = int(np.argmax(dist))
+        else:
+            tok = min(int(np.searchsorted(np.cumsum(dist), rng.random(), side="right")), len(dist) - 1)
+        toks.append(tok)
+        probs.append(float(dist[tok]))
+        ctx.append(tok)
+        if tok == EOS:
+            break
+    return toks, probs
+
+
+def reference_corpus(teacher, problems, seed, samples_per_problem=1, max_len=24):
+    """Teacher corpus, one record at a time, each from stream (seed, record index)."""
+    records = []
+    for p_idx, problem in enumerate(problems):
+        for s in range(samples_per_problem):
+            rng = stream(seed, p_idx * samples_per_problem + s)
+            toks, probs = reference_rollout(teacher, problem.question, max_len, rng)
+            trace = TokenSequence(tuple(toks), "trace")
+            correct = trace.ends_with_eos and answer_token(trace) == problem.gold_answer
+            logps = np.array([float(np.log(p)) for p in probs], dtype=np.float64)
+            records.append(CorpusRecord(problem.question, trace, logps, bool(correct)))
+    return TraceCorpus(records)
+
+
+def reference_accuracy(policy, problems, max_len):
+    hits = 0
+    for problem in problems:
+        trace = TokenSequence(tuple(reference_rollout(policy, problem.question, max_len)[0]), "trace")
+        hits += answer_token(trace) == problem.gold_answer
+    return hits / len(problems)
+
+
+def reference_drift_curve(teacher, student, problems, horizons, seed, max_len, prefix_source=None, floor=1e-9):
+    """``exaccerr`` (no ``prefix_source``) or ``prefix_drift_eval``, one problem
+    at a time: per problem a teacher rollout from stream (seed, idx, 0) and a
+    student or prefix-source rollout from stream (seed, idx, 1). Divergences
+    and aggregation are the package's own; only the rollouts are per problem."""
+    horizons = tuple(horizons)
+    refs, selfs = [], []
+    for idx, problem in enumerate(problems):
+        y_teacher, _ = reference_rollout(teacher, problem.question, max_len, stream(seed, idx, 0))
+        if prefix_source is None:
+            y_self, _ = reference_rollout(student, problem.question, max_len, stream(seed, idx, 1))
+        else:
+            y_self, _ = reference_rollout(prefix_source, problem.question, max(horizons), stream(seed, idx, 1))
+        refs.append(_cumulative(rollout_divergences(teacher, student, problem.question, y_teacher), horizons))
+        selfs.append(_cumulative(rollout_divergences(teacher, student, problem.question, y_self), horizons))
+    return _aggregate_curve(refs, selfs, horizons, floor)

@@ -288,6 +288,48 @@ def test_drift_horizon_beyond_max_len_fails_before_training(tmp_path, capsys):
     assert not [f for f in os.listdir(out) if f.startswith(("history_", "policy_"))]
 
 
+def _damage(fields):
+    """Record fields (question, trace, log-probs, flag) of one damaged corpus line."""
+    q, t, lp, flag = fields
+    return {
+        "three_fields": [q, t, lp],
+        "token_outside_vocabulary": [q, "99 " + t, "-0.5 " + lp, flag],
+        "dropped_log_prob": [q, t, lp.rsplit(" ", 1)[0], flag],
+        "non_finite_log_prob": [q, t, "nan " + lp.split(" ", 1)[1], flag],
+        "positive_log_prob": [q, t, "0.25 " + lp.split(" ", 1)[1], flag],
+        "bad_flag": [q, t, lp, "yes"],
+    }
+
+
+CORPUS_ERRORS = {
+    "three_fields": "expected 4 tab-separated fields, found 3",
+    "token_outside_vocabulary": "context token 99 outside vocabulary of size 10",
+    "dropped_log_prob": "log-probabilities for a trace of",
+    "non_finite_log_prob": "log-probabilities must be finite and at most 0",
+    "positive_log_prob": "log-probabilities must be finite and at most 0",
+    "bad_flag": "correct flag must be 0 or 1, found 'yes'",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORPUS_ERRORS))
+def test_malformed_corpus_line_fails_before_training(tmp_path, capsys, case):
+    cfg_path = write_config(tmp_path)
+    out = str(tmp_path / "results")
+    assert main(["gen-corpus", "--config", cfg_path, "--out", out]) == EXIT_OK
+    path = os.path.join(out, "corpus.txt")
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    # line 1 is the config-hash header; damage the third record, on line 4
+    lines[3] = "\t".join(_damage(lines[3].split("\t"))[case])
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["matrix", "--config", cfg_path, "--out", out]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert f"{path} line 4: " in err and CORPUS_ERRORS[case] in err
+    assert not [f for f in os.listdir(out) if f.startswith(("history_", "policy_"))]
+
+
 def test_report_merges_outputs(tmp_path, capsys):
     cfg_path = write_config(tmp_path)
     out = str(tmp_path / "results")

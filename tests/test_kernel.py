@@ -28,10 +28,11 @@ from driftlab.policy import (
 )
 from driftlab.task import CorpusRecord, TaskConfig, TeacherSpec, generate_corpus, generate_problems, teacher_policy
 from driftlab.training import OptimizerState, TrainConfig, _apply_update
-from driftlab.vocab import ADD, ANSWER_MARK, BOS, EOS, MUL, TokenSequence
+from driftlab.vocab import ADD, BOS, TokenSequence
 
 from oracles import (
     micro_instance,
+    random_prefixes,
     reference_js_loss,
     reference_kl_loss,
     reference_rollout_divergences,
@@ -153,33 +154,6 @@ def test_kernel_contracts():
     policy.params[:] = np.nan
     with pytest.raises(ObjectiveError):
         record_token_weights(policy, record, WeightTransform("sigmoid"))
-
-
-def random_prefixes(cfg, n, seed):
-    """Question/trace splits: well-formed questions followed by random trace
-    tokens (EOS mid-trace, repeated answer markers), truncated questions, and
-    fully random token strings."""
-    rng = rng_of(seed)
-    V = cfg.vocab().size
-    problems = generate_problems(cfg, n, seed=seed)
-    special = [ANSWER_MARK, ANSWER_MARK, EOS, BOS, ADD, MUL]
-    out = []
-    for i, p in enumerate(problems):
-        tail = list(p.gold_trace.tokens[: rng.integers(0, len(p.gold_trace) + 1)])
-        for _ in range(rng.integers(0, 8)):
-            pos = int(rng.integers(0, len(tail) + 1))
-            tok = special[rng.integers(len(special))] if rng.random() < 0.5 else int(rng.integers(V))
-            tail.insert(pos, tok)
-        kind = i % 3
-        if kind == 0:
-            full = list(p.question.tokens) + tail
-        elif kind == 1:
-            full = list(p.question.tokens[: rng.integers(0, cfg.question_len)]) + tail
-        else:
-            full = [int(t) for t in rng.integers(0, V, size=rng.integers(0, 24))]
-        cut = int(rng.integers(0, len(full) + 1))
-        out.append((full[:cut], full[cut:]))
-    return out
 
 
 @pytest.mark.parametrize("cfg", [TaskConfig(modulus=3, chain_length=2), TaskConfig(modulus=7, chain_length=4)])

@@ -1,0 +1,202 @@
+"""Lockstep rollouts against the per-problem reference loops in oracles.py.
+
+``rollouts`` advances every question of a set together, one (P, V)
+distribution array per step. Each row must emit exactly the tokens that a
+one-problem-at-a-time decode emits from the same stream, for every kind of
+model: the analytic teacher (through its P-row automaton state), tabular and
+feed-forward students (through their window arrays) and hand-built policies
+that only have ``next_token_distribution``.
+"""
+
+import numpy as np
+import pytest
+
+from driftlab.metrics import exaccerr, final_answer_accuracy, prefix_drift_eval
+from driftlab.policy import (
+    FeedForwardPolicy,
+    PolicyError,
+    TabularPolicy,
+    greedy_decode,
+    rollouts,
+    sample_sequence,
+)
+from driftlab.task import ProblemInstance, TaskConfig, TeacherSpec, generate_corpus, generate_problems, teacher_policy
+from driftlab.vocab import BOS, EOS, MUL, TokenSequence
+
+from oracles import (
+    micro_instance,
+    random_prefixes,
+    reference_accuracy,
+    reference_corpus,
+    reference_drift_curve,
+    reference_rollout,
+    stream,
+)
+
+CFG = TaskConfig(modulus=5, chain_length=3)  # vocab size 10
+V = CFG.vocab().size
+PROBLEMS = generate_problems(CFG, 12, seed=301)
+
+
+def rng_of(seed):
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+def malformed(question):
+    """A question with an operator where its first operand should be."""
+    toks = list(question.tokens)
+    toks[3] = MUL
+    return TokenSequence(tuple(toks), "question")
+
+
+# good questions, a duplicate, a malformed one, a truncated one and a bare BOS
+QUESTIONS = (
+    [p.question for p in PROBLEMS[:6]]
+    + [PROBLEMS[0].question, malformed(PROBLEMS[1].question)]
+    + [TokenSequence(PROBLEMS[2].question.tokens[:4], "question"), TokenSequence((BOS,), "question")]
+)
+
+MODELS = {
+    "teacher": lambda: teacher_policy(TeacherSpec(0.1, 0.3), CFG),
+    "teacher-noiseless": lambda: teacher_policy(TeacherSpec(0.0, 0.3), CFG),
+    "tabular-1": lambda: TabularPolicy(CFG.vocab(), 1, 0.8 * rng_of(1).standard_normal(V**2)),
+    "tabular-2": lambda: TabularPolicy(CFG.vocab(), 2, 0.8 * rng_of(2).standard_normal(V**3)),
+    "feedforward": lambda: FeedForwardPolicy(CFG.vocab(), order=2, embed_dim=3, hidden_dim=5, init_scale=0.5, rng=rng_of(3)),
+}
+
+
+def assert_rows_match(got, model, questions, max_len, streams_of=None, exact_probs=True):
+    for i, (question, trace) in enumerate(zip(questions, got.traces)):
+        rng = None if streams_of is None else streams_of(i)
+        toks, probs = reference_rollout(model, question, max_len, rng)
+        assert np.array_equal(trace.tokens, toks)
+        assert np.all(got.token_probs[i, len(toks) :] == 0.0)
+        if exact_probs:
+            assert np.array_equal(got.token_probs[i, : len(toks)], probs)
+        else:
+            np.testing.assert_allclose(got.token_probs[i, : len(toks)], probs, rtol=1e-12)
+
+
+def test_bulk_uniforms_equal_single_draws():
+    # the metrics and the corpus draw a private stream's uniforms in one call
+    for seed in range(200):
+        bulk = stream(seed, 3, 1).random(40)
+        one_by_one = stream(seed, 3, 1)
+        assert np.array_equal(bulk, [one_by_one.random() for _ in range(40)])
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+@pytest.mark.parametrize("max_len", (1, 3, 14))
+def test_greedy_lockstep_matches_reference(name, max_len):
+    model = MODELS[name]()
+    got = rollouts(model, QUESTIONS, max_len)
+    assert_rows_match(got, model, QUESTIONS, max_len, exact_probs=name != "feedforward")
+    for question, trace in zip(QUESTIONS, got.traces):
+        assert greedy_decode(model, question, max_len) == trace
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+@pytest.mark.parametrize("max_len", (1, 3, 14))
+def test_sampled_lockstep_matches_reference(name, max_len):
+    model = MODELS[name]()
+    for private in (True, False):
+        streams = [stream(41, i) for i in range(len(QUESTIONS))]
+        got = rollouts(model, QUESTIONS, max_len, streams, private_streams=private)
+        assert_rows_match(got, model, QUESTIONS, max_len, lambda i: stream(41, i), exact_probs=name != "feedforward")
+    if max_len == 14 and name.startswith("teacher"):
+        assert len({len(trace) for trace in got.traces}) > 1  # rows end at different steps
+    # the one-row case shares its stream: one draw per token, none after EOS
+    rng, ref = rng_of(5), rng_of(5)
+    for question in QUESTIONS:
+        trace = sample_sequence(model, question, rng, max_len)
+        assert list(trace.tokens) == reference_rollout(model, question, max_len, ref)[0]
+    assert rng.random() == ref.random()
+
+
+def test_duplicate_questions_keep_their_own_streams():
+    model = MODELS["tabular-2"]()
+    questions = [PROBLEMS[0].question] * 40
+    got = rollouts(model, questions, 10, [stream(7, i) for i in range(40)], private_streams=True)
+    assert_rows_match(got, model, questions, 10, lambda i: stream(7, i))
+    assert len({trace.tokens for trace in got.traces}) > 1
+
+
+def test_hand_built_policy_rows_are_stacked():
+    question, teacher, student = micro_instance()
+    questions = [question] * 30
+    for model in (teacher, student):
+        got = rollouts(model, questions, 3, [stream(9, i) for i in range(30)], private_streams=True)
+        assert_rows_match(got, model, questions, 3, lambda i: stream(9, i))
+        assert_rows_match(rollouts(model, questions, 3), model, questions, 3)
+
+
+def test_eos_at_step_zero():
+    teacher = MODELS["teacher"]()
+    eos_student = TabularPolicy(CFG.vocab(), 1)
+    eos_student.params.reshape(V, V)[:, EOS] = 500.0
+    questions = [malformed(PROBLEMS[0].question), PROBLEMS[1].question]
+    for model, rows in ((teacher, [0]), (eos_student, [0, 1])):
+        got = rollouts(model, questions, 6, [stream(3, i) for i in range(2)], private_streams=True)
+        for i in rows:
+            assert got.traces[i].tokens == (EOS,)
+            assert got.token_probs[i, 0] == 1.0
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_each_question_checked_against_the_vocabulary(name):
+    model = MODELS[name]()
+    bad = TokenSequence(PROBLEMS[0].question.tokens + (V + 3,), "full")
+    with pytest.raises(PolicyError, match=f"context token {V + 3} outside vocabulary of size {V}"):
+        rollouts(model, [PROBLEMS[1].question, bad], 4)
+    with pytest.raises(PolicyError, match=f"context token {V + 3} outside vocabulary of size {V}"):
+        model.next_token_distribution(list(bad))
+    with pytest.raises(PolicyError, match="max_len must be >= 1"):
+        rollouts(model, QUESTIONS, 0)
+
+
+@pytest.mark.parametrize("epsilon", (0.0, 0.1))
+@pytest.mark.parametrize("max_len", (1, 4, 12))
+def test_corpus_matches_per_record_reference(epsilon, max_len):
+    teacher = teacher_policy(TeacherSpec(epsilon, 0.3), CFG)
+    bad = ProblemInstance(malformed(PROBLEMS[0].question), PROBLEMS[0].gold_answer, PROBLEMS[0].gold_trace)
+    problems = PROBLEMS + [PROBLEMS[3], bad]
+    got = generate_corpus(teacher, problems, seed=17, samples_per_problem=2, max_len=max_len)
+    want = reference_corpus(teacher, problems, seed=17, samples_per_problem=2, max_len=max_len)
+    assert len(got) == len(want) == 2 * len(problems)
+    for g, w in zip(got, want):
+        assert g.question == w.question
+        assert g.trace == w.trace
+        assert np.array_equal(g.teacher_token_logps, w.teacher_token_logps)
+        assert g.teacher_correct == w.teacher_correct
+    assert got.records[-1].trace.tokens == (EOS,)
+
+
+@pytest.mark.parametrize("cfg", [TaskConfig(modulus=3, chain_length=2), TaskConfig(modulus=7, chain_length=4)])
+def test_teacher_rollout_state_equals_per_prefix_teacher(cfg):
+    teacher = teacher_policy(TeacherSpec(0.05, 0.3), cfg)
+    pairs = random_prefixes(cfg, 600, seed=cfg.modulus)
+    state = teacher.rollout_state([question for question, _ in pairs])
+    longest = max(len(trace) for _, trace in pairs)
+    for t in range(longest + 1):
+        rows = np.array([i for i, (_, trace) in enumerate(pairs) if len(trace) >= t])
+        dists = state.distributions(rows)
+        for row, dist in zip(rows, dists):
+            question, trace = pairs[row]
+            assert np.array_equal(dist, teacher.next_token_distribution(question + trace[:t]))
+        rows = np.array([i for i in rows if len(pairs[i][1]) > t], dtype=np.int64)
+        state.advance(rows, np.array([pairs[i][1][t] for i in rows], dtype=np.int64))
+
+
+def test_metrics_match_per_problem_reference():
+    teacher = MODELS["teacher"]()
+    student, base = MODELS["tabular-2"](), MODELS["tabular-1"]()
+    problems = PROBLEMS + [PROBLEMS[0]]
+    horizons = (1, 2, 4, 8)
+    got = exaccerr(teacher, student, problems, horizons, seed=23, max_len=12)
+    want = reference_drift_curve(teacher, student, problems, horizons, seed=23, max_len=12)
+    assert np.array_equal(got.values, want.values) and got.floor_used == want.floor_used
+    got = prefix_drift_eval(base, student, teacher, problems, horizons, seed=29, max_len=12)
+    want = reference_drift_curve(teacher, student, problems, horizons, seed=29, max_len=12, prefix_source=base)
+    assert np.array_equal(got.values, want.values) and got.floor_used == want.floor_used
+    for model in (teacher, student, MODELS["feedforward"]()):
+        assert final_answer_accuracy(model, problems, max_len=12) == reference_accuracy(model, problems, 12)
