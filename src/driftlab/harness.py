@@ -27,7 +27,7 @@ from .metrics import (
     prefix_drift_eval,
     trace_quality,
 )
-from .objectives import ObjectiveSpec, WeightTransform
+from .objectives import ObjectiveSpec, TraceBatch, WeightTransform
 from .policy import FeedForwardPolicy, TabularPolicy, rollouts, save_policy
 from .policy import greedy_decode  # noqa: F401 -- bench/tracer.py wraps this name here
 from .task import (
@@ -173,8 +173,8 @@ class CellResult:
     history: RunHistory | None = None
 
 
-# the corpus and both problem sets of the running study, the same for every
-# cell: set once per process, by the pool initializer in each worker
+# the corpus, its arrays and both problem sets of the running study, the same
+# for every cell: set once per process, by the pool initializer in each worker
 _shared_inputs: tuple | None = None
 
 
@@ -185,12 +185,12 @@ def _share_inputs(shared: tuple | None) -> None:
 
 def _run_cell(args) -> CellResult:
     cfg, label, spec, seed, out_dir, do_drift = args
-    corpus, probs_eval, probs_drift = _shared_inputs
+    corpus, arrays, probs_eval, probs_drift = _shared_inputs
     teacher = teacher_policy(cfg.teacher, cfg.task)
     init = make_student(cfg, seed)
     tc = cfg.train.train_config(seed)
     try:
-        policy, history = train(tc, corpus, spec, init, teacher=teacher, max_len=cfg.corpus.max_len)
+        policy, history = train(tc, corpus, spec, init, teacher=teacher, max_len=cfg.corpus.max_len, arrays=arrays)
     except TrainAbortError as abort:
         return CellResult(label=label, seed=seed, status="aborted", abort_step=abort.step)
     cell = CellResult(label=label, seed=seed, history=history)
@@ -216,9 +216,14 @@ def _run_cell(args) -> CellResult:
 
 
 def _run_cells(cfg: ExperimentConfig, cells, out_dir, jobs: int, do_drift: bool) -> list[CellResult]:
-    # the corpus and both problem sets are the same for every cell: build them
-    # once, and hand them to each worker process once rather than with every cell
-    shared = (load_corpus_checked(cfg, out_dir), eval_problems(cfg), drift_problems(cfg))
+    # the corpus, its arrays and both problem sets are the same for every cell:
+    # build them once, and hand them to each worker process once rather than
+    # with every cell. Every student of the study has the same order, and the
+    # teacher's expected tokens are only needed by the KL bases.
+    corpus = load_corpus_checked(cfg, out_dir)
+    teacher = teacher_policy(cfg.teacher, cfg.task) if any(spec.base.endswith("-kl") for _, spec, _ in cells) else None
+    arrays = TraceBatch.of_corpus(corpus, make_student(cfg, cfg.train.seeds[0]), teacher)
+    shared = (corpus, arrays, eval_problems(cfg), drift_problems(cfg))
     args = [(cfg, label, spec, seed, out_dir, do_drift) for label, spec, seed in cells]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs, initializer=_share_inputs, initargs=(shared,)) as pool:

@@ -1,9 +1,10 @@
 """Distillation objectives over cached teacher traces.
 
-Every offline loss shares one kernel: one student forward scores all T
-teacher-trace prefixes of a record at once, and its (T, V) log-softmax is
-shared by the per-token correction weights and the loss, whose (T, V)
-logit gradient goes back through one batched backward. The weights are
+Every loss shares one kernel, ``batch_loss``: one student forward scores all
+N teacher-forced prefixes of a batch of records at once, and its (N, V)
+log-softmax is shared by the per-token correction weights and the loss, whose
+(N, V) logit gradient goes back through one batched backward. The per-record
+losses are its one-record case. The weights are
 transforms of the token-level log-density gap
 
     delta_t = log p_student(y_t | prefix) - log p_teacher(y_t | prefix)
@@ -29,11 +30,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
-from .policy import GradientBuffer, TraceScores, sample_sequence, score_trace, trace_distributions
-from .task import CorpusRecord
+from .policy import (
+    GradientBuffer,
+    ParametricPolicy,
+    TraceScores,
+    sample_sequence,
+    score_traces,
+    stacked_windows,
+    trace_distributions,
+)
+from .task import CorpusRecord, TraceCorpus
 from .vocab import TokenSequence
 
 TAU_DIVIDE = "divide"
@@ -41,6 +51,8 @@ TAU_MULTIPLY = "multiply"
 
 TRANSFORM_KINDS = ("constant-one", "sigmoid", "raw-ratio", "clip-exp", "relu", "sequence-sigmoid")
 BASE_KINDS = ("sft", "forward-kl", "reverse-kl", "symmetric-kl", "gkd")
+_KL_DIRECTIONS = {"forward-kl": "forward", "reverse-kl": "reverse", "symmetric-kl": "symmetric"}
+_KL_BASES = {direction: base for base, direction in _KL_DIRECTIONS.items()}
 
 
 class ObjectiveError(ValueError):
@@ -164,47 +176,169 @@ def _running_sum(terms: np.ndarray) -> float:
     return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
 
 
-def _scores(policy, record: CorpusRecord, scores: TraceScores | None) -> TraceScores:
-    return score_trace(policy, record.question, record.trace) if scores is None else scores
+@dataclass
+class TraceBatch:
+    """B teacher-forced sequences, their N positions stacked record by record.
 
-
-def record_token_weights(
-    policy, record: CorpusRecord, transform: WeightTransform, *, scores: TraceScores | None = None
-) -> np.ndarray:
-    """Correction weights for each trace token, computed from the live student.
-
-    ``scores`` is the student forward of this record when the caller already
-    has it; the weights then share its log-softmax with the loss.
+    Record b owns rows ``offsets[b]:offsets[b + 1]``. Row n holds one
+    position: ``tokens`` the token to predict, ``windows`` the student's
+    context window, ``teacher_logps`` the cached teacher log-probability of the
+    token, and ``teacher_targets`` the analytic teacher's expected token (-1
+    for its sink). An array that was not asked for is None. The whole corpus
+    is one batch, built once per study; a training step takes its records'
+    rows from it.
     """
-    _require_cached_logps(record)
+
+    questions: list
+    traces: list
+    offsets: np.ndarray
+    tokens: np.ndarray
+    windows: np.ndarray | None = None
+    teacher_logps: np.ndarray | None = None
+    teacher_targets: np.ndarray | None = None
+
+    @classmethod
+    def build(cls, questions, traces, student=None, teacher=None, teacher_logps=None) -> "TraceBatch":
+        """Stack (question, trace) pairs: context windows for a trainable
+        ``student``, expected tokens for a ``teacher`` with ``trace_targets``,
+        and the per-record ``teacher_logps`` when every record has them. Each
+        array is allocated once, at its full size."""
+        lengths = np.array([len(t) for t in traces], dtype=np.int64)
+        offsets = np.zeros(lengths.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        n = int(offsets[-1])
+        tokens = np.fromiter(chain.from_iterable(traces), dtype=np.int64, count=n)
+        windows = None
+        if isinstance(student, ParametricPolicy):
+            windows = stacked_windows(student.order, student.vocab.size, questions, traces)
+        targets = None
+        if hasattr(teacher, "trace_targets"):
+            targets = np.empty(n, dtype=np.int64)
+            for q, t, a, b in zip(questions, traces, offsets[:-1], offsets[1:]):
+                targets[a:b] = teacher.trace_targets(q, t)
+        logps = None
+        if teacher_logps is not None and all(
+            lp is not None and len(lp) == size for lp, size in zip(teacher_logps, lengths.tolist())
+        ):
+            logps = np.fromiter(chain.from_iterable(teacher_logps), dtype=np.float64, count=n)
+        return cls(list(questions), list(traces), offsets, tokens, windows, logps, targets)
+
+    @classmethod
+    def of_corpus(cls, corpus: TraceCorpus, student=None, teacher=None) -> "TraceBatch":
+        records = corpus.records
+        return cls.build(
+            [r.question for r in records], [r.trace for r in records], student, teacher,
+            [r.teacher_token_logps for r in records],
+        )
+
+    @property
+    def row_records(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self.traces)), np.diff(self.offsets))
+
+    def take(self, records: np.ndarray) -> "TraceBatch":
+        """The batch of the given records, in that order, gathered row by row."""
+        lengths = np.diff(self.offsets)[records]
+        offsets = np.zeros(lengths.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        rows = np.repeat(self.offsets[records] - offsets[:-1], lengths) + np.arange(offsets[-1])
+
+        def pick(values):
+            return None if values is None else values[rows]
+
+        return TraceBatch(
+            [self.questions[i] for i in records], [self.traces[i] for i in records], offsets, self.tokens[rows],
+            pick(self.windows), pick(self.teacher_logps), pick(self.teacher_targets),
+        )
+
+
+def _record_sums(terms: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Each record's terms summed left to right from 0.0, as ``_running_sum``
+    does, through one zero-padded (B, Tmax + 1) cumsum."""
+    lengths = np.diff(offsets)
+    owner = np.repeat(np.arange(lengths.size), lengths)
+    padded = np.zeros((lengths.size, int(lengths.max(initial=0)) + 1))
+    padded[owner, np.arange(terms.size) - offsets[owner] + 1] = terms
+    return np.cumsum(padded, axis=1)[np.arange(lengths.size), lengths]
+
+
+def _scores(policy, batch: TraceBatch) -> TraceScores:
+    return score_traces(policy, batch.questions, batch.traces, batch.windows, batch.row_records)
+
+
+def _teacher_rows(teacher, batch: TraceBatch) -> np.ndarray:
+    """(N, V) teacher distributions at the batch's positions."""
+    if teacher is None:
+        raise ObjectiveError("this objective needs the analytic teacher for full distributions")
+    if batch.teacher_targets is not None:
+        return teacher.target_distributions(batch.teacher_targets)
+    return np.concatenate([trace_distributions(teacher, q, t) for q, t in zip(batch.questions, batch.traces)])
+
+
+def _token_weights(logp: np.ndarray, batch: TraceBatch, transform: WeightTransform) -> np.ndarray:
+    """Correction weights at the batch's positions, from the student's (N, V)
+    log-softmax; ``sequence-sigmoid`` sums each record's gaps left to right,
+    as ``sequence_weight`` does."""
+    n = batch.tokens.size
     if transform.kind == "constant-one":
-        return np.ones(len(record.trace))
-    logp = _scores(policy, record, scores).logp
-    deltas = token_delta(logp[np.arange(len(record.trace)), list(record.trace.tokens)], record.teacher_token_logps)
+        return np.ones(n)
+    if batch.teacher_logps is None:
+        raise ObjectiveError("record is missing cached teacher log-probabilities")
+    deltas = token_delta(logp[np.arange(n), batch.tokens], batch.teacher_logps)
     if transform.kind == "sequence-sigmoid":
-        return np.full(len(deltas), sequence_weight(deltas, transform))
+        return np.repeat(_sigmoid(transform.scaled(_record_sums(deltas, batch.offsets))), np.diff(batch.offsets))
     return np.asarray(apply_transform(deltas, transform))
 
 
-def sft_loss_frozen(
-    policy, record: CorpusRecord, weights: np.ndarray, *, scores: TraceScores | None = None
-) -> LossResult:
-    """Weighted negative log-likelihood with the weights held fixed."""
-    scores = _scores(policy, record, scores)
-    w = np.asarray(weights, dtype=np.float64)
-    rows, toks = np.arange(len(record.trace)), list(record.trace.tokens)
-    loss = _running_sum(-w * scores.logp[rows, toks])
-    dlogits = w[:, None] * np.exp(scores.logp)
-    dlogits[rows, toks] -= w
+def batch_loss(policy, batch: TraceBatch, spec: ObjectiveSpec, teacher=None, weights=None) -> LossResult:
+    """The one loss kernel of every base, over all positions of a batch.
+
+    One student forward and one log-softmax feed the weights (``weights``
+    pins them instead), the SFT, KL or JS terms and their logit gradients, and
+    one backward. The loss is the records' losses, each summed left to right,
+    added in batch order; the gradient is the records' gradients added in
+    batch order (reduced per record for tabular students).
+    """
+    scores = _scores(policy, batch)
+    logp, n = scores.logp, batch.tokens.size
+    if spec.base == "gkd":
+        w = np.ones(n)
+        terms, dlogits = _js_terms(_teacher_rows(teacher, batch), logp, spec.gkd_beta)
+    else:
+        w = _token_weights(logp, batch, spec.transform) if weights is None else np.asarray(weights, dtype=np.float64)
+        if spec.base == "sft":
+            rows = np.arange(n)
+            terms = -w * logp[rows, batch.tokens]
+            dlogits = w[:, None] * np.exp(logp)
+            dlogits[rows, batch.tokens] -= w
+        else:
+            values, dlogits = _kl_terms(_teacher_rows(teacher, batch), logp, _KL_DIRECTIONS[spec.base])
+            terms, dlogits = w * values, w[:, None] * dlogits
     buf = GradientBuffer.for_policy(policy)
     scores.backward(dlogits, buf)
-    return LossResult(loss=loss, grad=buf, token_weights=w)
+    return LossResult(loss=_running_sum(_record_sums(terms, batch.offsets)), grad=buf, token_weights=w)
+
+
+def _record_batch(policy, record: CorpusRecord, teacher=None) -> TraceBatch:
+    return TraceBatch.build([record.question], [record.trace], policy, teacher, [record.teacher_token_logps])
+
+
+def record_token_weights(policy, record: CorpusRecord, transform: WeightTransform) -> np.ndarray:
+    """Correction weights for each trace token, computed from the live student."""
+    _require_cached_logps(record)
+    if transform.kind == "constant-one":
+        return np.ones(len(record.trace))
+    batch = _record_batch(policy, record)
+    return _token_weights(_scores(policy, batch).logp, batch, transform)
+
+
+def sft_loss_frozen(policy, record: CorpusRecord, weights: np.ndarray) -> LossResult:
+    """Weighted negative log-likelihood with the weights held fixed."""
+    return batch_loss(policy, _record_batch(policy, record), ObjectiveSpec("sft"), weights=weights)
 
 
 def sft_loss(policy, record: CorpusRecord, transform: WeightTransform = CONSTANT_ONE) -> LossResult:
-    scores = score_trace(policy, record.question, record.trace)
-    weights = record_token_weights(policy, record, transform, scores=scores)
-    return sft_loss_frozen(policy, record, weights, scores=scores)
+    _require_cached_logps(record)
+    return batch_loss(policy, _record_batch(policy, record), ObjectiveSpec("sft", transform))
 
 
 def _kl_terms(p_teacher: np.ndarray, q_log: np.ndarray, direction: str):
@@ -235,15 +369,14 @@ def _kl_terms(p_teacher: np.ndarray, q_log: np.ndarray, direction: str):
     return 0.5 * (fwd + rev), 0.5 * (fwd_dlogits + rev_dlogits)
 
 
-def kl_loss_frozen(
-    policy, record: CorpusRecord, teacher, direction: str, weights: np.ndarray, *, scores: TraceScores | None = None
-) -> LossResult:
-    scores = _scores(policy, record, scores)
-    w = np.asarray(weights, dtype=np.float64)
-    values, dlogits = _kl_terms(trace_distributions(teacher, record.question, record.trace), scores.logp, direction)
-    buf = GradientBuffer.for_policy(policy)
-    scores.backward(w[:, None] * dlogits, buf)
-    return LossResult(loss=_running_sum(w * values), grad=buf, token_weights=w)
+def _kl_spec(direction: str, transform: WeightTransform = CONSTANT_ONE) -> ObjectiveSpec:
+    if direction not in _KL_BASES:
+        raise ObjectiveError(f"unknown KL direction {direction!r}")
+    return ObjectiveSpec(_KL_BASES[direction], transform)
+
+
+def kl_loss_frozen(policy, record: CorpusRecord, teacher, direction: str, weights: np.ndarray) -> LossResult:
+    return batch_loss(policy, _record_batch(policy, record, teacher), _kl_spec(direction), teacher, weights)
 
 
 def kl_loss(
@@ -260,9 +393,8 @@ def kl_loss(
     Teacher zeros contribute nothing to the forward term (0 log 0 = 0); the
     reverse term is finite only where the teacher has full support.
     """
-    scores = score_trace(policy, record.question, record.trace)
-    weights = record_token_weights(policy, record, transform, scores=scores)
-    return kl_loss_frozen(policy, record, teacher, direction, weights, scores=scores)
+    _require_cached_logps(record)
+    return batch_loss(policy, _record_batch(policy, record, teacher), _kl_spec(direction, transform), teacher)
 
 
 def _js_terms(p_teacher: np.ndarray, q_log: np.ndarray, beta: float):
@@ -299,11 +431,9 @@ def _js_terms(p_teacher: np.ndarray, q_log: np.ndarray, beta: float):
 
 def js_sequence_loss(policy, teacher, question: TokenSequence, supervision: TokenSequence, beta: float):
     """Sum of per-position generalized JS terms along one supervision sequence."""
-    scores = score_trace(policy, question, supervision)
-    values, dlogits = _js_terms(trace_distributions(teacher, question, supervision), scores.logp, beta)
-    buf = GradientBuffer.for_policy(policy)
-    scores.backward(dlogits, buf)
-    return _running_sum(values), buf
+    batch = TraceBatch.build([question], [supervision], policy, teacher)
+    result = batch_loss(policy, batch, ObjectiveSpec("gkd", gkd_beta=beta), teacher)
+    return result.loss, result.grad
 
 
 def gkd_step(
@@ -320,28 +450,22 @@ def gkd_step(
     Per record, one uniform draw decides the prefix source: with probability
     ``gkd_lambda`` a fresh student rollout on the record's question (sampled
     from the same ``rng`` stream, so a seeded rerun replays it exactly),
-    otherwise the stored teacher trace. Returns the summed LossResult and the
-    list of (source, supervision sequence) pairs actually used.
+    otherwise the stored teacher trace. The policy is fixed within the step,
+    so every record's sequence is drawn first, in record order, and all are
+    scored in one kernel call. Returns the summed LossResult and the list of
+    (source, supervision sequence) pairs actually used.
     """
     if not 0.0 <= gkd_lambda <= 1.0 or not 0.0 <= gkd_beta <= 1.0:
         raise ObjectiveError("gkd mixing parameters must lie in [0, 1]")
-    buf = GradientBuffer.for_policy(policy)
-    total = 0.0
     used = []
     for record in records:
-        on_policy = rng.random() < gkd_lambda
-        if on_policy:
-            supervision = _sample_trace(policy, record.question, rng, max_len)
-            source = "student"
+        if rng.random() < gkd_lambda:
+            used.append(("student", _sample_trace(policy, record.question, rng, max_len)))
         else:
-            supervision = record.trace
-            source = "teacher"
-        loss, grad = js_sequence_loss(policy, teacher, record.question, supervision, gkd_beta)
-        total += loss
-        buf.add(grad)
-        used.append((source, supervision))
-    weights = np.ones(sum(len(s) for _, s in used))
-    return LossResult(loss=total, grad=buf, token_weights=weights), used
+            used.append(("teacher", record.trace))
+    batch = TraceBatch.build([r.question for r in records], [s for _, s in used], policy, teacher)
+    spec = ObjectiveSpec("gkd", gkd_lambda=gkd_lambda, gkd_beta=gkd_beta)
+    return batch_loss(policy, batch, spec, teacher), used
 
 
 # GKD's student rollouts, under a module-level name of their own so that
@@ -349,18 +473,14 @@ def gkd_step(
 _sample_trace = sample_sequence
 
 
-_KL_DIRECTIONS = {"forward-kl": "forward", "reverse-kl": "reverse", "symmetric-kl": "symmetric"}
-
-
 def evaluate_objective(policy, record: CorpusRecord, spec: ObjectiveSpec, teacher=None) -> LossResult:
-    """Dispatch for the offline bases; the online base is handled per batch."""
-    if spec.base == "sft":
-        return sft_loss(policy, record, spec.transform)
-    if spec.base in _KL_DIRECTIONS:
-        if teacher is None:
-            raise ObjectiveError(f"{spec.base} needs the analytic teacher for full distributions")
-        return kl_loss(policy, record, teacher, _KL_DIRECTIONS[spec.base], spec.transform)
-    raise ObjectiveError("the online base is evaluated per batch via gkd_step")
+    """One record's loss under an offline base: the kernel's one-record case."""
+    if spec.base == "gkd":
+        raise ObjectiveError("the online base is evaluated per batch via gkd_step")
+    if spec.base in _KL_DIRECTIONS and teacher is None:
+        raise ObjectiveError(f"{spec.base} needs the analytic teacher for full distributions")
+    _require_cached_logps(record)
+    return batch_loss(policy, _record_batch(policy, record, teacher), spec, teacher)
 
 
 def frozen_weight_evaluator(record: CorpusRecord, spec: ObjectiveSpec, teacher=None, weights: np.ndarray | None = None):
@@ -374,13 +494,9 @@ def frozen_weight_evaluator(record: CorpusRecord, spec: ObjectiveSpec, teacher=N
         raise ObjectiveError("freeze rollouts explicitly for the online base")
 
     def evaluator(policy):
-        w = weights
-        if w is None:
+        if weights is None:
             raise ObjectiveError("weights must be precomputed for the frozen evaluator")
-        if spec.base == "sft":
-            res = sft_loss_frozen(policy, record, w)
-        else:
-            res = kl_loss_frozen(policy, record, teacher, _KL_DIRECTIONS[spec.base], w)
-        return res.loss, res.grad
+        result = batch_loss(policy, _record_batch(policy, record, teacher), spec, teacher, weights)
+        return result.loss, result.grad
 
     return evaluator

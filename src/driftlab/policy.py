@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -91,15 +92,6 @@ class ParametricPolicy:
     vocab: Vocabulary
     params: np.ndarray
 
-    def _windows(self, tokens: list[int], start: int, stop: int) -> np.ndarray:
-        """(stop - start, k) windows: row i holds the last k tokens of tokens[: start + i]."""
-        if start < 1:
-            raise PolicyError("context must be non-empty (sequences start at BOS)")
-        check_tokens(tokens, self.vocab.size)
-        k = self.order
-        padded = np.array([BOS] * k + tokens, dtype=np.int64)
-        return padded[start + np.arange(stop - start)[:, None] + np.arange(k)]
-
     def _context_window(self, context) -> np.ndarray:
         """The (1, k) window of a single context; built directly, as decoding
         calls this once per token."""
@@ -110,17 +102,16 @@ class ParametricPolicy:
         window = toks[-self.order :]
         return np.array([[BOS] * (self.order - len(window)) + window], dtype=np.int64)
 
-    def trace_windows(self, question, trace) -> np.ndarray:
-        """(T, k) windows of the T teacher-forced prefixes question + trace[:t]."""
-        q, full = _joined(question, trace)
-        return self._windows(full, q, len(full))
-
     def forward(self, windows: np.ndarray):
         """(T, V) logits for a stack of windows, and the cache ``backward`` needs."""
         raise NotImplementedError
 
-    def backward(self, cache, dlogits: np.ndarray, buf: GradientBuffer) -> None:
-        """Add the parameter gradient of (T, V) d(loss)/d(logits) rows into ``buf``."""
+    def backward(self, cache, dlogits: np.ndarray, buf: GradientBuffer, row_records=None) -> None:
+        """Add the parameter gradient of (T, V) d(loss)/d(logits) rows into ``buf``.
+
+        ``row_records`` gives each row's record when the rows stack several
+        records in order; a family may use it to reduce per record first.
+        """
         raise NotImplementedError
 
     def logits(self, context) -> np.ndarray:
@@ -173,7 +164,14 @@ class TabularPolicy(ParametricPolicy):
         rows = windows.dot(self._place)
         return self.params.reshape(self.n_contexts, -1).take(rows, axis=0), rows
 
-    def backward(self, rows, dlogits, buf: GradientBuffer) -> None:
+    def backward(self, rows, dlogits, buf: GradientBuffer, row_records=None) -> None:
+        if row_records is not None:
+            # one partial sum per (record, context) in row order, then the
+            # partials added record by record: the rounding of one buffer per record
+            pairs, pair_of_row = np.unique(row_records * self.n_contexts + rows, return_inverse=True)
+            partials = np.zeros((pairs.size, dlogits.shape[1]))
+            np.add.at(partials, pair_of_row, dlogits)
+            rows, dlogits = pairs % self.n_contexts, partials
         np.add.at(buf.values.reshape(self.n_contexts, -1), rows, dlogits)
 
     def clone(self) -> "TabularPolicy":
@@ -208,8 +206,11 @@ class FeedForwardPolicy(ParametricPolicy):
         self.embed_dim = embed_dim
         self.hidden_dim = hidden_dim
         V, d, H = vocab.size, embed_dim, hidden_dim
-        self._shapes = ((V, d), (H, order * d), (H,), (V, H), (V,))
-        n = sum(int(np.prod(shape)) for shape in self._shapes)
+        self._slices, n = [], 0
+        for shape in ((V, d), (H, order * d), (H,), (V, H), (V,)):
+            size = int(np.prod(shape))
+            self._slices.append((n, n + size, shape))
+            n += size
         if params is not None:
             params = np.asarray(params, dtype=np.float64)
             if params.shape != (n,):
@@ -231,12 +232,7 @@ class FeedForwardPolicy(ParametricPolicy):
 
     def _unflatten(self, flat: np.ndarray):
         """Views (E, W1, b1, W2, b2) into a flat parameter-shaped vector."""
-        views, start = [], 0
-        for shape in self._shapes:
-            size = int(np.prod(shape))
-            views.append(flat[start : start + size].reshape(shape))
-            start += size
-        return views
+        return [flat[start:stop].reshape(shape) for start, stop, shape in self._slices]
 
     def forward(self, windows):
         E, W1, b1, W2, b2 = self._views
@@ -244,7 +240,9 @@ class FeedForwardPolicy(ParametricPolicy):
         H = np.tanh(X @ W1.T + b1)
         return H @ W2.T + b2, (windows, X, H)
 
-    def backward(self, cache, dlogits, buf: GradientBuffer) -> None:
+    def backward(self, cache, dlogits, buf: GradientBuffer, row_records=None) -> None:
+        # every row in one product, whatever records they belong to: the sums
+        # round differently from a per-record reduction, in the last digits
         windows, X, H = cache
         E, W1, _, W2, _ = self._views
         gE, gW1, gb1, gW2, gb2 = self._unflatten(buf.values)
@@ -277,17 +275,23 @@ class TraceScores:
     backward: Callable[[np.ndarray, GradientBuffer], None]
 
 
-def score_trace(policy, question, trace) -> TraceScores:
-    """One forward over all T prefixes question + trace[:t] of a trace.
+def score_traces(policy, questions, traces, windows=None, row_records=None) -> TraceScores:
+    """One forward over every teacher-forced prefix question + trace[:t] of B
+    (question, trace) pairs, their rows stacked pair by pair.
 
-    Trainable policies run it as one batched call. Any other object with the
-    per-prefix methods ``log_next_token_distribution`` and
+    A trainable policy makes one batched call, on ``windows`` when the caller
+    has them already; its backward gets ``row_records``. Any other object with
+    the per-prefix methods ``log_next_token_distribution`` and
     ``accumulate_logit_grad`` gets its per-prefix calls stacked instead.
     """
     if isinstance(policy, ParametricPolicy):
-        logits, cache = policy.forward(policy.trace_windows(question, trace))
-        return TraceScores(_log_softmax(logits), lambda dlogits, buf: policy.backward(cache, dlogits, buf))
-    contexts = _prefixes(question, trace)
+        if windows is None:
+            windows = stacked_windows(policy.order, policy.vocab.size, questions, traces)
+        logits, cache = policy.forward(windows)
+        return TraceScores(
+            _log_softmax(logits), lambda dlogits, buf: policy.backward(cache, dlogits, buf, row_records)
+        )
+    contexts = [ctx for q, t in zip(questions, traces) for ctx in _prefixes(q, t)]
     logp = np.array([policy.log_next_token_distribution(ctx) for ctx in contexts]).reshape(-1, policy.vocab.size)
 
     def backward(dlogits, buf):
@@ -295,6 +299,31 @@ def score_trace(policy, question, trace) -> TraceScores:
             policy.accumulate_logit_grad(ctx, row, buf)
 
     return TraceScores(logp, backward)
+
+
+def score_trace(policy, question, trace) -> TraceScores:
+    """``score_traces`` of one (question, trace) pair."""
+    return score_traces(policy, [question], [trace])
+
+
+def stacked_windows(order: int, vocab_size: int, questions, traces) -> np.ndarray:
+    """(N, k) context windows of every teacher-forced prefix of B (question,
+    trace) pairs, stacked pair by pair: row t of a pair holds the last k tokens
+    of question + trace[:t], left-padded with BOS."""
+    # each pair's tokens, BOS-padded in front, laid end to end; row t of a pair
+    # has its window at (the pair's start + len(question) + t) in there
+    tokens, firsts, pad = [], [], (BOS,) * order
+    for question, trace in zip(questions, traces):
+        q = len(question)
+        if q < 1:
+            raise PolicyError("context must be non-empty (sequences start at BOS)")
+        firsts.append(range(len(tokens) + q, len(tokens) + q + len(trace)))
+        tokens.extend(pad)
+        tokens.extend(question)
+        tokens.extend(trace)
+    check_tokens(tokens, vocab_size)
+    first = np.fromiter(chain.from_iterable(firsts), np.int64, sum(map(len, firsts)))
+    return np.array(tokens, dtype=np.int64)[first[:, None] + np.arange(order)]
 
 
 def trace_distributions(model, question, trace) -> np.ndarray:
@@ -524,9 +553,19 @@ def load_policy(path) -> ParametricPolicy:
             raise PolicyError(f"snapshot {path}: {key}={header[key]!r} is not an integer") from None
 
     n = header_int("n_params")
-    params = np.array([float(v) for v in lines[i : i + n]], dtype=np.float64)
-    if params.size != n:
-        raise PolicyError(f"snapshot truncated: expected {n} params, found {params.size}")
+    if len(lines) < i + n:
+        raise PolicyError(f"snapshot {path} truncated: expected {n} params, found {len(lines) - i}")
+    params = np.empty(n)
+    for j, text in enumerate(lines[i : i + n]):
+        try:
+            params[j] = float(text)
+        except ValueError:
+            params[j] = np.nan  # reported below, as nan and inf are
+        if not np.isfinite(params[j]):
+            raise PolicyError(f"snapshot {path} line {i + j + 1}: parameter {text!r} is not a finite number")
+    extra = next((k for k in range(i + n, len(lines)) if lines[k].strip()), None)
+    if extra is not None:
+        raise PolicyError(f"snapshot {path} line {extra + 1}: unexpected line after the {n} parameters")
     vocab = Vocabulary(header_int("modulus"))
     if vocab.size != header_int("vocab_size"):
         raise PolicyError("snapshot vocab_size inconsistent with modulus")

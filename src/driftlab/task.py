@@ -251,19 +251,25 @@ class ChainTeacher:
         target = int(self._scan(tokens, len(tokens))[-1])
         return None if target < 0 else target
 
-    def _distributions(self, targets: np.ndarray) -> np.ndarray:
+    def target_distributions(self, targets: np.ndarray) -> np.ndarray:
         """One row per expected token: ``1 - eps`` on it, or a point mass on EOS for -1."""
         return self._dist_rows[targets + 1]
 
     def next_token_distribution(self, context) -> np.ndarray:
         tokens = list(context)
-        return self._distributions(self._scan(tokens, len(tokens)))[-1]
+        return self.target_distributions(self._scan(tokens, len(tokens)))[-1]
+
+    def trace_targets(self, question, trace) -> np.ndarray:
+        """The expected token (-1 for the sink) at every prefix question +
+        trace[:t], from one automaton pass. They depend on the task alone, not
+        on epsilon."""
+        q, trace = list(question), list(trace)
+        return self._scan(q + trace, len(q))[: len(trace)]
 
     def trace_distributions(self, question, trace) -> np.ndarray:
-        """(T, V) distributions at every prefix question + trace[:t], from one
-        automaton pass; row t equals ``next_token_distribution`` of that prefix."""
-        q, trace = list(question), list(trace)
-        return self._distributions(self._scan(q + trace, len(q))[: len(trace)])
+        """(T, V) distributions at every prefix question + trace[:t]; row t
+        equals ``next_token_distribution`` of that prefix."""
+        return self.target_distributions(self.trace_targets(question, trace))
 
     def log_next_token_distribution(self, context) -> np.ndarray:
         with np.errstate(divide="ignore"):
@@ -296,7 +302,7 @@ class _TeacherState:
         t = self.teacher
         states = self.states[rows]
         step = t._step_array[states]
-        return t._distributions(t._emit_array[states, self.ops[rows, step], self.operands[rows, step]])
+        return t.target_distributions(t._emit_array[states, self.ops[rows, step], self.operands[rows, step]])
 
     def advance(self, rows: np.ndarray, tokens: np.ndarray) -> None:
         self.states[rows] = self.teacher._next_array[self.states[rows], tokens]

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .objectives import ObjectiveSpec, evaluate_objective, gkd_step
+from .objectives import ObjectiveSpec, TraceBatch, batch_loss, gkd_step
+from .objectives import evaluate_objective  # noqa: F401 -- bench/tracer.py wraps this name here
 from .policy import FAMILY_TABULAR, GradientBuffer, ParametricPolicy
 from .task import TraceCorpus
 
@@ -154,14 +155,26 @@ def train(
     init_policy: ParametricPolicy,
     teacher=None,
     max_len: int = 24,
+    arrays: TraceBatch | None = None,
 ) -> tuple[ParametricPolicy, RunHistory]:
-    """Train a copy of ``init_policy`` on the corpus; returns (snapshot, history)."""
+    """Train a copy of ``init_policy`` on the corpus; returns (snapshot, history).
+
+    ``arrays`` is the corpus as one ``TraceBatch`` for students of this order,
+    when the caller shares one among runs; it is built here otherwise. Each
+    offline step gathers its records' rows from it and makes one
+    ``batch_loss`` call; an online step makes one ``gkd_step``.
+    """
     if len(corpus) == 0:
         raise TrainError("corpus is empty")
     if objective.base in ("forward-kl", "reverse-kl", "symmetric-kl", "gkd") and teacher is None:
         raise TrainError(f"objective {objective.base!r} requires the analytic teacher")
     policy = init_policy.clone()
     records = corpus.records
+    if objective.base != "gkd":
+        if arrays is None:
+            arrays = TraceBatch.of_corpus(corpus, policy, teacher if objective.base != "sft" else None)
+        elif arrays.windows is None or arrays.windows.shape[1] != policy.order or len(arrays.traces) != len(records):
+            raise TrainError("the corpus arrays were built for another corpus or student order")
     n = len(records)
     n_batches = (n + cfg.batch_size - 1) // cfg.batch_size
     total_steps = cfg.epochs * n_batches
@@ -172,9 +185,6 @@ def train(
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, epoch])))
         perm = rng.permutation(n)
         for batch in _batches(n, cfg.batch_size, perm):
-            grad = GradientBuffer.for_policy(policy)
-            loss = 0.0
-            weights = []
             if objective.base == "gkd":
                 step_rng = np.random.Generator(
                     np.random.PCG64(np.random.SeedSequence([cfg.seed, 5, step]))
@@ -188,24 +198,17 @@ def train(
                     step_rng,
                     max_len=max_len,
                 )
-                loss = result.loss
-                grad.add(result.grad)
-                weights.append(result.token_weights)
             else:
-                for i in batch:
-                    result = evaluate_objective(policy, records[i], objective, teacher)
-                    loss += result.loss
-                    grad.add(result.grad)
-                    weights.append(result.token_weights)
+                result = batch_loss(policy, arrays.take(batch), objective, teacher)
+            grad, weights = result.grad, result.token_weights
             scale = 1.0 / len(batch)
-            loss *= scale
+            loss = result.loss * scale
             grad.values *= scale
             if not np.isfinite(loss):
                 raise TrainAbortError(step, f"non-finite loss at step {step}")
             pre_norm = clip_global_norm(grad, cfg.clip_norm)
             lr = lr_at(step, total_steps, cfg)
             _apply_update(policy, grad, lr, cfg, state)
-            allw = np.concatenate([np.asarray(w, dtype=np.float64).ravel() for w in weights])
             history.steps.append(
                 StepRecord(
                     step=step,
@@ -213,9 +216,9 @@ def train(
                     loss=float(loss),
                     grad_norm_pre=pre_norm,
                     grad_norm_post=min(pre_norm, cfg.clip_norm),
-                    mean_weight=float(allw.mean()) if allw.size else 1.0,
-                    weight_min=float(allw.min()) if allw.size else 1.0,
-                    weight_max=float(allw.max()) if allw.size else 1.0,
+                    mean_weight=float(weights.mean()) if weights.size else 1.0,
+                    weight_min=float(weights.min()) if weights.size else 1.0,
+                    weight_max=float(weights.max()) if weights.size else 1.0,
                 )
             )
             step += 1

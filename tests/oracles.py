@@ -17,8 +17,19 @@ import math
 import numpy as np
 
 from driftlab.metrics import _aggregate_curve, _cumulative, rollout_divergences
-from driftlab.policy import GradientBuffer
+from driftlab.objectives import evaluate_objective, js_sequence_loss
+from driftlab.policy import GradientBuffer, sample_sequence
 from driftlab.task import CorpusRecord, TraceCorpus, answer_token, generate_problems
+from driftlab.training import (
+    OptimizerState,
+    RunHistory,
+    StepRecord,
+    TrainAbortError,
+    _apply_update,
+    _batches,
+    clip_global_norm,
+    lr_at,
+)
 from driftlab.vocab import ADD, ANSWER_MARK, BOS, EOS, MUL, SimpleVocab, TokenSequence
 
 
@@ -390,3 +401,68 @@ def reference_drift_curve(teacher, student, problems, horizons, seed, max_len, p
         refs.append(_cumulative(rollout_divergences(teacher, student, problem.question, y_teacher), horizons))
         selfs.append(_cumulative(rollout_divergences(teacher, student, problem.question, y_self), horizons))
     return _aggregate_curve(refs, selfs, horizons, floor)
+
+
+# --- per-record reference training loop ----------------------------------------
+
+
+def reference_gkd_step(policy, teacher, records, gkd_lambda, gkd_beta, rng, max_len):
+    """One online step, one record at a time: the source draw, the rollout on
+    the shared stream, then that record's JS loss, before the next record."""
+    buf = GradientBuffer(np.zeros_like(policy.params))
+    total, n_tokens = 0.0, 0
+    for record in records:
+        on_policy = rng.random() < gkd_lambda
+        supervision = sample_sequence(policy, record.question, rng, max_len) if on_policy else record.trace
+        loss, grad = js_sequence_loss(policy, teacher, record.question, supervision, gkd_beta)
+        total += loss
+        buf.add(grad)
+        n_tokens += len(supervision)
+    return total, buf, np.ones(n_tokens)
+
+
+def reference_train(cfg, corpus, objective, init_policy, teacher=None, max_len=24):
+    """``driftlab.training.train`` scoring each record of a batch on its own:
+    one ``evaluate_objective`` call per record (or one JS loss per record for
+    the online base), the step's loss and gradient summed record by record."""
+    policy = init_policy.clone()
+    records = corpus.records
+    n = len(records)
+    total_steps = cfg.epochs * ((n + cfg.batch_size - 1) // cfg.batch_size)
+    state = OptimizerState.for_policy(policy)
+    history = RunHistory(epochs=cfg.epochs)
+    step = 0
+    for epoch in range(cfg.epochs):
+        perm = stream(cfg.seed, epoch).permutation(n)
+        for batch in _batches(n, cfg.batch_size, perm):
+            grad = GradientBuffer(np.zeros_like(policy.params))
+            loss = 0.0
+            weights = []
+            if objective.base == "gkd":
+                loss, step_grad, w = reference_gkd_step(
+                    policy, teacher, [records[i] for i in batch], objective.gkd_lambda, objective.gkd_beta,
+                    stream(cfg.seed, 5, step), max_len,
+                )
+                grad.add(step_grad)
+                weights.append(w)
+            else:
+                for i in batch:
+                    result = evaluate_objective(policy, records[i], objective, teacher)
+                    loss += result.loss
+                    grad.add(result.grad)
+                    weights.append(result.token_weights)
+            scale = 1.0 / len(batch)
+            loss *= scale
+            grad.values *= scale
+            if not np.isfinite(loss):
+                raise TrainAbortError(step, f"non-finite loss at step {step}")
+            pre_norm = clip_global_norm(grad, cfg.clip_norm)
+            lr = lr_at(step, total_steps, cfg)
+            _apply_update(policy, grad, lr, cfg, state)
+            allw = np.concatenate(weights)
+            history.steps.append(
+                StepRecord(step, lr, float(loss), pre_norm, min(pre_norm, cfg.clip_norm),
+                           float(allw.mean()), float(allw.min()), float(allw.max()))
+            )
+            step += 1
+    return policy, history

@@ -370,10 +370,10 @@ def test_matrix_records_aborts_and_continues(tmp_path, monkeypatch):
 
     real_train = harness.train
 
-    def flaky_train(cfg, corpus, objective, init_policy, teacher=None, max_len=24):
+    def flaky_train(cfg, corpus, objective, init_policy, **kwargs):
         if objective.transform.kind == "sigmoid" and cfg.seed == 1:
             raise TrainAbortError(13, "forced abort for the harness test")
-        return real_train(cfg, corpus, objective, init_policy, teacher=teacher, max_len=max_len)
+        return real_train(cfg, corpus, objective, init_policy, **kwargs)
 
     monkeypatch.setattr(harness, "train", flaky_train)
     cfg_path = write_config(tmp_path)
@@ -404,7 +404,7 @@ def test_parallel_matrix_matches_serial(tmp_path):
     assert file_hashes(out1, names) == file_hashes(out2, names)
 
 
-def _snapshot(tmp_path, modulus=5, drop=None, edit=None):
+def _snapshot(tmp_path, modulus=5, drop=None, edit=None, mutate=None):
     path = str(tmp_path / "policy.txt")
     save_policy(TabularPolicy(Vocabulary(modulus), 1), path)
     with open(path) as fh:
@@ -414,6 +414,8 @@ def _snapshot(tmp_path, modulus=5, drop=None, edit=None):
     if edit is not None:
         key, val = edit
         lines = [f"{key}={val}" if line.startswith(f"{key}=") else line for line in lines]
+    if mutate is not None:
+        lines = mutate(lines)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     return path
@@ -433,6 +435,27 @@ def test_eval_broken_snapshot_header(tmp_path, capsys, kwargs, message):
     policy_path = _snapshot(tmp_path, **kwargs)
     assert main(["eval", "--config", cfg_path, "--out", out, "--policy", policy_path]) == EXIT_RUNTIME
     assert message in capsys.readouterr().err
+
+
+# a modulus-5 order-1 table: six header lines, then 100 parameters on lines 7-106
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda lines: lines[:6] + ["nan", "inf"] + lines[8:], "line 7: parameter 'nan' is not a finite number"),
+        (lambda lines: lines[:7] + ["inf"] + lines[8:], "line 8: parameter 'inf' is not a finite number"),
+        (lambda lines: lines[:8] + ["0.5x"] + lines[9:], "line 9: parameter '0.5x' is not a finite number"),
+        (lambda lines: lines + ["0.0", "1.0"], "line 107: unexpected line after the 100 parameters"),
+    ],
+    ids=["nan", "inf", "non_numeric", "trailing_lines"],
+)
+def test_eval_rejects_bad_snapshot_parameters(tmp_path, capsys, mutate, message):
+    cfg_path = write_config(tmp_path)
+    out = str(tmp_path / "results")
+    policy_path = _snapshot(tmp_path, mutate=mutate)
+    assert main(["eval", "--config", cfg_path, "--out", out, "--policy", policy_path]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert f"{policy_path} {message}" in err and "Traceback" not in err
+    assert not os.path.exists(os.path.join(out, "eval_policy.csv"))
 
 
 def test_eval_rejects_snapshot_of_other_modulus(tmp_path, capsys):
