@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .policy import rollouts, score_trace, trace_distributions
+from .policy import kl_divergences, rollouts, score_trace, trace_distributions
 from .policy import greedy_decode, sample_sequence  # noqa: F401 -- bench/tracer.py wraps these names here
 from .task import ProblemInstance, answer_token
 from .vocab import ANSWER_MARK, EOS, TokenSequence
@@ -68,22 +68,26 @@ def final_answer_accuracy(policy, problems: list[ProblemInstance], max_len: int 
 def rollout_divergences(teacher, student, question: TokenSequence, rollout) -> np.ndarray:
     """Per-position KL(teacher || student) along the given rollout's prefixes,
     from one teacher pass and one student forward over the whole rollout."""
-    p = trace_distributions(teacher, question, rollout)
-    q_log = score_trace(student, question, rollout).logp
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(p > 0.0, p * (np.log(p) - q_log), 0.0).sum(axis=-1)
+    return kl_divergences(trace_distributions(teacher, question, rollout), score_trace(student, question, rollout).logp)
 
 
-def _accumulated(teacher, student, source, questions, max_len: int, seed: int, tag: int, horizons) -> list[np.ndarray]:
+def _accumulated(teacher, student, source, questions, max_len: int, seed: int, tag: int, horizons) -> np.ndarray:
     """Roll ``source`` out once per question in lockstep, row idx drawing from
     its own stream SeedSequence([seed, idx, tag]) so that curves are paired
     across policies, and accumulate KL(teacher || student) along each rollout
-    up to every horizon."""
+    up to every horizon: a (P, H) array.
+
+    The divergences come out of the rollout itself. No position past the
+    longest horizon is read, so rollouts stop there; a row's first tokens are
+    drawn from the same uniforms either way.
+    """
+    n = min(max_len, max(horizons))
     streams = (
         np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, idx, tag]))) for idx in range(len(questions))
     )
-    traces = rollouts(source, questions, max_len, streams, private_streams=True).traces
-    return [_cumulative(rollout_divergences(teacher, student, q, y), horizons) for q, y in zip(questions, traces)]
+    divs = rollouts(source, questions, n, streams, private_streams=True, divergence=(teacher, student)).divergences
+    # positions past a row's end hold 0, so its sum stays at its total there
+    return np.cumsum(divs, axis=1)[:, [min(h, n) - 1 for h in horizons]]
 
 
 def _cumulative(divs: np.ndarray, horizons) -> np.ndarray:
@@ -92,19 +96,19 @@ def _cumulative(divs: np.ndarray, horizons) -> np.ndarray:
 
 
 def _aggregate_curve(per_problem_ref, per_problem_self, horizons, floor) -> ExAccErrCurve:
+    """Mean over problems of 100 * (E_self - E_ref) / E_ref at each horizon,
+    skipping problems whose E_ref lies below ``floor``. The ratios are added
+    problem by problem from 0.0, as a running sum would."""
     horizons = tuple(horizons)
-    acc = np.zeros(len(horizons))
-    counts = np.zeros(len(horizons), dtype=np.int64)
-    floor_used = False
-    for e_ref, e_self in zip(per_problem_ref, per_problem_self):
-        for j in range(len(horizons)):
-            if e_ref[j] < floor:
-                floor_used = True
-                continue
-            acc[j] += 100.0 * (e_self[j] - e_ref[j]) / e_ref[j]
-            counts[j] += 1
+    e_ref = np.asarray(per_problem_ref, dtype=np.float64).reshape(-1, len(horizons))
+    e_self = np.asarray(per_problem_self, dtype=np.float64).reshape(-1, len(horizons))
+    skipped = e_ref < floor
+    ratios = np.zeros_like(e_ref)
+    np.divide(100.0 * (e_self - e_ref), e_ref, out=ratios, where=~skipped)
+    acc = np.cumsum(np.vstack([np.zeros(len(horizons)), ratios]), axis=0)[-1]
+    counts = np.count_nonzero(~skipped, axis=0)
     values = np.where(counts > 0, acc / np.maximum(counts, 1), 0.0)
-    return ExAccErrCurve(horizons=horizons, values=values, floor_used=floor_used)
+    return ExAccErrCurve(horizons=horizons, values=values, floor_used=bool(skipped.any()))
 
 
 def exaccerr(

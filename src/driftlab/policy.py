@@ -15,6 +15,7 @@ probability, so they stay finite. All arithmetic is float64.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import chain
@@ -128,7 +129,7 @@ class ParametricPolicy:
         _, cache = self.forward(self._context_window(context))
         self.backward(cache, np.asarray(dlogits)[None, :], buf)
 
-    def rollout_state(self, questions) -> "_WindowState":
+    def rollout_state(self, questions) -> "RolloutState":
         return _WindowState(self, questions)
 
     def clone(self) -> "ParametricPolicy":
@@ -349,7 +350,26 @@ def _prefixes(question, trace) -> list[list[int]]:
     return [full[:t] for t in range(q, len(full))]
 
 
-class _WindowState:
+class RolloutState:
+    """P growing contexts of one model, advanced together by ``rollouts``: the
+    next-token distributions of any rows, and one emitted token per row."""
+
+    def distributions(self, rows: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def log_distributions(self, rows: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return np.log(self.distributions(rows))
+
+    def scored(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The distributions and the log-distributions of ``rows`` together."""
+        return self.distributions(rows), self.log_distributions(rows)
+
+    def advance(self, rows: np.ndarray, tokens: np.ndarray) -> None:
+        raise NotImplementedError
+
+
+class _WindowState(RolloutState):
     """P growing contexts of a trainable policy, kept as a (P, k) window array:
     one ``forward`` call gives the next-token distributions of any rows."""
 
@@ -361,14 +381,22 @@ class _WindowState:
     def distributions(self, rows: np.ndarray) -> np.ndarray:
         return _softmax(self.policy.forward(self.windows[rows])[0])
 
+    def log_distributions(self, rows: np.ndarray) -> np.ndarray:
+        return _log_softmax(self.policy.forward(self.windows[rows])[0])
+
+    def scored(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        logits = self.policy.forward(self.windows[rows])[0]
+        return _softmax(logits), _log_softmax(logits)
+
     def advance(self, rows: np.ndarray, tokens: np.ndarray) -> None:
         self.windows[rows, :-1] = self.windows[rows, 1:]
         self.windows[rows, -1] = tokens
 
 
-class _StackedState:
-    """P growing contexts of a model seen only through ``next_token_distribution``;
-    its per-row calls are stacked."""
+class _StackedState(RolloutState):
+    """P growing contexts of a model seen only through its per-context
+    ``next_token_distribution`` and ``log_next_token_distribution``; its
+    per-row calls are stacked."""
 
     def __init__(self, model, questions):
         self.model = model
@@ -377,23 +405,48 @@ class _StackedState:
             check_tokens(ctx, model.vocab.size)
 
     def distributions(self, rows: np.ndarray) -> np.ndarray:
-        return np.array([self.model.next_token_distribution(self.contexts[i]) for i in rows])
+        return self._stacked(self.model.next_token_distribution, rows)
+
+    def log_distributions(self, rows: np.ndarray) -> np.ndarray:
+        return self._stacked(self.model.log_next_token_distribution, rows)
+
+    def _stacked(self, per_context, rows: np.ndarray) -> np.ndarray:
+        return np.array([per_context(self.contexts[i]) for i in rows])
 
     def advance(self, rows: np.ndarray, tokens: np.ndarray) -> None:
         for i, tok in zip(rows.tolist(), tokens.tolist()):
             self.contexts[i].append(tok)
 
 
+def _rollout_state(model, questions) -> RolloutState:
+    return model.rollout_state(questions) if hasattr(model, "rollout_state") else _StackedState(model, questions)
+
+
+def kl_divergences(p: np.ndarray, q_log: np.ndarray) -> np.ndarray:
+    """KL(p || q) of each row, from the distributions p and the log-distributions
+    of q; a token that p gives no mass adds nothing."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(p > 0.0, p * (np.log(p) - q_log), 0.0).sum(axis=-1)
+
+
 @dataclass
 class Rollouts:
-    """P rollouts made in lockstep: ``traces[i]`` is row i's trace, and
-    ``token_probs[i, t]`` the probability the model gave its token t (0 past the end)."""
+    """P rollouts made in lockstep. ``tokens[i, t]`` is row i's token t and
+    ``token_probs[i, t]`` the probability the model gave it; ``divergences[i, t]``
+    is KL(teacher || student) at row i's prefix question + trace[:t] when
+    ``rollouts`` was given that pair. All three are 0 past a row's end."""
 
-    traces: list[TokenSequence]
+    tokens: np.ndarray
     token_probs: np.ndarray
+    divergences: np.ndarray | None = None
+
+    @functools.cached_property
+    def traces(self) -> list[TokenSequence]:
+        """Row i's trace, up to and including its EOS."""
+        return [TokenSequence(_until_eos(row.tolist()), "trace") for row in self.tokens]
 
 
-def rollouts(model, questions, max_len: int, streams=None, private_streams: bool = False) -> Rollouts:
+def rollouts(model, questions, max_len: int, streams=None, private_streams: bool = False, divergence=None) -> Rollouts:
     """Roll out every question together, until EOS or ``max_len`` tokens.
 
     Each step makes one (P, V) array of next-token distributions for the live
@@ -407,16 +460,29 @@ def rollouts(model, questions, max_len: int, streams=None, private_streams: bool
     generator expression, so that no more than one generator is alive at a
     time.
 
+    Given a ``divergence`` pair (teacher, student), each step also writes
+    KL(teacher || student) at every live row's prefix into ``divergences``.
+    Both models follow the emitted tokens in P-row states of their own; a
+    model that is also the one rolled out shares its state, and a student
+    rolled out gives its distributions and log-distributions from one forward.
+
     Models with a ``rollout_state(questions)`` keep their own P-row state (the
     window array of a trainable policy, the teacher's automaton); any other
-    model gets its per-row ``next_token_distribution`` calls stacked.
+    model gets its per-row calls stacked.
     """
     if max_len < 1:
         raise PolicyError("max_len must be >= 1")
-    state = model.rollout_state(questions) if hasattr(model, "rollout_state") else _StackedState(model, questions)
+    state = _rollout_state(model, questions)
     P = len(questions)
     tokens = np.zeros((P, max_len), dtype=np.int64)
     probs = np.zeros((P, max_len))
+    states, divergences = [state], None
+    if divergence is not None:
+        teacher, student = divergence
+        t_state = state if teacher is model else _rollout_state(teacher, questions)
+        s_state = state if student is model else t_state if student is teacher else _rollout_state(student, questions)
+        states = list({id(s): s for s in (state, t_state, s_state)}.values())  # each advanced once per step
+        divergences = np.zeros((P, max_len))
     if private_streams:
         uniforms = np.empty((P, max_len))
         for row, rng in zip(uniforms, streams, strict=True):
@@ -425,7 +491,15 @@ def rollouts(model, questions, max_len: int, streams=None, private_streams: bool
     for t in range(max_len):
         if not live.size:
             break
-        dists = state.distributions(live)
+        if divergence is None:
+            dists = state.distributions(live)
+        else:
+            if s_state is state:
+                dists, q_log = state.scored(live)
+            else:
+                dists, q_log = state.distributions(live), s_state.log_distributions(live)
+            p = dists if t_state is state else t_state.distributions(live)
+            divergences[live, t] = kl_divergences(p, q_log)
         if streams is None:
             toks = dists.argmax(axis=1)
         else:
@@ -441,9 +515,9 @@ def rollouts(model, questions, max_len: int, streams=None, private_streams: bool
         if np.count_nonzero(going) < live.size:
             live, toks = live[going], toks[going]
         if t + 1 < max_len:
-            state.advance(live, toks)
-    traces = [TokenSequence(_until_eos(row.tolist()), "trace") for row in tokens]
-    return Rollouts(traces, probs)
+            for s in states:
+                s.advance(live, toks)
+    return Rollouts(tokens, probs, divergences)
 
 
 def _until_eos(tokens: list[int]) -> tuple[int, ...]:

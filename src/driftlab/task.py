@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .policy import check_tokens, rollouts
+from .policy import RolloutState, check_tokens, rollouts
 from .vocab import ADD, ANSWER_MARK, BOS, EOS, MUL, N_SPECIAL, VALUE_BASE, TokenSequence, Vocabulary
 
 
@@ -71,10 +71,12 @@ class ProblemInstance:
 def generate_problem(cfg: TaskConfig, rng: np.random.Generator) -> ProblemInstance:
     """Uniformly sample start value, operators, and operands; derive the gold trace."""
     vocab = cfg.vocab()
-    m = cfg.modulus
+    m, L = cfg.modulus, cfg.chain_length
+    # three calls draw what 2L + 1 scalar calls would: PCG64 hands out the
+    # same 32-bit words to an array draw as to the same number of single ones
     v0 = int(rng.integers(m))
-    ops = [int(cfg.ops[rng.integers(len(cfg.ops))]) for _ in range(cfg.chain_length)]
-    operands = [int(rng.integers(m)) for _ in range(cfg.chain_length)]
+    ops = [int(cfg.ops[i]) for i in rng.integers(len(cfg.ops), size=L).tolist()]
+    operands = rng.integers(m, size=L).tolist()
     question = [BOS, vocab.value_token(v0)]
     values = []
     v = v0
@@ -279,7 +281,7 @@ class ChainTeacher:
         return _TeacherState(self, questions)
 
 
-class _TeacherState:
+class _TeacherState(RolloutState):
     """The automaton in P growing contexts: each question is parsed once, and
     each row's state then advances by one table lookup per emitted token. A
     context shorter than a question sits in the sink until it is one long, and

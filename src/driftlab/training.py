@@ -98,10 +98,11 @@ class RunHistory:
         return np.array([s.loss for s in self.steps])
 
     def csv_rows(self) -> list[str]:
-        rows = ["step,lr,loss,grad_norm_pre,grad_norm_post,mean_weight"]
+        rows = ["step,lr,loss,grad_norm_pre,grad_norm_post,mean_weight,weight_min,weight_max"]
         for s in self.steps:
             rows.append(
-                f"{s.step},{s.lr!r},{s.loss!r},{s.grad_norm_pre!r},{s.grad_norm_post!r},{s.mean_weight!r}"
+                f"{s.step},{s.lr!r},{s.loss!r},{s.grad_norm_pre!r},{s.grad_norm_post!r},{s.mean_weight!r},"
+                f"{s.weight_min!r},{s.weight_max!r}"
             )
         return rows
 

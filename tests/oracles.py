@@ -16,10 +16,10 @@ import math
 
 import numpy as np
 
-from driftlab.metrics import _aggregate_curve, _cumulative, rollout_divergences
+from driftlab.metrics import ExAccErrCurve, _cumulative, rollout_divergences
 from driftlab.objectives import evaluate_objective, js_sequence_loss
 from driftlab.policy import GradientBuffer, sample_sequence
-from driftlab.task import CorpusRecord, TraceCorpus, answer_token, generate_problems
+from driftlab.task import CorpusRecord, ProblemInstance, TraceCorpus, answer_token, chain_step, generate_problems
 from driftlab.training import (
     OptimizerState,
     RunHistory,
@@ -336,6 +336,31 @@ def random_prefixes(cfg, n, seed):
     return out
 
 
+# --- scalar-draw reference problems ---------------------------------------------
+
+
+def reference_problems(cfg, n, seed):
+    """``generate_problems`` with one scalar ``integers`` call per drawn value:
+    problem i takes v0, then the L operators, then the L operands from stream
+    (seed, i)."""
+    vocab, m, L = cfg.vocab(), cfg.modulus, cfg.chain_length
+    out = []
+    for i in range(n):
+        rng = stream(seed, i)
+        v0 = int(rng.integers(m))
+        ops = [int(cfg.ops[rng.integers(len(cfg.ops))]) for _ in range(L)]
+        operands = [int(rng.integers(m)) for _ in range(L)]
+        question, values, v = [BOS, vocab.value_token(v0)], [], v0
+        for op, a in zip(ops, operands):
+            question += [op, vocab.value_token(a)]
+            v = chain_step(v, op, a, m)
+            values.append(v)
+        answer = vocab.value_token(values[-1])
+        trace = [vocab.value_token(u) for u in values] + [ANSWER_MARK, answer, EOS]
+        out.append(ProblemInstance(TokenSequence(tuple(question), "question"), answer, TokenSequence(tuple(trace), "trace")))
+    return out
+
+
 # --- per-problem reference rollouts --------------------------------------------
 
 
@@ -385,11 +410,30 @@ def reference_accuracy(policy, problems, max_len):
     return hits / len(problems)
 
 
+def reference_aggregate_curve(per_problem_ref, per_problem_self, horizons, floor):
+    """The drift curve from per-problem accumulations, one problem and one
+    horizon at a time: a running sum of the ratios of the problems whose
+    reference accumulation reaches ``floor``."""
+    acc = np.zeros(len(horizons))
+    counts = np.zeros(len(horizons), dtype=np.int64)
+    floor_used = False
+    for e_ref, e_self in zip(per_problem_ref, per_problem_self):
+        for j in range(len(horizons)):
+            if e_ref[j] < floor:
+                floor_used = True
+                continue
+            acc[j] += 100.0 * (e_self[j] - e_ref[j]) / e_ref[j]
+            counts[j] += 1
+    values = np.where(counts > 0, acc / np.maximum(counts, 1), 0.0)
+    return ExAccErrCurve(horizons=tuple(horizons), values=values, floor_used=floor_used)
+
+
 def reference_drift_curve(teacher, student, problems, horizons, seed, max_len, prefix_source=None, floor=1e-9):
     """``exaccerr`` (no ``prefix_source``) or ``prefix_drift_eval``, one problem
-    at a time: per problem a teacher rollout from stream (seed, idx, 0) and a
-    student or prefix-source rollout from stream (seed, idx, 1). Divergences
-    and aggregation are the package's own; only the rollouts are per problem."""
+    at a time: per problem a full-length teacher rollout from stream (seed,
+    idx, 0) and a student or prefix-source rollout from stream (seed, idx, 1),
+    each scored after the fact by ``rollout_divergences``, and the curve
+    aggregated by a running sum."""
     horizons = tuple(horizons)
     refs, selfs = [], []
     for idx, problem in enumerate(problems):
@@ -400,7 +444,7 @@ def reference_drift_curve(teacher, student, problems, horizons, seed, max_len, p
             y_self, _ = reference_rollout(prefix_source, problem.question, max(horizons), stream(seed, idx, 1))
         refs.append(_cumulative(rollout_divergences(teacher, student, problem.question, y_teacher), horizons))
         selfs.append(_cumulative(rollout_divergences(teacher, student, problem.question, y_self), horizons))
-    return _aggregate_curve(refs, selfs, horizons, floor)
+    return reference_aggregate_curve(refs, selfs, horizons, floor)
 
 
 # --- per-record reference training loop ----------------------------------------

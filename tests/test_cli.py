@@ -243,7 +243,7 @@ def test_train_eval_subcommands(tmp_path):
     history_path = os.path.join(out, "history_sft_s0.csv")
     with open(history_path) as fh:
         lines = fh.read().splitlines()
-    assert lines[1] == "step,lr,loss,grad_norm_pre,grad_norm_post,mean_weight"
+    assert lines[1] == "step,lr,loss,grad_norm_pre,grad_norm_post,mean_weight,weight_min,weight_max"
     assert main(["eval", "--config", cfg_path, "--out", out, "--policy", policy_path]) == EXIT_OK
     assert os.path.exists(os.path.join(out, "eval_policy_sft_s0.csv"))
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from driftlab.metrics import (
+    _aggregate_curve,
     exaccerr,
     exaccerr_exact,
     final_answer_accuracy,
@@ -21,7 +22,7 @@ from driftlab.policy import TabularPolicy
 from driftlab.task import TaskConfig, TeacherSpec, generate_problems, teacher_policy
 from driftlab.vocab import EOS, TokenSequence
 
-from oracles import PrefixTablePolicy, micro_instance, oracle_curve
+from oracles import PrefixTablePolicy, micro_instance, oracle_curve, reference_aggregate_curve
 
 CFG = TaskConfig(modulus=7, chain_length=2)
 PROBLEMS = generate_problems(CFG, 50, seed=3)
@@ -117,6 +118,20 @@ def test_exaccerr_identical_policies_hits_floor():
     curve = exaccerr(teacher, teacher, PROBLEMS[:10], horizons=(1, 2, 4), seed=5, max_len=16)
     assert curve.floor_used
     assert np.all(curve.values == 0.0)
+
+
+def test_aggregate_curve_equals_running_sum():
+    # the vectorized aggregation against a problem-by-problem running sum,
+    # with accumulations below the floor, and no problems at all
+    rng = np.random.Generator(np.random.PCG64(13))
+    horizons = (1, 2, 4, 8)
+    for n in (0, 1, 7, 300):
+        e_ref, e_self = rng.exponential(size=(n, 4)), rng.exponential(size=(n, 4))
+        e_ref[rng.random((n, 4)) < 0.2] = 0.0
+        got = _aggregate_curve(e_ref, list(e_self), horizons, 1e-9)
+        want = reference_aggregate_curve(list(e_ref), list(e_self), horizons, 1e-9)
+        assert np.array_equal(got.values, want.values) and got.floor_used == want.floor_used
+        assert want.floor_used or n < 7  # the floor fires in every larger set
 
 
 def test_exaccerr_constant_divergence_is_zero():

@@ -16,6 +16,7 @@ from driftlab.policy import (
     greedy_decode,
     load_policy,
     log_prob_sequence,
+    rollouts,
     sample_sequence,
     save_policy,
 )
@@ -143,10 +144,11 @@ def test_first_token_frequencies_match_uniform():
     pol = TabularPolicy(vocab, 1)
     n = 100_000
     rng = rng_of(2024)
-    counts = np.zeros(vocab.size)
     question = TokenSequence((BOS,), "question")
-    for _ in range(n):
-        counts[sample_sequence(pol, question, rng, max_len=1).tokens[0]] += 1
+    # one lockstep call: row i draws the i-th uniform of the shared stream, as
+    # the i-th of n one-row sample_sequence calls would
+    first = rollouts(pol, [question] * n, 1, [rng] * n).tokens[:, 0]
+    counts = np.bincount(first, minlength=vocab.size)
     p = 1.0 / vocab.size
     se = math.sqrt(p * (1 - p) / n)
     assert np.all(np.abs(counts / n - p) < 3 * se)

@@ -11,7 +11,7 @@ that only have ``next_token_distribution``.
 import numpy as np
 import pytest
 
-from driftlab.metrics import exaccerr, final_answer_accuracy, prefix_drift_eval
+from driftlab.metrics import exaccerr, final_answer_accuracy, prefix_drift_eval, rollout_divergences
 from driftlab.policy import (
     FeedForwardPolicy,
     PolicyError,
@@ -200,3 +200,56 @@ def test_metrics_match_per_problem_reference():
     assert np.array_equal(got.values, want.values) and got.floor_used == want.floor_used
     for model in (teacher, student, MODELS["feedforward"]()):
         assert final_answer_accuracy(model, problems, max_len=12) == reference_accuracy(model, problems, 12)
+
+
+@pytest.mark.parametrize("student_name", ["tabular-1", "tabular-2", "feedforward", "teacher"])
+def test_fused_divergences_match_per_rollout(student_name):
+    # the divergences written during the rollout against one teacher scan and
+    # one student forward per finished rollout, for the three sources the drift
+    # curves use: the teacher, the student itself and a third policy (an
+    # untrained base student)
+    teacher = MODELS["teacher"]()
+    student = teacher if student_name == "teacher" else MODELS[student_name]()
+    base = TabularPolicy(CFG.vocab(), 1)
+    ends = set()
+    for source in (teacher, student, base):
+        for max_len in (5, 10):
+            streams = [stream(43, i) for i in range(len(QUESTIONS))]
+            got = rollouts(source, QUESTIONS, max_len, streams, private_streams=True, divergence=(teacher, student))
+            exact = not isinstance(source, FeedForwardPolicy)
+            assert_rows_match(got, source, QUESTIONS, max_len, lambda i: stream(43, i), exact_probs=exact)
+            for i, (question, trace) in enumerate(zip(QUESTIONS, got.traces)):
+                want = rollout_divergences(teacher, student, question, trace)
+                if student_name == "feedforward":
+                    np.testing.assert_allclose(got.divergences[i, : len(trace)], want, rtol=1e-12, atol=0.0)
+                else:
+                    assert np.array_equal(got.divergences[i, : len(trace)], want)
+                assert np.all(got.divergences[i, len(trace) :] == 0.0)
+                ends.add((len(trace), trace.ends_with_eos))
+    assert len({n for n, eos in ends if eos}) > 1  # rows reach EOS at different steps
+    assert (5, False) in ends and (10, False) in ends  # and rows hit the length cap
+
+
+def test_fused_divergences_of_hand_built_policies():
+    question, teacher, student = micro_instance()
+    questions = [question] * 30
+    for source in (teacher, student):
+        got = rollouts(source, questions, 3, [stream(9, i) for i in range(30)], True, divergence=(teacher, student))
+        for row, trace in zip(got.divergences, got.traces):
+            assert np.array_equal(row[: len(trace)], rollout_divergences(teacher, student, question, trace))
+    assert got.divergences is not None and rollouts(student, questions, 3).divergences is None
+
+
+@pytest.mark.parametrize("student_name", ["tabular-2", "feedforward"])
+def test_curves_unchanged_by_stopping_at_the_longest_horizon(student_name):
+    # rollouts stop after max(horizons) tokens; a curve with one more horizon
+    # at max_len rolls out to max_len, and its other horizons must not move
+    teacher, student, base = MODELS["teacher"](), MODELS[student_name](), MODELS["tabular-1"]()
+    problems = PROBLEMS + [PROBLEMS[0]]
+    horizons = (1, 2, 4)
+    cut = exaccerr(teacher, student, problems, horizons, seed=23, max_len=12)
+    full = exaccerr(teacher, student, problems, horizons + (12,), seed=23, max_len=12)
+    assert np.array_equal(cut.values, full.values[:-1])
+    cut = prefix_drift_eval(base, student, teacher, problems, horizons, seed=29, max_len=12)
+    full = prefix_drift_eval(base, student, teacher, problems, horizons + (12,), seed=29, max_len=12)
+    assert np.array_equal(cut.values, full.values[:-1])

@@ -26,6 +26,8 @@ from driftlab.task import (
 )
 from driftlab.vocab import ADD, ANSWER_MARK, BOS, EOS, MUL, TokenSequence
 
+from oracles import reference_problems
+
 
 def rng_of(seed):
     return np.random.Generator(np.random.PCG64(seed))
@@ -76,6 +78,20 @@ def test_problem_generation_deterministic():
     a = generate_problems(cfg, 5, seed=3)
     b = generate_problems(cfg, 5, seed=3)
     assert [p.question.tokens for p in a] == [p.question.tokens for p in b]
+
+
+@pytest.mark.parametrize("modulus", (3, 5, 7, 11, 13, 97))
+@pytest.mark.parametrize("ops", ((ADD,), (MUL,), (ADD, MUL)))
+def test_problems_equal_scalar_draw_reference(modulus, ops):
+    # the array draws of generate_problem against one scalar draw per value
+    for chain_length in (1, 2, 5, 9):
+        cfg = TaskConfig(modulus=modulus, chain_length=chain_length, ops=ops)
+        got = generate_problems(cfg, 40, seed=modulus * chain_length)
+        want = reference_problems(cfg, 40, seed=modulus * chain_length)
+        for g, w in zip(got, want, strict=True):
+            assert g.question.tokens == w.question.tokens
+            assert g.gold_answer == w.gold_answer
+            assert g.gold_trace == w.gold_trace
 
 
 def test_noiseless_teacher_reproduces_gold_trace():

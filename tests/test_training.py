@@ -190,5 +190,8 @@ def test_history_csv_schema():
     cfg = TrainConfig(epochs=1, batch_size=3)
     _, history = train(cfg, corpus, ObjectiveSpec("sft"), TabularPolicy(CFG.vocab(), 1))
     rows = history.csv_rows()
-    assert rows[0] == "step,lr,loss,grad_norm_pre,grad_norm_post,mean_weight"
+    assert rows[0] == "step,lr,loss,grad_norm_pre,grad_norm_post,mean_weight,weight_min,weight_max"
     assert len(rows) == len(history.steps) + 1
+    for row, step in zip(rows[1:], history.steps):
+        fields = row.split(",")
+        assert float(fields[-2]) == step.weight_min and float(fields[-1]) == step.weight_max
