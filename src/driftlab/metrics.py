@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .policy import kl_divergences, rollouts, score_trace, trace_distributions
+from .policy import kl_divergences, rollouts
 from .policy import greedy_decode, sample_sequence  # noqa: F401 -- bench/tracer.py wraps these names here
 from .task import ProblemInstance, answer_token
 from .vocab import ANSWER_MARK, EOS, TokenSequence
@@ -67,8 +67,14 @@ def final_answer_accuracy(policy, problems: list[ProblemInstance], max_len: int 
 
 def rollout_divergences(teacher, student, question: TokenSequence, rollout) -> np.ndarray:
     """Per-position KL(teacher || student) along the given rollout's prefixes,
-    from one teacher pass and one student forward over the whole rollout."""
-    return kl_divergences(trace_distributions(teacher, question, rollout), score_trace(student, question, rollout).logp)
+    from one ``next_token_distribution`` and one ``log_next_token_distribution``
+    call per prefix: the form the tree enumeration of ``exaccerr_exact`` needs."""
+    full = [*question, *rollout]
+    contexts = [full[:t] for t in range(len(full) - len(rollout), len(full))]
+    V = teacher.vocab.size
+    p = np.array([teacher.next_token_distribution(ctx) for ctx in contexts]).reshape(-1, V)
+    q_log = np.array([student.log_next_token_distribution(ctx) for ctx in contexts]).reshape(-1, V)
+    return kl_divergences(p, q_log)
 
 
 def _accumulated(teacher, student, source, questions, max_len: int, seed: int, tag: int, horizons) -> np.ndarray:
@@ -111,6 +117,18 @@ def _aggregate_curve(per_problem_ref, per_problem_self, horizons, floor) -> ExAc
     return ExAccErrCurve(horizons=horizons, values=values, floor_used=bool(skipped.any()))
 
 
+def _drift_curve(teacher, student, source, problems, horizons, seed: int, max_len: int, floor: float) -> ExAccErrCurve:
+    """Mean excess of the student's drift on ``source`` rollouts over its drift
+    on teacher rollouts, one rollout of each per problem."""
+    horizons = tuple(horizons)
+    if not horizons or any(h < 1 for h in horizons):
+        raise ValueError("horizons must be non-empty and >= 1")
+    questions = [problem.question for problem in problems]
+    refs = _accumulated(teacher, student, teacher, questions, max_len, seed, 0, horizons)
+    selfs = _accumulated(teacher, student, source, questions, max_len, seed, 1, horizons)
+    return _aggregate_curve(refs, selfs, horizons, floor)
+
+
 def exaccerr(
     teacher,
     student,
@@ -125,13 +143,7 @@ def exaccerr(
     Rollout streams derive from (seed, problem index), so curves for different
     trained policies evaluated with the same seed are paired comparisons.
     """
-    horizons = tuple(horizons)
-    if not horizons or any(h < 1 for h in horizons):
-        raise ValueError("horizons must be non-empty and >= 1")
-    questions = [problem.question for problem in problems]
-    refs = _accumulated(teacher, student, teacher, questions, max_len, seed, 0, horizons)
-    selfs = _accumulated(teacher, student, student, questions, max_len, seed, 1, horizons)
-    return _aggregate_curve(refs, selfs, horizons, floor)
+    return _drift_curve(teacher, student, student, problems, horizons, seed, max_len, floor)
 
 
 def prefix_drift_eval(
@@ -151,14 +163,9 @@ def prefix_drift_eval(
     them, against the same accumulation along teacher-rollout prefixes.
     """
     horizons = tuple(horizons)
-    if not horizons or any(h < 1 for h in horizons):
-        raise ValueError("horizons must be non-empty and >= 1")
-    if max(horizons) > max_len:
+    if max(horizons, default=1) > max_len:
         raise ValueError("horizons must stay within the rollout length cap")
-    questions = [problem.question for problem in problems]
-    refs = _accumulated(teacher, trained_policy, teacher, questions, max_len, seed, 0, horizons)
-    selfs = _accumulated(teacher, trained_policy, prefix_source_policy, questions, max(horizons), seed, 1, horizons)
-    return _aggregate_curve(refs, selfs, horizons, floor)
+    return _drift_curve(teacher, trained_policy, prefix_source_policy, problems, horizons, seed, max_len, floor)
 
 
 def enumerate_rollouts(policy, question: TokenSequence, max_len: int, prob_floor: float = 0.0, max_leaves: int = 200000):

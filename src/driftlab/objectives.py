@@ -34,15 +34,7 @@ from itertools import chain
 
 import numpy as np
 
-from .policy import (
-    GradientBuffer,
-    ParametricPolicy,
-    TraceScores,
-    sample_sequence,
-    score_traces,
-    stacked_windows,
-    trace_distributions,
-)
+from .policy import GradientBuffer, TraceScores, sample_sequence, score_traces, stacked_windows
 from .task import CorpusRecord, TraceCorpus
 from .vocab import TokenSequence
 
@@ -189,8 +181,6 @@ class TraceBatch:
     rows from it.
     """
 
-    questions: list
-    traces: list
     offsets: np.ndarray
     tokens: np.ndarray
     windows: np.ndarray | None = None
@@ -199,20 +189,20 @@ class TraceBatch:
 
     @classmethod
     def build(cls, questions, traces, student=None, teacher=None, teacher_logps=None) -> "TraceBatch":
-        """Stack (question, trace) pairs: context windows for a trainable
-        ``student``, expected tokens for a ``teacher`` with ``trace_targets``,
-        and the per-record ``teacher_logps`` when every record has them. Each
-        array is allocated once, at its full size."""
+        """Stack (question, trace) pairs: context windows for a ``student``,
+        expected tokens for a ``teacher``, and the per-record ``teacher_logps``
+        when every record has them. Each array is allocated once, at its full
+        size."""
         lengths = np.array([len(t) for t in traces], dtype=np.int64)
         offsets = np.zeros(lengths.size + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
         n = int(offsets[-1])
         tokens = np.fromiter(chain.from_iterable(traces), dtype=np.int64, count=n)
         windows = None
-        if isinstance(student, ParametricPolicy):
+        if student is not None:
             windows = stacked_windows(student.order, student.vocab.size, questions, traces)
         targets = None
-        if hasattr(teacher, "trace_targets"):
+        if teacher is not None:
             targets = np.empty(n, dtype=np.int64)
             for q, t, a, b in zip(questions, traces, offsets[:-1], offsets[1:]):
                 targets[a:b] = teacher.trace_targets(q, t)
@@ -221,7 +211,7 @@ class TraceBatch:
             lp is not None and len(lp) == size for lp, size in zip(teacher_logps, lengths.tolist())
         ):
             logps = np.fromiter(chain.from_iterable(teacher_logps), dtype=np.float64, count=n)
-        return cls(list(questions), list(traces), offsets, tokens, windows, logps, targets)
+        return cls(offsets, tokens, windows, logps, targets)
 
     @classmethod
     def of_corpus(cls, corpus: TraceCorpus, student=None, teacher=None) -> "TraceBatch":
@@ -233,7 +223,7 @@ class TraceBatch:
 
     @property
     def row_records(self) -> np.ndarray:
-        return np.repeat(np.arange(len(self.traces)), np.diff(self.offsets))
+        return np.repeat(np.arange(self.offsets.size - 1), np.diff(self.offsets))
 
     def take(self, records: np.ndarray) -> "TraceBatch":
         """The batch of the given records, in that order, gathered row by row."""
@@ -246,8 +236,7 @@ class TraceBatch:
             return None if values is None else values[rows]
 
         return TraceBatch(
-            [self.questions[i] for i in records], [self.traces[i] for i in records], offsets, self.tokens[rows],
-            pick(self.windows), pick(self.teacher_logps), pick(self.teacher_targets),
+            offsets, self.tokens[rows], pick(self.windows), pick(self.teacher_logps), pick(self.teacher_targets)
         )
 
 
@@ -262,16 +251,18 @@ def _record_sums(terms: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 
 
 def _scores(policy, batch: TraceBatch) -> TraceScores:
-    return score_traces(policy, batch.questions, batch.traces, batch.windows, batch.row_records)
+    if batch.windows is None:
+        raise ObjectiveError("the batch has no context windows: build it with the student")
+    return score_traces(policy, batch.windows, batch.row_records)
 
 
 def _teacher_rows(teacher, batch: TraceBatch) -> np.ndarray:
     """(N, V) teacher distributions at the batch's positions."""
     if teacher is None:
         raise ObjectiveError("this objective needs the analytic teacher for full distributions")
-    if batch.teacher_targets is not None:
-        return teacher.target_distributions(batch.teacher_targets)
-    return np.concatenate([trace_distributions(teacher, q, t) for q, t in zip(batch.questions, batch.traces)])
+    if batch.teacher_targets is None:
+        raise ObjectiveError("the batch has no teacher targets: build it with the teacher")
+    return teacher.target_distributions(batch.teacher_targets)
 
 
 def _token_weights(logp: np.ndarray, batch: TraceBatch, transform: WeightTransform) -> np.ndarray:

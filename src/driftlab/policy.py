@@ -68,9 +68,6 @@ class GradientBuffer:
     def for_policy(cls, policy: "ParametricPolicy") -> "GradientBuffer":
         return cls(np.zeros_like(policy.params))
 
-    def zero(self) -> None:
-        self.values.fill(0.0)
-
     def add(self, other: "GradientBuffer", scale: float = 1.0) -> None:
         self.values += scale * other.values
 
@@ -276,35 +273,17 @@ class TraceScores:
     backward: Callable[[np.ndarray, GradientBuffer], None]
 
 
-def score_traces(policy, questions, traces, windows=None, row_records=None) -> TraceScores:
-    """One forward over every teacher-forced prefix question + trace[:t] of B
-    (question, trace) pairs, their rows stacked pair by pair.
-
-    A trainable policy makes one batched call, on ``windows`` when the caller
-    has them already; its backward gets ``row_records``. Any other object with
-    the per-prefix methods ``log_next_token_distribution`` and
-    ``accumulate_logit_grad`` gets its per-prefix calls stacked instead.
-    """
-    if isinstance(policy, ParametricPolicy):
-        if windows is None:
-            windows = stacked_windows(policy.order, policy.vocab.size, questions, traces)
-        logits, cache = policy.forward(windows)
-        return TraceScores(
-            _log_softmax(logits), lambda dlogits, buf: policy.backward(cache, dlogits, buf, row_records)
-        )
-    contexts = [ctx for q, t in zip(questions, traces) for ctx in _prefixes(q, t)]
-    logp = np.array([policy.log_next_token_distribution(ctx) for ctx in contexts]).reshape(-1, policy.vocab.size)
-
-    def backward(dlogits, buf):
-        for ctx, row in zip(contexts, dlogits):
-            policy.accumulate_logit_grad(ctx, row, buf)
-
-    return TraceScores(logp, backward)
+def score_traces(policy: ParametricPolicy, windows: np.ndarray, row_records=None) -> TraceScores:
+    """One forward over the (N, k) context windows of every teacher-forced
+    prefix of B (question, trace) pairs, their rows stacked pair by pair; the
+    backward gets ``row_records``."""
+    logits, cache = policy.forward(windows)
+    return TraceScores(_log_softmax(logits), lambda dlogits, buf: policy.backward(cache, dlogits, buf, row_records))
 
 
-def score_trace(policy, question, trace) -> TraceScores:
+def score_trace(policy: ParametricPolicy, question, trace) -> TraceScores:
     """``score_traces`` of one (question, trace) pair."""
-    return score_traces(policy, [question], [trace])
+    return score_traces(policy, stacked_windows(policy.order, policy.vocab.size, [question], [trace]))
 
 
 def stacked_windows(order: int, vocab_size: int, questions, traces) -> np.ndarray:
@@ -325,29 +304,6 @@ def stacked_windows(order: int, vocab_size: int, questions, traces) -> np.ndarra
     check_tokens(tokens, vocab_size)
     first = np.fromiter(chain.from_iterable(firsts), np.int64, sum(map(len, firsts)))
     return np.array(tokens, dtype=np.int64)[first[:, None] + np.arange(order)]
-
-
-def trace_distributions(model, question, trace) -> np.ndarray:
-    """(T, V) next-token distributions at every prefix question + trace[:t].
-
-    Uses the model's own one-pass ``trace_distributions`` when it has one (the
-    analytic teacher does), and stacks per-prefix calls otherwise.
-    """
-    if hasattr(model, "trace_distributions"):
-        return model.trace_distributions(question, trace)
-    contexts = _prefixes(question, trace)
-    return np.array([model.next_token_distribution(ctx) for ctx in contexts]).reshape(-1, model.vocab.size)
-
-
-def _joined(question, trace) -> tuple[int, list[int]]:
-    """Question length and the question and trace tokens as one list."""
-    q = list(question)
-    return len(q), q + list(trace)
-
-
-def _prefixes(question, trace) -> list[list[int]]:
-    q, full = _joined(question, trace)
-    return [full[:t] for t in range(q, len(full))]
 
 
 class RolloutState:
@@ -391,35 +347,6 @@ class _WindowState(RolloutState):
     def advance(self, rows: np.ndarray, tokens: np.ndarray) -> None:
         self.windows[rows, :-1] = self.windows[rows, 1:]
         self.windows[rows, -1] = tokens
-
-
-class _StackedState(RolloutState):
-    """P growing contexts of a model seen only through its per-context
-    ``next_token_distribution`` and ``log_next_token_distribution``; its
-    per-row calls are stacked."""
-
-    def __init__(self, model, questions):
-        self.model = model
-        self.contexts = [list(q) for q in questions]
-        for ctx in self.contexts:
-            check_tokens(ctx, model.vocab.size)
-
-    def distributions(self, rows: np.ndarray) -> np.ndarray:
-        return self._stacked(self.model.next_token_distribution, rows)
-
-    def log_distributions(self, rows: np.ndarray) -> np.ndarray:
-        return self._stacked(self.model.log_next_token_distribution, rows)
-
-    def _stacked(self, per_context, rows: np.ndarray) -> np.ndarray:
-        return np.array([per_context(self.contexts[i]) for i in rows])
-
-    def advance(self, rows: np.ndarray, tokens: np.ndarray) -> None:
-        for i, tok in zip(rows.tolist(), tokens.tolist()):
-            self.contexts[i].append(tok)
-
-
-def _rollout_state(model, questions) -> RolloutState:
-    return model.rollout_state(questions) if hasattr(model, "rollout_state") else _StackedState(model, questions)
 
 
 def kl_divergences(p: np.ndarray, q_log: np.ndarray) -> np.ndarray:
@@ -466,21 +393,20 @@ def rollouts(model, questions, max_len: int, streams=None, private_streams: bool
     model that is also the one rolled out shares its state, and a student
     rolled out gives its distributions and log-distributions from one forward.
 
-    Models with a ``rollout_state(questions)`` keep their own P-row state (the
-    window array of a trainable policy, the teacher's automaton); any other
-    model gets its per-row calls stacked.
+    Each model keeps its own P-row state, from ``model.rollout_state(questions)``:
+    the window array of a trainable policy, the teacher's automaton.
     """
     if max_len < 1:
         raise PolicyError("max_len must be >= 1")
-    state = _rollout_state(model, questions)
+    state = model.rollout_state(questions)
     P = len(questions)
     tokens = np.zeros((P, max_len), dtype=np.int64)
     probs = np.zeros((P, max_len))
     states, divergences = [state], None
     if divergence is not None:
         teacher, student = divergence
-        t_state = state if teacher is model else _rollout_state(teacher, questions)
-        s_state = state if student is model else t_state if student is teacher else _rollout_state(student, questions)
+        t_state = state if teacher is model else teacher.rollout_state(questions)
+        s_state = state if student is model else t_state if student is teacher else student.rollout_state(questions)
         states = list({id(s): s for s in (state, t_state, s_state)}.values())  # each advanced once per step
         divergences = np.zeros((P, max_len))
     if private_streams:
@@ -542,19 +468,6 @@ def log_prob_sequence(policy, question: TokenSequence, trace: TokenSequence) -> 
         raise PolicyError("cannot score an empty trace")
     logp = score_trace(policy, question, trace).logp
     return float(logp[np.arange(len(trace)), list(trace.tokens)].sum())
-
-
-def accumulate_weighted_grad_logp(policy, context, token: int, weight: float, buf: GradientBuffer) -> GradientBuffer:
-    """Add ``weight * d log pi(token | context) / d params`` into ``buf``."""
-    if not np.isfinite(weight):
-        raise PolicyError("weight must be finite")
-    if weight == 0.0:
-        return buf
-    probs = policy.next_token_distribution(context)
-    dlogits = -weight * probs
-    dlogits[token] += weight
-    policy.accumulate_logit_grad(context, dlogits, buf)
-    return buf
 
 
 def finite_difference_check(policy, loss_evaluator, h: float = 1e-5) -> float:

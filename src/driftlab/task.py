@@ -268,11 +268,6 @@ class ChainTeacher:
         q, trace = list(question), list(trace)
         return self._scan(q + trace, len(q))[: len(trace)]
 
-    def trace_distributions(self, question, trace) -> np.ndarray:
-        """(T, V) distributions at every prefix question + trace[:t]; row t
-        equals ``next_token_distribution`` of that prefix."""
-        return self.target_distributions(self.trace_targets(question, trace))
-
     def log_next_token_distribution(self, context) -> np.ndarray:
         with np.errstate(divide="ignore"):
             return np.log(self.next_token_distribution(context))

@@ -161,7 +161,8 @@ def train(
     """Train a copy of ``init_policy`` on the corpus; returns (snapshot, history).
 
     ``arrays`` is the corpus as one ``TraceBatch`` for students of this order,
-    when the caller shares one among runs; it is built here otherwise. Each
+    with the teacher's targets for a KL base, when the caller shares one among
+    runs; it is built here otherwise. Each
     offline step gathers its records' rows from it and makes one
     ``batch_loss`` call; an online step makes one ``gkd_step``.
     """
@@ -171,12 +172,14 @@ def train(
         raise TrainError(f"objective {objective.base!r} requires the analytic teacher")
     policy = init_policy.clone()
     records = corpus.records
+    n = len(records)
     if objective.base != "gkd":
         if arrays is None:
             arrays = TraceBatch.of_corpus(corpus, policy, teacher if objective.base != "sft" else None)
-        elif arrays.windows is None or arrays.windows.shape[1] != policy.order or len(arrays.traces) != len(records):
+        elif arrays.windows is None or arrays.windows.shape[1] != policy.order or arrays.offsets.size != n + 1:
             raise TrainError("the corpus arrays were built for another corpus or student order")
-    n = len(records)
+        elif objective.base != "sft" and arrays.teacher_targets is None:
+            raise TrainError(f"objective {objective.base!r} needs corpus arrays built with the teacher")
     n_batches = (n + cfg.batch_size - 1) // cfg.batch_size
     total_steps = cfg.epochs * n_batches
     state = OptimizerState.for_policy(policy)

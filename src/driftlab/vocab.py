@@ -68,24 +68,6 @@ class Vocabulary:
 
 
 @dataclass(frozen=True)
-class SimpleVocab:
-    """Bare token space for hand-built policies; EOS keeps its reserved index 1."""
-
-    n_tokens: int
-
-    def __post_init__(self) -> None:
-        if self.n_tokens < 2:
-            raise VocabularyError("need at least 2 tokens (something plus EOS)")
-
-    @property
-    def size(self) -> int:
-        return self.n_tokens
-
-    def contains(self, token: int) -> bool:
-        return 0 <= token < self.n_tokens
-
-
-@dataclass(frozen=True)
 class TokenSequence:
     """Immutable token run tagged with its role (question / trace / full)."""
 

@@ -13,12 +13,13 @@ reference rollouts likewise decode one problem at a time, one
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from driftlab.metrics import ExAccErrCurve, _cumulative, rollout_divergences
 from driftlab.objectives import evaluate_objective, js_sequence_loss
-from driftlab.policy import GradientBuffer, sample_sequence
+from driftlab.policy import GradientBuffer, PolicyError, RolloutState, sample_sequence
 from driftlab.task import CorpusRecord, ProblemInstance, TraceCorpus, answer_token, chain_step, generate_problems
 from driftlab.training import (
     OptimizerState,
@@ -30,11 +31,30 @@ from driftlab.training import (
     clip_global_norm,
     lr_at,
 )
-from driftlab.vocab import ADD, ANSWER_MARK, BOS, EOS, MUL, SimpleVocab, TokenSequence
+from driftlab.vocab import ADD, ANSWER_MARK, BOS, EOS, MUL, TokenSequence, VocabularyError
+
+
+@dataclass(frozen=True)
+class SimpleVocab:
+    """Bare token space for hand-built policies; EOS keeps its reserved index 1."""
+
+    n_tokens: int
+
+    def __post_init__(self) -> None:
+        if self.n_tokens < 2:
+            raise VocabularyError("need at least 2 tokens (something plus EOS)")
+
+    @property
+    def size(self) -> int:
+        return self.n_tokens
+
+    def contains(self, token: int) -> bool:
+        return 0 <= token < self.n_tokens
 
 
 class PrefixTablePolicy:
-    """Hand-built policy: full next-token tables keyed by the trace prefix."""
+    """Hand-built policy: full next-token tables keyed by the trace prefix.
+    Its lockstep state keeps each row's context and stacks per-row calls."""
 
     family = "hand-built"
 
@@ -57,6 +77,21 @@ class PrefixTablePolicy:
     def log_next_token_distribution(self, context):
         with np.errstate(divide="ignore"):
             return np.log(self.next_token_distribution(context))
+
+    def rollout_state(self, questions):
+        return _PrefixTableState(self, questions)
+
+
+class _PrefixTableState(RolloutState):
+    def __init__(self, policy, questions):
+        self.policy, self.contexts = policy, [list(q) for q in questions]
+
+    def distributions(self, rows):
+        return np.array([self.policy.next_token_distribution(self.contexts[i]) for i in rows])
+
+    def advance(self, rows, tokens):
+        for i, tok in zip(rows.tolist(), tokens.tolist()):
+            self.contexts[i].append(tok)
 
 
 def micro_instance():
@@ -177,6 +212,19 @@ def hand_fixture_traces():
 
 
 # --- per-token reference losses ------------------------------------------------
+
+
+def accumulate_weighted_grad_logp(policy, context, token, weight, buf):
+    """Add ``weight * d log pi(token | context) / d params`` into ``buf``."""
+    if not np.isfinite(weight):
+        raise PolicyError("weight must be finite")
+    if weight == 0.0:
+        return buf
+    probs = policy.next_token_distribution(context)
+    dlogits = -weight * probs
+    dlogits[token] += weight
+    policy.accumulate_logit_grad(context, dlogits, buf)
+    return buf
 
 
 def _sigmoid(x):

@@ -14,6 +14,7 @@ import pytest
 from driftlab import harness
 from driftlab.config import parse_config
 from driftlab.objectives import (
+    ObjectiveError,
     ObjectiveSpec,
     TraceBatch,
     WeightTransform,
@@ -25,7 +26,7 @@ from driftlab.objectives import (
 )
 from driftlab.policy import FeedForwardPolicy, GradientBuffer, TabularPolicy, finite_difference_check
 from driftlab.task import TaskConfig, TeacherSpec, TraceCorpus, generate_corpus, generate_problems, teacher_policy
-from driftlab.training import TrainConfig, train
+from driftlab.training import TrainConfig, TrainError, train
 
 from oracles import reference_train, stream
 
@@ -179,7 +180,25 @@ def test_take_gathers_records_in_the_given_order():
     want = TraceBatch.of_corpus(TraceCorpus([CORPUS.records[i] for i in picked]), tabular(2), TEACHER)
     for name in ("offsets", "tokens", "windows", "teacher_logps", "teacher_targets"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
-    assert got.traces == want.traces and got.questions == want.questions
+    for b, i in enumerate(picked):
+        assert got.tokens[got.offsets[b] : got.offsets[b + 1]].tolist() == list(CORPUS.records[i].trace)
+    assert np.array_equal(got.row_records, np.repeat(np.arange(4), [len(CORPUS.records[i].trace) for i in picked]))
+
+
+def test_batches_need_the_students_windows_and_the_teachers_targets():
+    # a batch built without the student has no windows, one built without the
+    # teacher no targets, and nothing falls back to scanning its records
+    spec = ObjectiveSpec("forward-kl")
+    cfg = TrainConfig(epochs=1, batch_size=4)
+    with pytest.raises(ObjectiveError, match="no context windows"):
+        batch_loss(tabular(2), TraceBatch.of_corpus(CORPUS, teacher=TEACHER), spec, TEACHER)
+    arrays = TraceBatch.of_corpus(CORPUS, tabular(2))
+    assert arrays.teacher_targets is None
+    with pytest.raises(ObjectiveError, match="no teacher targets"):
+        batch_loss(tabular(2), arrays.take(np.arange(3)), spec, TEACHER)
+    with pytest.raises(TrainError, match="built with the teacher"):
+        train(cfg, CORPUS, spec, tabular(2), teacher=TEACHER, arrays=arrays)
+    train(cfg, CORPUS, ObjectiveSpec("sft"), tabular(2), arrays=arrays)  # SFT reads no targets
 
 
 SMALL_STUDY = """

@@ -110,39 +110,6 @@ def test_js_kernel_matches_per_token_reference(student, beta):
             assert_rel_close(grad.values, ref_grad.values)
 
 
-class PerPrefixOnly:
-    """A trainable policy seen only through its per-prefix methods."""
-
-    def __init__(self, policy):
-        self.policy, self.vocab, self.params = policy, policy.vocab, policy.params
-
-    def next_token_distribution(self, ctx):
-        return self.policy.next_token_distribution(ctx)
-
-    def log_next_token_distribution(self, ctx):
-        return self.policy.log_next_token_distribution(ctx)
-
-    def accumulate_logit_grad(self, ctx, dlogits, buf):
-        self.policy.accumulate_logit_grad(ctx, dlogits, buf)
-
-
-@pytest.mark.parametrize("student", sorted(STUDENTS))
-def test_per_prefix_fallback_matches_batched_kernel(student):
-    policy = STUDENTS[student]()
-    wrapped = PerPrefixOnly(policy)
-    for record in CORPUS:
-        for base in ("sft", "forward-kl"):
-            spec = ObjectiveSpec(base, WeightTransform("sigmoid"))
-            got = evaluate_objective(wrapped, record, spec, TEACHER)
-            want = evaluate_objective(policy, record, spec, TEACHER)
-            assert_rel_close(got.loss, want.loss)
-            assert_rel_close(got.grad.values, want.grad.values)
-        got_loss, got_grad = js_sequence_loss(wrapped, TEACHER, record.question, record.trace, 0.5)
-        want_loss, want_grad = js_sequence_loss(policy, TEACHER, record.question, record.trace, 0.5)
-        assert_rel_close(got_loss, want_loss)
-        assert_rel_close(got_grad.values, want_grad.values)
-
-
 def test_kernel_contracts():
     record = CORPUS.records[0]
     policy = STUDENTS["tabular-1"]()
@@ -160,12 +127,12 @@ def test_kernel_contracts():
 def test_teacher_scan_equals_per_prefix_teacher(cfg):
     teacher = teacher_policy(TeacherSpec(0.05, 0.3), cfg)
     for question, trace in random_prefixes(cfg, 600, seed=cfg.modulus):
-        scanned = teacher.trace_distributions(question, trace)
+        scanned = teacher.target_distributions(teacher.trace_targets(question, trace))
         assert scanned.shape == (len(trace), cfg.vocab().size)
         for t in range(len(trace)):
             assert np.array_equal(scanned[t], teacher.next_token_distribution(question + trace[:t]))
     with pytest.raises(PolicyError):
-        teacher.trace_distributions([BOS], [cfg.vocab().size])
+        teacher.trace_targets([BOS], [cfg.vocab().size])
 
 
 def test_batched_rollout_divergences_match_per_prefix():

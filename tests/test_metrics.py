@@ -18,7 +18,7 @@ from driftlab.metrics import (
     rollout_divergences,
     trace_quality,
 )
-from driftlab.policy import TabularPolicy
+from driftlab.policy import FeedForwardPolicy, TabularPolicy
 from driftlab.task import TaskConfig, TeacherSpec, generate_problems, teacher_policy
 from driftlab.vocab import EOS, TokenSequence
 
@@ -161,6 +161,24 @@ def test_exaccerr_exact_matches_enumeration_oracle():
     curve = exaccerr_exact(teacher, student, question, horizons, max_len=3)
     expected = oracle_curve(question, teacher, student, horizons, max_len=3)
     assert np.allclose(curve.values, expected, atol=1e-9)
+
+
+@pytest.mark.parametrize("family", ("tabular", "feedforward"))
+def test_exaccerr_exact_of_package_models_matches_enumeration_oracle(family):
+    # the analytic teacher and a trained-family student, through the per-prefix
+    # methods that the tree enumeration calls
+    cfg = TaskConfig(modulus=3, chain_length=1)
+    teacher = teacher_policy(TeacherSpec(0.1, 0.3), cfg)
+    rng, V = np.random.Generator(np.random.PCG64(7)), cfg.vocab().size
+    if family == "tabular":
+        student = TabularPolicy(cfg.vocab(), 1, rng.standard_normal(V * V))
+    else:
+        student = FeedForwardPolicy(cfg.vocab(), order=2, embed_dim=3, hidden_dim=4, init_scale=0.5, rng=rng)
+    question = generate_problems(cfg, 1, seed=5)[0].question
+    curve = exaccerr_exact(teacher, student, question, (1, 2), max_len=2)
+    expected = oracle_curve(question, teacher, student, (1, 2), max_len=2)
+    assert not curve.floor_used and curve.values[1] != 0.0  # horizon 1 is the shared question's prefix
+    assert np.allclose(curve.values, expected, rtol=0.0, atol=1e-9)
 
 
 def test_exaccerr_sampled_converges_to_exact():

@@ -25,11 +25,13 @@ from driftlab.objectives import (
 )
 from driftlab.policy import (
     FeedForwardPolicy,
+    ParametricPolicy,
     TabularPolicy,
     finite_difference_check,
     sample_sequence,
 )
 from driftlab.task import TaskConfig, TeacherSpec, generate_corpus, generate_problems, teacher_policy
+from driftlab.vocab import BOS
 
 CFG = TaskConfig(modulus=3, chain_length=2)  # vocab size 8
 TEACHER = teacher_policy(TeacherSpec(0.1, 0.3), CFG)
@@ -51,6 +53,28 @@ def random_tabular(seed=0, scale=0.5):
 
 def random_ff(seed=0):
     return FeedForwardPolicy(CFG.vocab(), order=2, embed_dim=2, hidden_dim=3, init_scale=0.3, rng=rng_of(seed))
+
+
+class TeacherCopy(ParametricPolicy):
+    """A student with the teacher's exact conditionals. Its order spans every
+    context under test, so each window holds a whole BOS-padded prefix; its
+    backward adds each token's summed |d loss / d logit|, so a zero gradient
+    means that every row's logit gradient vanishes."""
+
+    family = "teacher-copy"
+
+    def __init__(self, teacher, order=24):
+        self.teacher, self.vocab, self.order = teacher, teacher.vocab, order
+        self.params = np.zeros(teacher.vocab.size)
+
+    def forward(self, windows):
+        starts = (windows != BOS).argmax(axis=1) - 1  # the question's BOS ends the leading run
+        dists = [self.teacher.next_token_distribution(window[start:]) for window, start in zip(windows, starts)]
+        with np.errstate(divide="ignore"):
+            return np.log(np.reshape(dists, (-1, self.vocab.size))), None
+
+    def backward(self, cache, dlogits, buf, row_records=None):
+        buf.values += np.abs(dlogits).sum(axis=0)
 
 
 def test_token_delta_examples():
@@ -146,18 +170,7 @@ def test_constant_one_reproduces_plain_sft_gradient():
 def test_student_equals_teacher_gives_half_weights():
     # student with the teacher's exact conditionals: every delta is 0
     corpus = small_corpus(n=3, seed=11)
-
-    class WrapTeacher:
-        vocab = CFG.vocab()
-        family = "wrap"
-
-        def log_next_token_distribution(self, ctx):
-            return TEACHER.log_next_token_distribution(ctx)
-
-        def next_token_distribution(self, ctx):
-            return TEACHER.next_token_distribution(ctx)
-
-    weights = record_token_weights(WrapTeacher(), corpus.records[0], WeightTransform("sigmoid", tau=1.0))
+    weights = record_token_weights(TeacherCopy(TEACHER), corpus.records[0], WeightTransform("sigmoid", tau=1.0))
     assert np.allclose(weights, 0.5, atol=1e-12)
 
 
@@ -192,23 +205,7 @@ def test_kl_zero_when_student_equals_teacher():
     cfg = TaskConfig(modulus=3, chain_length=1)
     teacher = teacher_policy(TeacherSpec(0.2, 0.5), cfg)
     corpus = generate_corpus(teacher, generate_problems(cfg, 2, seed=31), seed=32, max_len=8)
-
-    class Mimic:
-        # duck-typed student sharing the teacher's exact conditionals
-        vocab = cfg.vocab()
-        family = "mimic"
-        params = np.zeros(3)
-
-        def next_token_distribution(self, ctx):
-            return teacher.next_token_distribution(ctx)
-
-        def log_next_token_distribution(self, ctx):
-            return teacher.log_next_token_distribution(ctx)
-
-        def accumulate_logit_grad(self, ctx, dl, buf):
-            buf.values += 0.0
-
-    mimic = Mimic()
+    mimic = TeacherCopy(teacher)
     for record in corpus:
         for direction in ("forward", "reverse", "symmetric"):
             res = kl_loss(mimic, record, teacher, direction, CONSTANT_ONE)
@@ -279,24 +276,10 @@ def test_gkd_zero_when_matched():
     cfg = TaskConfig(modulus=3, chain_length=1)
     teacher = teacher_policy(TeacherSpec(0.2, 0.5), cfg)
     corpus = generate_corpus(teacher, generate_problems(cfg, 2, seed=73), seed=74, max_len=8)
-
-    class Mimic:
-        vocab = cfg.vocab()
-        family = "mimic"
-        params = np.zeros(2)
-
-        def next_token_distribution(self, ctx):
-            return teacher.next_token_distribution(ctx)
-
-        def log_next_token_distribution(self, ctx):
-            return teacher.log_next_token_distribution(ctx)
-
-        def accumulate_logit_grad(self, ctx, dl, buf):
-            pass
-
     for lam, beta in ((0.0, 0.5), (1.0, 0.25), (0.7, 0.9)):
-        result, _ = gkd_step(Mimic(), teacher, corpus.records, lam, beta, rng_of(3), max_len=8)
+        result, _ = gkd_step(TeacherCopy(teacher), teacher, corpus.records, lam, beta, rng_of(3), max_len=8)
         assert abs(result.loss) < 1e-12
+        assert np.max(result.grad.values) < 1e-12
 
 
 def test_gkd_student_rollout_replays_with_same_seed():

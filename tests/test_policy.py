@@ -11,7 +11,6 @@ from driftlab.policy import (
     NonDeterministicLossError,
     PolicyError,
     TabularPolicy,
-    accumulate_weighted_grad_logp,
     finite_difference_check,
     greedy_decode,
     load_policy,
@@ -21,6 +20,8 @@ from driftlab.policy import (
     save_policy,
 )
 from driftlab.vocab import BOS, EOS, TokenSequence, Vocabulary
+
+from oracles import accumulate_weighted_grad_logp
 
 VOCAB = Vocabulary(3)  # size 8
 CTX = TokenSequence((BOS, VOCAB.value_token(1)), "question")

@@ -5,7 +5,7 @@ distribution array per step. Each row must emit exactly the tokens that a
 one-problem-at-a-time decode emits from the same stream, for every kind of
 model: the analytic teacher (through its P-row automaton state), tabular and
 feed-forward students (through their window arrays) and hand-built policies
-that only have ``next_token_distribution``.
+(through a state that keeps each row's context).
 """
 
 import numpy as np
