@@ -13,19 +13,20 @@ import sys
 from .config import ConfigError, load_config
 from .harness import (
     HarnessError,
+    eval_problems,
+    evaluate_policy,
     load_corpus_checked,
     make_student,
-    eval_problems,
+    output_header,
     run_ablate_weights,
     run_drift,
     run_gen_corpus,
     run_matrix,
     run_report,
-    output_header,
+    save_cell,
     write_lines,
 )
-from .metrics import final_answer_accuracy, trace_quality
-from .policy import load_policy, rollouts, save_policy
+from .policy import load_policy
 from .task import teacher_policy
 from .training import TrainAbortError, train
 
@@ -75,11 +76,7 @@ def _cmd_train(cfg, args) -> int:
     policy, history = train(
         cfg.train.train_config(seed), corpus, spec, init, teacher=teacher, max_len=cfg.corpus.max_len
     )
-    save_policy(policy, os.path.join(args.out, f"policy_{label}_s{seed}.txt"))
-    write_lines(
-        os.path.join(args.out, f"history_{label}_s{seed}.csv"),
-        [output_header(cfg)] + history.csv_rows(),
-    )
+    save_cell(cfg, args.out, label, seed, policy, history)
     print(f"trained {label} seed {seed}: final loss {history.steps[-1].loss:.6f}")
     return EXIT_OK
 
@@ -92,9 +89,7 @@ def _cmd_eval(cfg, args) -> int:
             f"but [task] modulus is {cfg.task.modulus}"
         )
     problems = eval_problems(cfg)
-    traces = rollouts(policy, [p.question for p in problems], cfg.corpus.max_len).traces
-    acc = final_answer_accuracy(policy, problems, max_len=cfg.corpus.max_len, traces=traces)
-    quality = trace_quality(traces)
+    acc, quality = evaluate_policy(cfg, policy, problems)
     name = os.path.splitext(os.path.basename(args.policy))[0]
     lines = [
         output_header(cfg),

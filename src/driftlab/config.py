@@ -1,9 +1,10 @@
 """Experiment configuration: flat sectioned key=value files.
 
 Sections: [task] [teacher] [train] [objective.<label>] [eval]. The format is
-deliberately dumb so whole experiments diff cleanly. The keys of the fixed
-sections are the fields of the settings dataclasses (``_LAYOUT``), so parsing
-and the canonical text follow the dataclasses. The config hash is taken
+deliberately dumb so whole experiments diff cleanly. The keys of every section
+are the fields of its settings dataclasses (``_LAYOUT``, ``_OBJECTIVE``), so
+parsing, validation and the canonical text follow the dataclasses, and every
+error about a key or a value names its section. The config hash is taken
 over a canonical re-serialization of the parsed values, which makes it stable
 under reformatting and key reordering. Every output file of a run embeds this
 hash, and runners refuse to mix files with different hashes.
@@ -12,24 +13,21 @@ hash, and runners refuse to mix files with different hashes.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields
+import re
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import cache, reduce
+from typing import get_type_hints
 
 from .objectives import ObjectiveSpec, WeightTransform
 from .task import TaskConfig, TeacherSpec
 from .training import TrainConfig
-from .vocab import ADD, MUL
+from .vocab import OP_NAMES
 
-_OP_BY_NAME = {"ADD": ADD, "MUL": MUL}
-_NAME_BY_OP = {ADD: "ADD", MUL: "MUL"}
-
-_BASE_ALIASES = {
-    "sft": "sft",
-    "forward-kl": "forward-kl",
-    "kl": "forward-kl",
-    "reverse-kl": "reverse-kl",
-    "symmetric-kl": "symmetric-kl",
-    "gkd": "gkd",
-}
+_OP_BY_NAME = {name: op for op, name in OP_NAMES.items()}
+_BASE_ALIASES = {"kl": "forward-kl"}
+# an objective label names CSV rows and output files
+_LABEL = re.compile(r"[A-Za-z0-9_-]+")
+_type_hints = cache(get_type_hints)
 
 
 class ConfigError(ValueError):
@@ -106,6 +104,9 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         labels = [label for label, _ in self.objectives]
+        for label in labels:
+            if not _LABEL.fullmatch(label):
+                raise ConfigError(f"[objective.{label}] the label must match {_LABEL.pattern}")
         if len(labels) != len(set(labels)):
             raise ConfigError("objective labels must be unique")
 
@@ -147,6 +148,11 @@ def _parse_ops(val: str) -> tuple[int, ...]:
         raise ValueError(f"unknown operator {exc.args[0]!r}") from None
 
 
+def _parse_base(val: str) -> str:
+    low = val.lower()
+    return _BASE_ALIASES.get(low, low)
+
+
 # (parse, format) per field annotation; floats are written with repr so the
 # canonical text round-trips exactly
 _CODECS = {
@@ -156,37 +162,48 @@ _CODECS = {
     "bool": (_parse_bool, lambda v: "true" if v else "false"),
     "tuple[int, ...]": (_parse_int_list, lambda v: ",".join(str(x) for x in v)),
 }
-_OPS_CODEC = (_parse_ops, lambda ops: ",".join(_NAME_BY_OP[o] for o in ops))
+# fields whose annotation alone does not say how they are written
+_FIELD_CODECS = {
+    (TaskConfig, "ops"): (_parse_ops, lambda ops: ",".join(OP_NAMES[o] for o in ops)),
+    (ObjectiveSpec, "base"): (_parse_base, str),
+}
 
-# file section -> (ExperimentConfig attribute, settings class), in file order;
-# the [objective.<label>] sections are written between [train] and [eval]
+# file section -> (attribute, settings class), in file order; the
+# [objective.<label>] sections, one ObjectiveSpec each, are written between
+# [train] and [eval]
 _LAYOUT = (
     ("task", (("task", TaskConfig), ("corpus", CorpusSettings))),
     ("teacher", (("teacher", TeacherSpec),)),
     ("train", (("train", TrainSettings),)),
     ("eval", (("eval", EvalConfig),)),
 )
-_RENAMES = {("corpus", "seed"): "corpus_seed", ("eval", "seed"): "eval_seed"}
+_OBJECTIVE = (("objective", ObjectiveSpec),)
+_RENAMES = {
+    ("corpus", "seed"): "corpus_seed",
+    ("eval", "seed"): "eval_seed",
+    ("transform", "kind"): "transform",
+    ("transform", "clip"): "clip_c",
+}
 
 
 def _section_keys(members) -> dict[str, tuple]:
-    """File key -> (attribute, field name, parse, format) for one section."""
+    """File key -> (attribute path, parse, format) for one section. A field whose
+    type is a settings dataclass is written as that dataclass's keys."""
     keys = {}
     for attr, cls in members:
+        hints = _type_hints(cls)
         for f in fields(cls):
-            codec = _OPS_CODEC if (cls, f.name) == (TaskConfig, "ops") else _CODECS[f.type]
-            keys[_RENAMES.get((attr, f.name), f.name)] = (attr, f.name, *codec)
+            if is_dataclass(hints[f.name]):
+                for key, (path, *codec) in _section_keys(((f.name, hints[f.name]),)).items():
+                    keys[key] = ((attr, *path), *codec)
+            else:
+                codec = _FIELD_CODECS.get((cls, f.name)) or _CODECS[f.type]
+                keys[_RENAMES.get((attr, f.name), f.name)] = ((attr, f.name), *codec)
     return keys
 
 
 _KEYS = {section: _section_keys(members) for section, members in _LAYOUT}
-
-
-def _cast(parse, val: str, key: str, section: str):
-    try:
-        return parse(val)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {val!r}: {exc}") from None
+_OBJECTIVE_KEYS = _section_keys(_OBJECTIVE)
 
 
 def _sections(text: str) -> dict[str, dict[str, str]]:
@@ -213,64 +230,57 @@ def _sections(text: str) -> dict[str, dict[str, str]]:
     return sections
 
 
-def _parse_objective(label: str, body: dict[str, str]) -> ObjectiveSpec:
-    section = f"objective.{label}"
-    allowed = {"base", "transform", "tau", "tau_convention", "clip_c", "gkd_lambda", "gkd_beta"}
-    for key in body:
-        if key not in allowed:
+def _arguments(section: str, body: dict[str, str], keys) -> dict:
+    """Constructor arguments {attribute: {field: value}} of one section body,
+    nested like the settings dataclasses."""
+    args: dict = {}
+    for key, val in body.items():
+        if key not in keys:
             raise ConfigError(f"unknown key {key!r} in [{section}]")
-    base_raw = body.get("base", "sft").lower()
-    if base_raw not in _BASE_ALIASES:
-        raise ConfigError(f"{section}: unknown base {base_raw!r}")
+        path, parse, _ = keys[key]
+        node = args
+        for name in path[:-1]:
+            node = node.setdefault(name, {})
+        try:
+            node[path[-1]] = parse(val)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key} = {val!r}: {exc}") from None
+    return args
 
-    def number(key: str, default: float) -> float:
-        return _cast(float, body[key], key, section) if key in body else default
 
-    transform = WeightTransform(
-        kind=body.get("transform", "constant-one"),
-        tau=number("tau", 1.0),
-        clip=number("clip_c", 5.0),
-        tau_convention=body.get("tau_convention", "divide"),
-    )
-    return ObjectiveSpec(
-        base=_BASE_ALIASES[base_raw],
-        transform=transform,
-        gkd_lambda=number("gkd_lambda", 0.0),
-        gkd_beta=number("gkd_beta", 0.5),
-    )
+def _construct(cls, kwargs: dict):
+    hints = _type_hints(cls)
+    return cls(**{k: _construct(hints[k], v) if is_dataclass(hints[k]) else v for k, v in kwargs.items()})
+
+
+def _build(section: str, members, args: dict) -> dict:
+    """{attribute: settings object} of one section; a validation error names the section."""
+    try:
+        return {attr: _construct(cls, args.get(attr, {})) for attr, cls in members}
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from None
 
 
 def parse_config(text: str) -> ExperimentConfig:
     sections = _sections(text)
-    for name in sections:
-        if name not in _KEYS and not name.startswith("objective."):
+    objectives = []
+    for name, body in sections.items():
+        if name.startswith("objective."):
+            spec = _build(name, _OBJECTIVE, _arguments(name, body, _OBJECTIVE_KEYS))["objective"]
+            objectives.append((name[len("objective.") :], spec))
+        elif name not in _KEYS:
             raise ConfigError(f"unknown section [{name}]")
 
-    kwargs: dict[str, dict[str, object]] = {attr: {} for _, members in _LAYOUT for attr, _ in members}
-    for section, keys in _KEYS.items():
-        for key, val in sections.get(section, {}).items():
-            if key not in keys:
-                raise ConfigError(f"unknown key {key!r} in [{section}]")
-            attr, name, parse, _ = keys[key]
-            kwargs[attr][name] = _cast(parse, val, key, section)
-    # per-family training defaults from the coarse sweep: tabular trains with
-    # sgd at 0.1, the feed-forward family with adam at 3e-3
-    if kwargs["train"].get("family") == "feedforward":
-        kwargs["train"].setdefault("optimizer", "adam")
-        kwargs["train"].setdefault("learning_rate", 3e-3)
-
-    try:
-        objectives = []
-        for name, body in sections.items():
-            if name.startswith("objective."):
-                label = name[len("objective.") :]
-                if not label:
-                    raise ConfigError("objective sections need a label: [objective.<label>]")
-                objectives.append((label, _parse_objective(label, body)))
-        settings = {attr: cls(**kwargs[attr]) for _, members in _LAYOUT for attr, cls in members}
-        return ExperimentConfig(**settings, objectives=tuple(objectives) or default_objectives())
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
+    settings = {}
+    for section, members in _LAYOUT:
+        args = _arguments(section, sections.get(section, {}), _KEYS[section])
+        # per-family training defaults from the coarse sweep: tabular trains with
+        # sgd at 0.1, the feed-forward family with adam at 3e-3
+        if args.get("train", {}).get("family") == "feedforward":
+            args["train"].setdefault("optimizer", "adam")
+            args["train"].setdefault("learning_rate", 3e-3)
+        settings.update(_build(section, members, args))
+    return ExperimentConfig(**settings, objectives=tuple(objectives) or default_objectives())
 
 
 def load_config(path) -> ExperimentConfig:
@@ -278,31 +288,24 @@ def load_config(path) -> ExperimentConfig:
         return parse_config(fh.read())
 
 
-def _format_objective(label: str, spec: ObjectiveSpec) -> str:
-    return "\n".join(
-        [
-            f"[objective.{label}]",
-            f"base = {spec.base}",
-            f"transform = {spec.transform.kind}",
-            f"tau = {spec.transform.tau!r}",
-            f"tau_convention = {spec.transform.tau_convention}",
-            f"clip_c = {spec.transform.clip!r}",
-            f"gkd_lambda = {spec.gkd_lambda!r}",
-            f"gkd_beta = {spec.gkd_beta!r}",
-        ]
-    )
+def _format_section(section: str, keys, objects: dict) -> str:
+    """Canonical text of one section from its {attribute: settings object}."""
+    lines = [f"[{section}]"]
+    for key, (path, _, fmt) in keys.items():
+        lines.append(f"{key} = {fmt(reduce(getattr, path[1:], objects[path[0]]))}")
+    return "\n".join(lines)
 
 
 def format_config(cfg: ExperimentConfig) -> str:
     """Canonical serialization; also the byte stream the config hash covers."""
     blocks = []
-    for section, keys in _KEYS.items():
+    for section, members in _LAYOUT:
         if section == "eval":
-            blocks.extend(_format_objective(label, spec) for label, spec in cfg.objectives)
-        lines = [f"[{section}]"]
-        for key, (attr, name, _, fmt) in keys.items():
-            lines.append(f"{key} = {fmt(getattr(getattr(cfg, attr), name))}")
-        blocks.append("\n".join(lines))
+            blocks.extend(
+                _format_section(f"objective.{label}", _OBJECTIVE_KEYS, {"objective": spec})
+                for label, spec in cfg.objectives
+            )
+        blocks.append(_format_section(section, _KEYS[section], {attr: getattr(cfg, attr) for attr, _ in members}))
     return "\n\n".join(blocks) + "\n"
 
 

@@ -183,6 +183,18 @@ def _share_inputs(shared: tuple | None) -> None:
     _shared_inputs = shared
 
 
+def save_cell(cfg: ExperimentConfig, out_dir, label: str, seed: int, policy, history: RunHistory) -> None:
+    """The files of one trained (objective, seed) cell: its policy snapshot and its training history."""
+    save_policy(policy, os.path.join(out_dir, f"policy_{label}_s{seed}.txt"))
+    write_lines(os.path.join(out_dir, f"history_{label}_s{seed}.csv"), [output_header(cfg)] + history.csv_rows())
+
+
+def evaluate_policy(cfg: ExperimentConfig, policy, problems):
+    """(accuracy, trace quality) of one policy; one greedy decode of the problems feeds both."""
+    traces = rollouts(policy, [p.question for p in problems], cfg.corpus.max_len).traces
+    return final_answer_accuracy(policy, problems, max_len=cfg.corpus.max_len, traces=traces), trace_quality(traces)
+
+
 def _run_cell(args) -> CellResult:
     cfg, label, spec, seed, out_dir, do_drift = args
     corpus, arrays, probs_eval, probs_drift = _shared_inputs
@@ -195,9 +207,7 @@ def _run_cell(args) -> CellResult:
         return CellResult(label=label, seed=seed, status="aborted", abort_step=abort.step)
     cell = CellResult(label=label, seed=seed, history=history)
     rseed = rollout_seed(cfg, seed)
-    # one greedy decode of the eval set feeds both accuracy and trace quality
-    traces = rollouts(policy, [p.question for p in probs_eval], cfg.corpus.max_len).traces
-    cell.accuracy = final_answer_accuracy(policy, probs_eval, max_len=cfg.corpus.max_len, traces=traces)
+    cell.accuracy, cell.quality = evaluate_policy(cfg, policy, probs_eval)
     if do_drift:
         cell.exaccerr_curve = prefix_drift_eval(
             init, policy, teacher, probs_drift, cfg.eval.horizons, seed=rseed, max_len=cfg.corpus.max_len
@@ -206,36 +216,8 @@ def _run_cell(args) -> CellResult:
         cell.exaccerr_curve = exaccerr(
             teacher, policy, probs_drift, cfg.eval.horizons, seed=rseed, max_len=cfg.corpus.max_len
         )
-    cell.quality = trace_quality(traces)
-    save_policy(policy, os.path.join(out_dir, f"policy_{label}_s{seed}.txt"))
-    write_lines(
-        os.path.join(out_dir, f"history_{label}_s{seed}.csv"),
-        [output_header(cfg)] + history.csv_rows(),
-    )
+    save_cell(cfg, out_dir, label, seed, policy, history)
     return cell
-
-
-def _run_cells(cfg: ExperimentConfig, cells, out_dir, jobs: int, do_drift: bool) -> list[CellResult]:
-    # the corpus, its arrays and both problem sets are the same for every cell:
-    # build them once, and hand them to each worker process once rather than
-    # with every cell. Every student of the study has the same order, and the
-    # teacher's expected tokens are only needed by the KL bases.
-    corpus = load_corpus_checked(cfg, out_dir)
-    teacher = teacher_policy(cfg.teacher, cfg.task) if any(spec.base.endswith("-kl") for _, spec, _ in cells) else None
-    arrays = TraceBatch.of_corpus(corpus, make_student(cfg, cfg.train.seeds[0]), teacher)
-    shared = (corpus, arrays, eval_problems(cfg), drift_problems(cfg))
-    args = [(cfg, label, spec, seed, out_dir, do_drift) for label, spec, seed in cells]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_share_inputs, initargs=(shared,)) as pool:
-            results = list(pool.map(_run_cell, args))
-    else:
-        _share_inputs(shared)
-        try:
-            results = [_run_cell(a) for a in args]
-        finally:
-            _share_inputs(None)
-    results.sort(key=lambda c: (c.label, c.seed))
-    return results
 
 
 def mean_std(values) -> tuple[float, float]:
@@ -246,13 +228,6 @@ def mean_std(values) -> tuple[float, float]:
     return float(arr.mean()), std
 
 
-def _by_label(cells: list[CellResult]) -> dict[str, list[CellResult]]:
-    out: dict[str, list[CellResult]] = {}
-    for c in cells:
-        out.setdefault(c.label, []).append(c)
-    return out
-
-
 @dataclass
 class MatrixResult:
     cells: list[CellResult]
@@ -261,7 +236,10 @@ class MatrixResult:
     files: list[str] = field(default_factory=list)
 
     def by_label(self) -> dict[str, list[CellResult]]:
-        return _by_label(self.cells)
+        out: dict[str, list[CellResult]] = {}
+        for c in self.cells:
+            out.setdefault(c.label, []).append(c)
+        return out
 
     def ok_by_label(self) -> dict[str, list[CellResult]]:
         """The cells that finished training, per label, in label order."""
@@ -269,16 +247,30 @@ class MatrixResult:
         return {label: [c for c in by_label[label] if c.status == "ok"] for label in sorted(by_label)}
 
 
-def _dataset_name(cfg: ExperimentConfig) -> str:
-    return f"chain-m{cfg.task.modulus}-L{cfg.task.chain_length}"
-
-
-def _run_objectives(cfg: ExperimentConfig, out_dir, jobs: int, do_drift: bool) -> MatrixResult:
-    """Train and evaluate every (objective, seed) cell of the config."""
+def _run_objectives(cfg: ExperimentConfig, objectives, out_dir, jobs: int, do_drift: bool) -> MatrixResult:
+    """Train and evaluate every (objective, seed) cell of ``objectives`` x the config's seeds."""
     os.makedirs(out_dir, exist_ok=True)
-    cells = [(label, spec, seed) for label, spec in cfg.objectives for seed in cfg.train.seeds]
-    results = _run_cells(cfg, cells, out_dir, jobs, do_drift)
-    return MatrixResult(cells=results, dataset=_dataset_name(cfg), out_dir=str(out_dir))
+    # the corpus, its arrays and both problem sets are the same for every cell:
+    # build them once, and hand them to each worker process once rather than
+    # with every cell. Every student of the study has the same order, and the
+    # teacher's expected tokens are only needed by the KL bases.
+    corpus = load_corpus_checked(cfg, out_dir)
+    teacher = teacher_policy(cfg.teacher, cfg.task) if any(spec.base.endswith("-kl") for _, spec in objectives) else None
+    arrays = TraceBatch.of_corpus(corpus, make_student(cfg, cfg.train.seeds[0]), teacher)
+    shared = (corpus, arrays, eval_problems(cfg), drift_problems(cfg))
+    args = [(cfg, label, spec, seed, out_dir, do_drift) for label, spec in objectives for seed in cfg.train.seeds]
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_share_inputs, initargs=(shared,)) as pool:
+            results = list(pool.map(_run_cell, args))
+    else:
+        _share_inputs(shared)
+        try:
+            results = [_run_cell(a) for a in args]
+        finally:
+            _share_inputs(None)
+    results.sort(key=lambda c: (c.label, c.seed))
+    dataset = f"chain-m{cfg.task.modulus}-L{cfg.task.chain_length}"
+    return MatrixResult(cells=results, dataset=dataset, out_dir=str(out_dir))
 
 
 def _write_curves(path, header: str, ok: dict[str, list[CellResult]]) -> None:
@@ -296,7 +288,7 @@ def _write_curves(path, header: str, ok: dict[str, list[CellResult]]) -> None:
 def run_matrix(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> MatrixResult:
     """Train every (objective, seed) cell from the shared corpus and initial
     policy, evaluate, and emit per-metric CSVs plus a per-objective summary."""
-    res = _run_objectives(cfg, out_dir, jobs, do_drift=False)
+    res = _run_objectives(cfg, cfg.objectives, out_dir, jobs, do_drift=False)
     header = output_header(cfg)
     ok = res.ok_by_label()
 
@@ -348,7 +340,7 @@ def run_drift(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> MatrixResult:
             f"drift horizon {longest} exceeds max_len {cfg.corpus.max_len}: "
             "prefixes are rolled out to at most max_len tokens"
         )
-    res = _run_objectives(cfg, out_dir, jobs, do_drift=True)
+    res = _run_objectives(cfg, cfg.objectives, out_dir, jobs, do_drift=True)
     header = output_header(cfg)
     _write_curves(os.path.join(out_dir, "drift.csv"), header, res.ok_by_label())
 
@@ -373,15 +365,13 @@ class AblationResult:
 
 def run_ablate_weights(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> AblationResult:
     """Correction-weight ablation over the fixed variant set, SFT base only."""
-    os.makedirs(out_dir, exist_ok=True)
-    cells = [(label, spec, seed) for label, _, spec in ABLATION_VARIANTS for seed in cfg.train.seeds]
-    results = _run_cells(cfg, cells, out_dir, jobs, do_drift=False)
-    by_label = _by_label(results)
+    res = _run_objectives(cfg, [(label, spec) for label, _, spec in ABLATION_VARIANTS], out_dir, jobs, do_drift=False)
+    ok = res.ok_by_label()
 
     rows = []
     weight_ranges: dict[str, tuple[float, float]] = {}
     for label, formula, _ in ABLATION_VARIANTS:
-        group = [c for c in by_label.get(label, []) if c.status == "ok"]
+        group = ok[label]
         mean, std = mean_std([c.accuracy for c in group])
         rows.append((label, formula, mean, std))
         mins = [s.weight_min for c in group for s in c.history.steps]
@@ -393,7 +383,7 @@ def run_ablate_weights(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> Ablatio
     for label, formula, mean, std in rows:
         lines.append(f'{label},"{formula}",{mean!r},{std!r}')
     write_lines(os.path.join(out_dir, "ablate_weights.csv"), lines)
-    return AblationResult(rows=rows, weight_ranges=weight_ranges, cells=results, out_dir=str(out_dir))
+    return AblationResult(rows=rows, weight_ranges=weight_ranges, cells=res.cells, out_dir=str(out_dir))
 
 
 def run_report(out_dir) -> str:

@@ -65,8 +65,8 @@ def _scalar_or_array(values: np.ndarray):
 class WeightTransform:
     kind: str = "constant-one"
     tau: float = 1.0
-    clip: float = 5.0
     tau_convention: str = TAU_DIVIDE
+    clip: float = 5.0
 
     def __post_init__(self) -> None:
         if self.kind not in TRANSFORM_KINDS:

@@ -17,7 +17,7 @@ toward uniform and would confound objective comparisons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -98,13 +98,9 @@ class RunHistory:
         return np.array([s.loss for s in self.steps])
 
     def csv_rows(self) -> list[str]:
-        rows = ["step,lr,loss,grad_norm_pre,grad_norm_post,mean_weight,weight_min,weight_max"]
-        for s in self.steps:
-            rows.append(
-                f"{s.step},{s.lr!r},{s.loss!r},{s.grad_norm_pre!r},{s.grad_norm_post!r},{s.mean_weight!r},"
-                f"{s.weight_min!r},{s.weight_max!r}"
-            )
-        return rows
+        """The history_*.csv header and rows: one column per StepRecord field."""
+        names = [f.name for f in fields(StepRecord)]
+        return [",".join(names)] + [",".join(repr(getattr(s, name)) for name in names) for s in self.steps]
 
 
 def clip_global_norm(grad: GradientBuffer, clip_norm: float) -> float:

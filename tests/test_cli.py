@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 
 import pytest
 
@@ -67,6 +68,50 @@ eval_seed = 5
 """
 
 
+# objective sections that together set every objective key, every base and
+# transform kind, the KL alias and mixed-case bases
+EVERY_OBJECTIVE_KEY = """
+[objective.a]
+base = SFT
+transform = sigmoid
+tau = 2.5
+tau_convention = multiply
+[objective.b]
+base = KL
+transform = clip-exp
+clip_c = 3.0
+[objective.c]
+base = reverse-KL
+transform = raw-ratio
+[objective.d]
+base = Symmetric-KL
+transform = relu
+clip_c = 0.5
+[objective.e]
+base = GKD
+transform = sequence-sigmoid
+tau = 0.25
+gkd_lambda = 0.25
+gkd_beta = 0.75
+[objective.f]
+base = forward-kl
+transform = constant-one
+tau_convention = divide
+[objective.g]
+base = kl
+gkd_lambda = 1
+gkd_beta = 0
+"""
+EVERY_BASE = "".join(
+    f"[objective.o{i}]\nbase = {base}\n"
+    for i, base in enumerate(["sft", "forward-kl", "reverse-kl", "symmetric-kl", "gkd", "Kl", "Sft", "REVERSE-KL"])
+)
+EVERY_TRANSFORM = "".join(
+    f"[objective.k{i}]\ntransform = {kind}\ntau = 3\nclip_c = 2\n"
+    for i, kind in enumerate(["constant-one", "sigmoid", "raw-ratio", "clip-exp", "relu", "sequence-sigmoid"])
+)
+
+
 def write_config(tmp_path, text=SMALL_CONFIG, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -121,6 +166,10 @@ def test_config_hash_golden_values():
     assert config_hash(default_config()) == "916c6d4323787939"
     assert config_hash(parse_config(SMALL_CONFIG)) == "b0dc1ac4b4d0fec0"
     assert config_hash(parse_config("[train]\nfamily = feedforward\n")) == "eae4a1ffdaa2d451"
+    # measured before the objective sections were derived from ObjectiveSpec
+    assert config_hash(parse_config(EVERY_OBJECTIVE_KEY)) == "87de03cade805ec5"
+    assert config_hash(parse_config(EVERY_BASE)) == "78a8a82f84e08ec0"
+    assert config_hash(parse_config(EVERY_TRANSFORM)) == "63f5c33165005236"
 
 
 def test_every_field_round_trips():
@@ -154,21 +203,59 @@ def test_every_field_round_trips():
         ("modulus = 5", "modulus = five"),
         ("tau = 1.0", "tau = x"),
         ("instructed = true", "instructed = maybe"),
+        ("tau = 1.0", "clip_c = x"),
+        ("tau = 1.0", "gkd_lambda = 2"),
+        pytest.param("base = SFT\ntransform = sigmoid", "base = foo\ntransform = sigmoid", id="base = foo"),
+        ("transform = sigmoid", "transform = bogus"),
+        ("tau_convention = divide", "tau_convention = sideways"),
+        ("tau = 1.0", "temperature = 1.0"),
     ],
 )
 def test_invalid_values_rejected_at_parse(old, new):
     assert SMALL_CONFIG.count(old) == 1
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as err:
         parse_config(SMALL_CONFIG.replace(old, new))
+    assert section_of(old) in str(err.value)
 
 
-@pytest.mark.parametrize("old, new", [("modulus = 5", "modulus = five"), ("learning_rate = 0.2", "learning_rate = -1")])
+def section_of(line: str) -> str:
+    """The [section] header of SMALL_CONFIG that ``line`` sits under."""
+    return re.findall(r"^\[.*\]$", SMALL_CONFIG[: SMALL_CONFIG.index(line)], re.M)[-1]
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("modulus = 5", "modulus = five"),
+        ("learning_rate = 0.2", "learning_rate = -1"),
+        ("optimizer = sgd", "optimizer = adamw"),
+    ],
+)
 def test_invalid_value_exits_2_before_writing(tmp_path, capsys, old, new):
     cfg_path = write_config(tmp_path, SMALL_CONFIG.replace(old, new))
     out = tmp_path / "results"
     assert main(["gen-corpus", "--config", cfg_path, "--out", str(out)]) == EXIT_CONFIG
-    assert new.split(" = ")[0] in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert new.split(" = ")[0] in err and section_of(old) in err
     assert not (out / "corpus.txt").exists()
+
+
+@pytest.mark.parametrize("label", ["a,b", "../escape", "two words", ""])
+def test_bad_objective_label_exits_2_before_writing(tmp_path, capsys, label):
+    # a label is a CSV field and part of the policy and history file names
+    cfg_path = write_config(tmp_path, SMALL_CONFIG.replace("[objective.sigmoid_t1]", f"[objective.{label}]"))
+    out = tmp_path / "results"
+    for command in ("gen-corpus", "matrix"):
+        assert main([command, "--config", cfg_path, "--out", str(out)]) == EXIT_CONFIG
+        assert f"[objective.{label}] the label must match" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_label_rule_accepts_letters_digits_dash_underscore():
+    cfg = parse_config(SMALL_CONFIG.replace("[objective.sigmoid_t1]", "[objective.Sigmoid-T1_2]"))
+    assert [label for label, _ in cfg.objectives] == ["sft", "Sigmoid-T1_2"]
+    with pytest.raises(ConfigError):
+        ExperimentConfig(objectives=(("a.b", ObjectiveSpec()),))
 
 
 def test_gen_corpus_and_manifest(tmp_path):

@@ -10,6 +10,8 @@ from driftlab.policy import GradientBuffer, TabularPolicy, log_prob_sequence
 from driftlab.task import TaskConfig, TeacherSpec, generate_corpus, generate_problems, teacher_policy
 from driftlab.training import (
     OptimizerState,
+    RunHistory,
+    StepRecord,
     TrainAbortError,
     TrainConfig,
     TrainError,
@@ -195,3 +197,7 @@ def test_history_csv_schema():
     for row, step in zip(rows[1:], history.steps):
         fields = row.split(",")
         assert float(fields[-2]) == step.weight_min and float(fields[-1]) == step.weight_max
+
+    # one column per StepRecord field, in field order, each value written with repr
+    one = RunHistory(steps=[StepRecord(3, 0.1, 1.5, 2.0, 1.0, 0.75, 1e-08, 1.25)])
+    assert one.csv_rows()[1] == "3,0.1,1.5,2.0,1.0,0.75,1e-08,1.25"
