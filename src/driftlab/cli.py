@@ -35,35 +35,40 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
-def _add_common(sub):
+def _add_common(sub, jobs: bool = False):
     sub.add_argument("--config", required=True, help="experiment config file")
     sub.add_argument("--out", default="results", help="output directory")
-    sub.add_argument("--overwrite", action="store_true", help="replace existing outputs")
-    sub.add_argument("--jobs", type=int, default=1, help="parallel (objective, seed) cells")
+    if jobs:
+        sub.add_argument("--jobs", type=int, default=1, help="parallel (objective, seed) cells")
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="driftlab", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    _add_common(subs.add_parser("gen-corpus", help="generate and filter the teacher trace corpus"))
+    p_gen = _add_common(subs.add_parser("gen-corpus", help="generate and filter the teacher trace corpus"))
+    p_gen.add_argument("--overwrite", action="store_true", help="replace an existing corpus")
 
-    p_train = subs.add_parser("train", help="train one objective from the corpus")
-    _add_common(p_train)
+    p_train = _add_common(subs.add_parser("train", help="train one objective from the corpus"))
     p_train.add_argument("--objective", default=None, help="objective label (default: first in config)")
     p_train.add_argument("--seed", type=int, default=None, help="training seed (default: first in config)")
 
-    p_eval = subs.add_parser("eval", help="evaluate a policy snapshot")
-    _add_common(p_eval)
+    p_eval = _add_common(subs.add_parser("eval", help="evaluate a policy snapshot"))
     p_eval.add_argument("--policy", required=True, help="policy snapshot file")
 
-    _add_common(subs.add_parser("drift", help="prefix-drift study over all objectives"))
-    _add_common(subs.add_parser("ablate-weights", help="correction-weight ablation (fixed variant set)"))
-    _add_common(subs.add_parser("matrix", help="full objective x seed matrix"))
+    _add_common(subs.add_parser("drift", help="prefix-drift study over all objectives"), jobs=True)
+    _add_common(subs.add_parser("ablate-weights", help="correction-weight ablation (fixed variant set)"), jobs=True)
+    _add_common(subs.add_parser("matrix", help="full objective x seed matrix"), jobs=True)
 
     p_report = subs.add_parser("report", help="merge result CSVs into a text report")
     p_report.add_argument("--out", default="results", help="results directory")
     return parser
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field, quoted (RFC 4180) if it holds a comma, a quote or a line break."""
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
 
 
 def _cmd_train(cfg, args) -> int:
@@ -94,7 +99,7 @@ def _cmd_eval(cfg, args) -> int:
     lines = [
         output_header(cfg),
         "policy,accuracy,mean_len,rep4,post_answer,multi_answer",
-        f"{name},{acc!r},{quality.mean_length!r},{quality.repeated_4gram_fraction!r},"
+        f"{_csv_field(name)},{acc!r},{quality.mean_length!r},{quality.repeated_4gram_fraction!r},"
         f"{quality.post_answer_rate!r},{quality.multi_answer_rate!r}",
     ]
     write_lines(os.path.join(args.out, f"eval_{name}.csv"), lines)

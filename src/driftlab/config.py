@@ -70,6 +70,8 @@ class TrainSettings:
             raise ConfigError(f"unknown student family {self.family!r}")
         if not self.seeds:
             raise ConfigError("at least one training seed is required")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError(f"seeds must not repeat, got {','.join(map(str, self.seeds))}")
         if min(self.order, self.embed_dim, self.hidden_dim) < 1:
             raise ConfigError("order, embed_dim and hidden_dim must be >= 1")
         self.train_config(self.seeds[0])  # TrainConfig checks the optimizer settings

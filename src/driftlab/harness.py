@@ -28,7 +28,7 @@ from .metrics import (
     trace_quality,
 )
 from .objectives import ObjectiveSpec, TraceBatch, WeightTransform
-from .policy import FeedForwardPolicy, TabularPolicy, rollouts, save_policy
+from .policy import FeedForwardPolicy, TabularPolicy, rollouts, save_policy, stream
 from .policy import greedy_decode  # noqa: F401 -- bench/tracer.py wraps this name here
 from .task import (
     TaskError,
@@ -72,14 +72,13 @@ def make_student(cfg: ExperimentConfig, seed: int):
     t = cfg.train
     if t.family == "tabular":
         return TabularPolicy(vocab, order=t.order)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, _INIT_TAG])))
     return FeedForwardPolicy(
         vocab,
         order=t.order,
         embed_dim=t.embed_dim,
         hidden_dim=t.hidden_dim,
         init_scale=t.init_scale,
-        rng=rng,
+        rng=stream(seed, _INIT_TAG),
     )
 
 

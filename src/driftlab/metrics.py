@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .policy import kl_divergences, rollouts
+from .policy import kl_divergences, rollouts, stream
 from .policy import greedy_decode, sample_sequence  # noqa: F401 -- bench/tracer.py wraps these names here
 from .task import ProblemInstance, answer_token
 from .vocab import ANSWER_MARK, EOS, TokenSequence
@@ -88,9 +88,7 @@ def _accumulated(teacher, student, source, questions, max_len: int, seed: int, t
     drawn from the same uniforms either way.
     """
     n = min(max_len, max(horizons))
-    streams = (
-        np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, idx, tag]))) for idx in range(len(questions))
-    )
+    streams = (stream(seed, idx, tag) for idx in range(len(questions)))
     divs = rollouts(source, questions, n, streams, private_streams=True, divergence=(teacher, student)).divergences
     # positions past a row's end hold 0, so its sum stays at its total there
     return np.cumsum(divs, axis=1)[:, [min(h, n) - 1 for h in horizons]]

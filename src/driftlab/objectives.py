@@ -201,11 +201,7 @@ class TraceBatch:
         windows = None
         if student is not None:
             windows = stacked_windows(student.order, student.vocab.size, questions, traces)
-        targets = None
-        if teacher is not None:
-            targets = np.empty(n, dtype=np.int64)
-            for q, t, a, b in zip(questions, traces, offsets[:-1], offsets[1:]):
-                targets[a:b] = teacher.trace_targets(q, t)
+        targets = None if teacher is None else teacher.trace_targets(questions, traces)
         logps = None
         if teacher_logps is not None and all(
             lp is not None and len(lp) == size for lp, size in zip(teacher_logps, lengths.tolist())

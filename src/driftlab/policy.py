@@ -373,6 +373,11 @@ class Rollouts:
         return [TokenSequence(_until_eos(row.tolist()), "trace") for row in self.tokens]
 
 
+def stream(*entropy) -> np.random.Generator:
+    """The PCG64 generator of the seed sequence of ``entropy``."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(entropy))))
+
+
 def rollouts(model, questions, max_len: int, streams=None, private_streams: bool = False, divergence=None) -> Rollouts:
     """Roll out every question together, until EOS or ``max_len`` tokens.
 

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .policy import RolloutState, check_tokens, rollouts
+from .policy import RolloutState, check_tokens, rollouts, stream
 from .vocab import ADD, ANSWER_MARK, BOS, EOS, MUL, N_SPECIAL, VALUE_BASE, TokenSequence, Vocabulary
 
 
@@ -97,8 +98,7 @@ def generate_problems(cfg: TaskConfig, n: int, seed: int) -> list[ProblemInstanc
     """n problems with per-index derived streams, so any slice is reproducible."""
     out = []
     for i in range(n):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, i])))
-        out.append(generate_problem(cfg, rng))
+        out.append(generate_problem(cfg, stream(seed, i)))
     return out
 
 
@@ -148,7 +148,8 @@ def _transition(m: int, L: int, state: int, tok: int) -> int:
 
 def _emission(m: int, L: int, state: int, op: int, operand: int) -> int:
     """The correct next token in ``state`` (-1 for the sink), where the
-    question's next chain step is ``op operand``."""
+    question's next chain step is the tokens ``op operand`` (-1 if they are
+    not an operator and a value)."""
     if state == _SINK:
         return -1
     if state == _POST:
@@ -158,26 +159,29 @@ def _emission(m: int, L: int, state: int, op: int, operand: int) -> int:
     steps, running = divmod(state - 2 - m, m)
     if steps == L:
         return ANSWER_MARK
-    return VALUE_BASE + chain_step(running, op, operand, m)
+    if op not in (ADD, MUL) or operand < VALUE_BASE:
+        return -1
+    return VALUE_BASE + chain_step(running, op, operand - VALUE_BASE, m)
 
 
 @functools.lru_cache(maxsize=None)
 def _automaton(m: int, L: int):
-    """The rules tabulated for modulus m and chain length L, as nested tuples
-    and as read-only arrays: the next state per (state, token), the chain step
-    whose operator and operand each state's emission reads (0 if it reads
-    none), and the emission per (state, operator token, operand)."""
-    states = range(2 + m * (L + 2))
-    nxt = tuple(tuple(_transition(m, L, state, tok) for tok in range(N_SPECIAL + m)) for state in states)
-    step = tuple(min(max(state - 2 - m, 0) // m, L - 1) for state in states)
-    emit = tuple(
-        tuple(tuple(_emission(m, L, state, op, a) if op in (ADD, MUL) else -1 for a in range(m)) for op in range(MUL + 1))
-        for state in states
-    )
+    """The rules tabulated for modulus m and chain length L, as read-only
+    arrays: the next state per (state, token), the chain step whose operator
+    and operand each state's emission reads (0 if it reads none), and the
+    emission per (state, operator token, operand token)."""
+    states, tokens = range(2 + m * (L + 2)), range(N_SPECIAL + m)
+    nxt = [[_transition(m, L, state, tok) for tok in tokens] for state in states]
+    step = [min(max(state - 2 - m, 0) // m, L - 1) for state in states]
+    emit = [[[_emission(m, L, state, op, a) for a in tokens] for op in tokens] for state in states]
     arrays = tuple(np.array(table, dtype=np.int64) for table in (nxt, step, emit))
     for array in arrays:
         array.flags.writeable = False
-    return (nxt, step, emit, *arrays)
+    return arrays
+
+
+_FIRST_ROW = np.zeros(1, dtype=np.int64)
+_FIRST_ROW.flags.writeable = False
 
 
 class ChainTeacher:
@@ -189,9 +193,10 @@ class ChainTeacher:
     running value, so the expert continues consistently from wrong states.
 
     The rules are written once, in ``_transition`` and ``_emission``, and
-    tabulated once per (modulus, chain length). The scan of one
-    teacher-forced trace and the P-row state of a lockstep rollout only look
-    states up in those tables.
+    tabulated once per (modulus, chain length). One evaluator reads those
+    tables, the P-row state ``_TeacherState``: a lockstep rollout advances
+    one, the per-prefix methods are its one-row case, and ``trace_targets``
+    walks one along the traces.
     """
 
     family = "analytic-teacher"
@@ -201,118 +206,110 @@ class ChainTeacher:
         self.cfg = cfg
         self.vocab = cfg.vocab()
         self.epsilon = spec.epsilon
-        (self._next, self._step, self._emit, self._next_array, self._step_array, self._emit_array) = _automaton(
-            cfg.modulus, cfg.chain_length
-        )
-        # row t + 1 has ``1 - eps`` on token t; row 0 is the sink's point mass on EOS
-        V = self.vocab.size
-        self._dist_rows = np.full((V + 1, V), self.epsilon / (V - 1))
-        self._dist_rows[np.arange(1, V + 1), np.arange(V)] = 1.0 - self.epsilon
-        self._dist_rows[0] = 0.0
-        self._dist_rows[0, EOS] = 1.0
-
-    def _parse_question(self, tokens):
-        cfg = self.cfg
-        lo, hi = VALUE_BASE, VALUE_BASE + cfg.modulus
-        q = tokens[: cfg.question_len]
-        if len(q) < cfg.question_len or q[0] != BOS or not lo <= q[1] < hi:
-            return None
-        ops, operands = q[2::2], q[3::2]
-        if any(op != ADD and op != MUL for op in ops) or not all(lo <= a < hi for a in operands):
-            return None
-        return q[1] - lo, ops, [a - lo for a in operands]
-
-    def _walk(self, tokens: list[int]):
-        """The state after each prefix tokens[:n], 0 <= n <= len(tokens), and
-        the question's operators and operands. Prefixes shorter than the
-        question, and every prefix of a malformed question, are in the sink."""
-        check_tokens(tokens, self.vocab.size)
-        qlen, L = self.cfg.question_len, self.cfg.chain_length
-        parsed = self._parse_question(tokens)
-        if parsed is None:
-            return [_SINK] * (len(tokens) + 1), [ADD] * L, [0] * L
-        v0, ops, operands = parsed
-        state = 2 + self.cfg.modulus + v0
-        states = [_SINK] * qlen + [state]
-        nxt = self._next
-        for tok in tokens[qlen:]:
-            state = nxt[state][tok]
-            states.append(state)
-        return states, ops, operands
-
-    def _scan(self, tokens: list[int], start: int) -> np.ndarray:
-        """Run the automaton once along ``tokens``; return the expected next token
-        (-1 for the sink) after each prefix tokens[:n], start <= n <= len(tokens)."""
-        states, ops, operands = self._walk(tokens)
-        emit, step = self._emit, self._step
-        return np.array([emit[s][ops[step[s]]][operands[step[s]]] for s in states[start:]], dtype=np.int64)
+        self._next, self._step, self._emit = _automaton(cfg.modulus, cfg.chain_length)
+        # a well-formed question's token bounds by position: BOS, the start
+        # value, then per step an operator (ADD and MUL are adjacent ids) and a value
+        top = VALUE_BASE + cfg.modulus - 1
+        self._question_lo = np.array([BOS, VALUE_BASE] + [ADD, VALUE_BASE] * cfg.chain_length)
+        self._question_hi = np.array([BOS, top] + [MUL, top] * cfg.chain_length)
+        # row t has ``1 - eps`` on token t; the last row, which -1 picks, is
+        # the sink's point mass on EOS
+        eye = np.eye(self.vocab.size)
+        self._dist_rows = np.vstack([np.where(eye > 0, 1.0 - self.epsilon, self.epsilon / (len(eye) - 1)), eye[EOS]])
 
     def expected_next(self, context) -> int | None:
         """Semantically correct continuation for this prefix, or None for the sink."""
-        tokens = list(context)
-        target = int(self._scan(tokens, len(tokens))[-1])
+        target = int(self.rollout_state([context]).targets(_FIRST_ROW)[0])
         return None if target < 0 else target
 
     def target_distributions(self, targets: np.ndarray) -> np.ndarray:
         """One row per expected token: ``1 - eps`` on it, or a point mass on EOS for -1."""
-        return self._dist_rows[targets + 1]
+        return self._dist_rows[targets]
 
     def next_token_distribution(self, context) -> np.ndarray:
-        tokens = list(context)
-        return self.target_distributions(self._scan(tokens, len(tokens)))[-1]
-
-    def trace_targets(self, question, trace) -> np.ndarray:
-        """The expected token (-1 for the sink) at every prefix question +
-        trace[:t], from one automaton pass. They depend on the task alone, not
-        on epsilon."""
-        q, trace = list(question), list(trace)
-        return self._scan(q + trace, len(q))[: len(trace)]
+        return self.rollout_state([context]).distributions(_FIRST_ROW)[0]
 
     def log_next_token_distribution(self, context) -> np.ndarray:
         with np.errstate(divide="ignore"):
             return np.log(self.next_token_distribution(context))
 
-    def rollout_state(self, questions) -> "_TeacherState":
-        return _TeacherState(self, questions)
+    def trace_targets(self, questions, traces) -> np.ndarray:
+        """The expected token (-1 for the sink) at every prefix question +
+        trace[:t] of B (question, trace) pairs, as (N,) ids stacked pair by
+        pair, from one state over the questions walked along the traces. They
+        depend on the task alone, not on epsilon."""
+        state = self.rollout_state(questions)
+        check_tokens(list(chain.from_iterable(traces)), self.vocab.size)
+        states = [s for i, trace in enumerate(traces) for s in state.walk(i, trace)]
+        rows = np.repeat(np.arange(len(traces)), [len(trace) for trace in traces])
+        return state.targets(rows, np.array(states, dtype=np.int64))
+
+    def rollout_state(self, contexts) -> "_TeacherState":
+        return _TeacherState(self, contexts)
 
 
 class _TeacherState(RolloutState):
-    """The automaton in P growing contexts: each question is parsed once, and
-    each row's state then advances by one table lookup per emitted token. A
-    context shorter than a question sits in the sink until it is one long, and
-    is parsed then."""
+    """The automaton in P growing contexts. The question blocks of all P are
+    parsed together, and a short or malformed one gives the sink. A context
+    shorter than a question sits in the sink until it is one long, and is
+    parsed then; every other token moves a row by one lookup in the
+    next-state array."""
 
-    def __init__(self, teacher: ChainTeacher, questions):
+    def __init__(self, teacher: ChainTeacher, contexts):
         self.teacher = teacher
-        P, L = len(questions), teacher.cfg.chain_length
-        self.states = np.empty(P, dtype=np.int64)
-        self.ops, self.operands = np.empty((P, L), dtype=np.int64), np.empty((P, L), dtype=np.int64)
-        self.short = {}
-        for i, question in enumerate(questions):
-            ctx = list(question)
-            states, self.ops[i], self.operands[i] = teacher._walk(ctx)
-            self.states[i] = states[-1]
-            if len(ctx) < teacher.cfg.question_len:
-                self.short[i] = ctx
+        qlen = teacher.cfg.question_len
+        contexts = [list(context) for context in contexts]
+        check_tokens(list(chain.from_iterable(contexts)), teacher.vocab.size)
+        self.states, self.ops, self.operands = self._parse([context[:qlen] for context in contexts])
+        self.short = {i: context for i, context in enumerate(contexts) if len(context) < qlen}
+        for i, context in enumerate(contexts):
+            if len(context) > qlen:
+                self.walk(i, context[qlen:])
+
+    def _parse(self, questions):
+        """The start state and the (Q, L) operator and operand tokens of Q
+        question blocks. A short block is padded with BOS, which no position
+        past the first allows; the sink emits -1 whatever tokens it reads."""
+        t = self.teacher
+        qlen = t.cfg.question_len
+        q = np.array([block + [BOS] * (qlen - len(block)) for block in questions], dtype=np.int64).reshape(-1, qlen)
+        ok = ((q >= t._question_lo) & (q <= t._question_hi)).all(axis=1)
+        return (q[:, 1] + (2 + t.cfg.modulus - VALUE_BASE)) * ok, q[:, 2::2], q[:, 3::2]
+
+    def targets(self, rows: np.ndarray, states: np.ndarray | None = None) -> np.ndarray:
+        """The expected next token (-1 for the sink) of ``rows``, in their
+        current states or in the given ``states``."""
+        if states is None:
+            states = self.states[rows]
+        step = self.teacher._step[states]
+        return self.teacher._emit[states, self.ops[rows, step], self.operands[rows, step]]
 
     def distributions(self, rows: np.ndarray) -> np.ndarray:
-        t = self.teacher
-        states = self.states[rows]
-        step = t._step_array[states]
-        return t.target_distributions(t._emit_array[states, self.ops[rows, step], self.operands[rows, step]])
+        return self.teacher.target_distributions(self.targets(rows))
 
     def advance(self, rows: np.ndarray, tokens: np.ndarray) -> None:
-        self.states[rows] = self.teacher._next_array[self.states[rows], tokens]
-        if not self.short:
-            return
-        for i, tok in zip(rows.tolist(), tokens.tolist()):
-            ctx = self.short.get(i)
-            if ctx is not None:
-                ctx.append(tok)
-                if len(ctx) == self.teacher.cfg.question_len:
-                    del self.short[i]
-                    states, self.ops[i], self.operands[i] = self.teacher._walk(ctx)
-                    self.states[i] = states[-1]
+        self.states[rows] = self.teacher._next[self.states[rows], tokens]
+        if self.short:
+            for i, tok in zip(rows.tolist(), tokens.tolist()):
+                if i in self.short:
+                    self.walk(i, [tok])
+
+    def walk(self, i: int, tokens: list[int]) -> list[int]:
+        """Advance row i along ``tokens``, one token at a time, and return its
+        state before each; a short row grows, and is parsed once it is a
+        question long."""
+        before, state = [], self.states.item(i)
+        for tok in tokens:
+            before.append(state)
+            context = self.short.get(i)
+            if context is None:
+                state = self.teacher._next.item(state, tok)
+                continue
+            context.append(tok)
+            if len(context) == self.teacher.cfg.question_len:
+                (state,), (self.ops[i],), (self.operands[i],) = self._parse([self.short.pop(i)])
+        self.states[i] = state
+        return before
 
 
 def teacher_policy(spec: TeacherSpec, cfg: TaskConfig) -> ChainTeacher:
@@ -380,9 +377,7 @@ def generate_corpus(
     if samples_per_problem < 1:
         raise TaskError("samples_per_problem must be >= 1")
     sources = [problem for problem in problems for _ in range(samples_per_problem)]
-    streams = (
-        np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, r_idx]))) for r_idx in range(len(sources))
-    )
+    streams = (stream(seed, r_idx) for r_idx in range(len(sources)))
     sampled = rollouts(teacher, [p.question for p in sources], max_len, streams, private_streams=True)
     records = []
     for problem, trace, probs in zip(sources, sampled.traces, sampled.token_probs):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .objectives import ObjectiveSpec, TraceBatch, batch_loss, gkd_step
 from .objectives import evaluate_objective  # noqa: F401 -- bench/tracer.py wraps this name here
-from .policy import FAMILY_TABULAR, GradientBuffer, ParametricPolicy
+from .policy import FAMILY_TABULAR, GradientBuffer, ParametricPolicy, stream
 from .task import TraceCorpus
 
 
@@ -182,20 +182,16 @@ def train(
     history = RunHistory(epochs=cfg.epochs)
     step = 0
     for epoch in range(cfg.epochs):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, epoch])))
-        perm = rng.permutation(n)
+        perm = stream(cfg.seed, epoch).permutation(n)
         for batch in _batches(n, cfg.batch_size, perm):
             if objective.base == "gkd":
-                step_rng = np.random.Generator(
-                    np.random.PCG64(np.random.SeedSequence([cfg.seed, 5, step]))
-                )
                 result, _ = gkd_step(
                     policy,
                     teacher,
                     [records[i] for i in batch],
                     objective.gkd_lambda,
                     objective.gkd_beta,
-                    step_rng,
+                    stream(cfg.seed, 5, step),
                     max_len=max_len,
                 )
             else:

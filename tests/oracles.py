@@ -31,7 +31,7 @@ from driftlab.training import (
     clip_global_norm,
     lr_at,
 )
-from driftlab.vocab import ADD, ANSWER_MARK, BOS, EOS, MUL, TokenSequence, VocabularyError
+from driftlab.vocab import ADD, ANSWER_MARK, BOS, EOS, MUL, VALUE_BASE, TokenSequence, VocabularyError
 
 
 @dataclass(frozen=True)
@@ -355,6 +355,63 @@ def reference_rollout_divergences(teacher, student, question, rollout):
         out.append(float(np.sum(p[mask] * (np.log(p[mask]) - q_log[mask]))))
         ctx.append(tok)
     return np.array(out)
+
+
+def reference_teacher_target(cfg, context):
+    """The analytic teacher's expected next token after ``context`` (-1 for
+    its sink), re-derived from the task's rules one token at a time.
+
+    The first question-length tokens must read BOS, a start value, then an
+    operator (ADD or MUL) and an operand value per step; a shorter or other
+    block is the sink. Past it, a value token becomes the running value and
+    counts a step (at most L), and the answer marker moves on to the answer;
+    there a value ends the answer, and a repeated marker changes nothing;
+    after the answer only EOS is expected, whatever comes. EOS, and any other
+    token in the chain or at the answer, sink the prefix for good.
+    """
+    m, L, qlen = cfg.modulus, cfg.chain_length, cfg.question_len
+
+    def residue(tok):
+        return tok - VALUE_BASE if VALUE_BASE <= tok < VALUE_BASE + m else None
+
+    question, tail = list(context[:qlen]), list(context[qlen:])
+    if len(question) < qlen or question[0] != BOS or None in [residue(t) for t in question[1::2]]:
+        return -1
+    if any(op not in (ADD, MUL) for op in question[2::2]):
+        return -1
+    ops, operands = question[2::2], [residue(a) for a in question[3::2]]
+    running, steps, phase = residue(question[1]), 0, "chain"
+    for tok in tail:
+        if tok == EOS:
+            return -1
+        if phase == "chain" and residue(tok) is not None:
+            running, steps = residue(tok), min(steps + 1, L)
+        elif phase == "chain" and tok == ANSWER_MARK:
+            phase = "answer"
+        elif phase == "answer" and residue(tok) is not None:
+            phase = "after"
+        elif phase != "after" and not (phase == "answer" and tok == ANSWER_MARK):
+            return -1
+    if phase == "after":
+        return EOS
+    if phase == "answer":
+        return VALUE_BASE + running
+    if steps == L:
+        return ANSWER_MARK
+    a = operands[steps]
+    return VALUE_BASE + ((running + a) % m if ops[steps] == ADD else (running * a) % m)
+
+
+def reference_teacher_distribution(cfg, epsilon, context):
+    """``1 - epsilon`` on the expected token and ``epsilon`` spread evenly
+    over the rest; a point mass on EOS in the sink."""
+    V, target = cfg.vocab().size, reference_teacher_target(cfg, context)
+    dist = np.full(V, epsilon / (V - 1))
+    if target < 0:
+        dist[:] = 0.0
+        target, epsilon = EOS, 0.0
+    dist[target] = 1.0 - epsilon
+    return dist
 
 
 def random_prefixes(cfg, n, seed):

@@ -38,7 +38,7 @@ CORPUS = TraceCorpus(
     [
         r
         for r in generate_corpus(TEACHER, generate_problems(CFG, 37, seed=303), seed=304, max_len=6)
-        if (TEACHER.trace_targets(r.question, r.trace) >= 0).all()
+        if (TEACHER.trace_targets([r.question], [r.trace]) >= 0).all()
     ]
 )
 

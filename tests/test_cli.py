@@ -1,9 +1,11 @@
 """Config parsing, hashing, and CLI subcommand contracts."""
 
+import csv
 import hashlib
 import json
 import os
 import re
+import shutil
 
 import pytest
 
@@ -229,6 +231,7 @@ def section_of(line: str) -> str:
         ("modulus = 5", "modulus = five"),
         ("learning_rate = 0.2", "learning_rate = -1"),
         ("optimizer = sgd", "optimizer = adamw"),
+        ("seeds = 0,1", "seeds = 0,0"),
     ],
 )
 def test_invalid_value_exits_2_before_writing(tmp_path, capsys, old, new):
@@ -332,7 +335,29 @@ def test_train_eval_subcommands(tmp_path):
         lines = fh.read().splitlines()
     assert lines[1] == "step,lr,loss,grad_norm_pre,grad_norm_post,mean_weight,weight_min,weight_max"
     assert main(["eval", "--config", cfg_path, "--out", out, "--policy", policy_path]) == EXIT_OK
-    assert os.path.exists(os.path.join(out, "eval_policy_sft_s0.csv"))
+    with open(os.path.join(out, "eval_policy_sft_s0.csv")) as fh:
+        assert fh.read().splitlines()[2].startswith("policy_sft_s0,0.")
+    # a base name with a comma is one quoted field
+    shutil.copy(policy_path, os.path.join(out, "x,y.txt"))
+    assert main(["eval", "--config", cfg_path, "--out", out, "--policy", os.path.join(out, "x,y.txt")]) == EXIT_OK
+    with open(os.path.join(out, "eval_x,y.csv"), newline="") as fh:
+        header, row = list(csv.reader(fh.read().splitlines()[1:]))
+    assert len(row) == len(header) == 6 and row[0] == "x,y"
+    # --overwrite belongs to gen-corpus and --jobs to the studies alone
+    misplaced = [
+        ["train", "--objective", "sft", "--overwrite"],
+        ["train", "--objective", "sft", "--jobs", "2"],
+        ["eval", "--policy", policy_path, "--overwrite"],
+        ["eval", "--policy", policy_path, "--jobs", "2"],
+        ["gen-corpus", "--jobs", "2"],
+        ["matrix", "--overwrite"],
+        ["drift", "--overwrite"],
+        ["ablate-weights", "--overwrite"],
+    ]
+    for command, *flags in misplaced:
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg_path, "--out", out, *flags])
+        assert exc.value.code == EXIT_CONFIG
 
 
 def test_drift_outputs(tmp_path):

@@ -28,7 +28,7 @@ from driftlab.policy import (
 )
 from driftlab.task import CorpusRecord, TaskConfig, TeacherSpec, generate_corpus, generate_problems, teacher_policy
 from driftlab.training import OptimizerState, TrainConfig, _apply_update
-from driftlab.vocab import ADD, BOS, TokenSequence
+from driftlab.vocab import ADD, BOS, EOS, TokenSequence
 
 from oracles import (
     micro_instance,
@@ -37,6 +37,8 @@ from oracles import (
     reference_kl_loss,
     reference_rollout_divergences,
     reference_sft_loss,
+    reference_teacher_distribution,
+    reference_teacher_target,
     reference_token_weights,
 )
 
@@ -125,14 +127,29 @@ def test_kernel_contracts():
 
 @pytest.mark.parametrize("cfg", [TaskConfig(modulus=3, chain_length=2), TaskConfig(modulus=7, chain_length=4)])
 def test_teacher_scan_equals_per_prefix_teacher(cfg):
+    """Batched ``trace_targets`` gives, pair by pair, what the task's rules
+    give at every prefix, over batches of 1 to 600 pairs of unequal lengths."""
     teacher = teacher_policy(TeacherSpec(0.05, 0.3), cfg)
-    for question, trace in random_prefixes(cfg, 600, seed=cfg.modulus):
-        scanned = teacher.target_distributions(teacher.trace_targets(question, trace))
-        assert scanned.shape == (len(trace), cfg.vocab().size)
-        for t in range(len(trace)):
-            assert np.array_equal(scanned[t], teacher.next_token_distribution(question + trace[:t]))
+    pairs = random_prefixes(cfg, 600, seed=cfg.modulus)
+    qlen = cfg.question_len
+    # the batches hold empty traces, short and malformed questions, questions
+    # that the trace completes, and EOS before a trace's last token
+    assert any(not trace for _, trace in pairs)
+    assert any(len(question) < qlen < len(question) + len(trace) for question, trace in pairs)
+    assert any(len(question) >= qlen and reference_teacher_target(cfg, question) < 0 for question, _ in pairs)
+    assert any(EOS in trace[:-1] for _, trace in pairs)
+    contexts = [question + trace[:t] for question, trace in pairs for t in range(len(trace))]
+    want = np.array([reference_teacher_target(cfg, context) for context in contexts])
+    offsets = np.cumsum([0] + [len(trace) for _, trace in pairs])
+    bounds = [0, 1, 3, 10, 41, 100, 600]
+    for a, b in list(zip(bounds[:-1], bounds[1:])) + [(0, len(pairs))]:
+        got = teacher.trace_targets([question for question, _ in pairs[a:b]], [trace for _, trace in pairs[a:b]])
+        assert got.shape == (offsets[b] - offsets[a],)
+        assert np.array_equal(got, want[offsets[a] : offsets[b]])
+    dists = teacher.target_distributions(got)
+    assert all(np.array_equal(d, reference_teacher_distribution(cfg, 0.05, c)) for d, c in zip(dists, contexts))
     with pytest.raises(PolicyError):
-        teacher.trace_targets([BOS], [cfg.vocab().size])
+        teacher.trace_targets([[BOS], [BOS]], [[], [cfg.vocab().size]])
 
 
 def test_batched_rollout_divergences_match_per_prefix():

@@ -30,6 +30,7 @@ from oracles import (
     reference_corpus,
     reference_drift_curve,
     reference_rollout,
+    reference_teacher_distribution,
     stream,
 )
 
@@ -173,6 +174,8 @@ def test_corpus_matches_per_record_reference(epsilon, max_len):
 
 @pytest.mark.parametrize("cfg", [TaskConfig(modulus=3, chain_length=2), TaskConfig(modulus=7, chain_length=4)])
 def test_teacher_rollout_state_equals_per_prefix_teacher(cfg):
+    """A P-row state advanced along the emitted tokens, and a fresh one-row
+    context per prefix, both give what the task's rules give at that prefix."""
     teacher = teacher_policy(TeacherSpec(0.05, 0.3), cfg)
     pairs = random_prefixes(cfg, 600, seed=cfg.modulus)
     state = teacher.rollout_state([question for question, _ in pairs])
@@ -182,7 +185,9 @@ def test_teacher_rollout_state_equals_per_prefix_teacher(cfg):
         dists = state.distributions(rows)
         for row, dist in zip(rows, dists):
             question, trace = pairs[row]
-            assert np.array_equal(dist, teacher.next_token_distribution(question + trace[:t]))
+            want = reference_teacher_distribution(cfg, 0.05, question + trace[:t])
+            assert np.array_equal(dist, want)
+            assert np.array_equal(teacher.next_token_distribution(question + trace[:t]), want)
         rows = np.array([i for i in rows if len(pairs[i][1]) > t], dtype=np.int64)
         state.advance(rows, np.array([pairs[i][1][t] for i in rows], dtype=np.int64))
 
