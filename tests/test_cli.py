@@ -374,6 +374,33 @@ def test_drift_outputs(tmp_path):
     assert len(body) == 2 * 3
 
 
+# SHA-256 of every file that gen-corpus then drift write on SMALL_CONFIG: a
+# change that moves one random draw, one token or one float digit fails here
+GOLDEN_DRIFT_STUDY = {
+    "corpus.txt": "a8f88a4f702eec425fc47c85dda2b6fd5f1fff767c60ca0744b5d8fbe902e2cb",
+    "drift.csv": "f066d995b66fe188988e78146c5ae440ad1f4dadbc438715a6bf3b35e85bf20e",
+    "drift_runs.csv": "93277bcbdcf0955c99b7f2d3d7bebae24eaed3d1bc08f3738c34dc6084d91dc2",
+    "history_sft_s0.csv": "65b1c6747c78c588330bd10b9cdba3b257c46dadefd73e620de89a351ba39eeb",
+    "history_sft_s1.csv": "b9c4c5f2d8339cb362179a65be2658bc798636682440d161c734d400ead30be1",
+    "history_sigmoid_t1_s0.csv": "73179a8bc432c11542d302fa0f4c2b0d0dc73ba48d784b7d4b8380405483bfb0",
+    "history_sigmoid_t1_s1.csv": "f242666a8865307afee918e2289ce908e6371b096d54835c5aeab253841cf85f",
+    "manifest.json": "0486ca0d576cb5275ed3034bb0f635f08f647f951589cccf8a9837b2328f3f56",
+    "policy_sft_s0.txt": "3bc4b4aa25863ae6ca06d441a814088ff633be4ef29de4679e1fe6fc31d2ad35",
+    "policy_sft_s1.txt": "8557e21ad6dcce1758b3c2bcdd32a4c272ba99a2d68f67fdb6c41d382967ee99",
+    "policy_sigmoid_t1_s0.txt": "32e86dd25bfeac46c754789581f262a12681a5e160230e38876209408e1011a1",
+    "policy_sigmoid_t1_s1.txt": "1cecae576873538def98abd657a33726073f98032d8deb1289531200d443006e",
+}
+
+
+def test_drift_study_output_bytes_are_pinned(tmp_path):
+    cfg_path = write_config(tmp_path)
+    out = str(tmp_path / "results")
+    assert main(["gen-corpus", "--config", cfg_path, "--out", out]) == EXIT_OK
+    assert main(["drift", "--config", cfg_path, "--out", out]) == EXIT_OK
+    assert sorted(os.listdir(out)) == sorted(GOLDEN_DRIFT_STUDY)
+    assert file_hashes(out, GOLDEN_DRIFT_STUDY) == GOLDEN_DRIFT_STUDY
+
+
 def test_drift_runs_values_are_plain_floats(tmp_path):
     cfg_path = write_config(tmp_path)
     out = str(tmp_path / "results")
