@@ -35,11 +35,26 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _add_common(sub, jobs: bool = False):
     sub.add_argument("--config", required=True, help="experiment config file")
     sub.add_argument("--out", default="results", help="output directory")
     if jobs:
-        sub.add_argument("--jobs", type=int, default=1, help="parallel (objective, seed) cells")
+        sub.add_argument("--jobs", type=_int_at_least(1), default=1, help="parallel (objective, seed) cells")
     return sub
 
 
@@ -52,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = _add_common(subs.add_parser("train", help="train one objective from the corpus"))
     p_train.add_argument("--objective", default=None, help="objective label (default: first in config)")
-    p_train.add_argument("--seed", type=int, default=None, help="training seed (default: first in config)")
+    p_train.add_argument("--seed", type=_int_at_least(0), default=None, help="training seed (default: first in config)")
 
     p_eval = _add_common(subs.add_parser("eval", help="evaluate a policy snapshot"))
     p_eval.add_argument("--policy", required=True, help="policy snapshot file")

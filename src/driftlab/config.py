@@ -143,6 +143,17 @@ def _parse_int_list(val: str) -> tuple[int, ...]:
     return tuple(int(v.strip()) for v in val.split(",") if v.strip())
 
 
+def _parse_seed(val: str) -> int:
+    seed = int(val)
+    if seed < 0:
+        raise ValueError("a seed must be a non-negative integer")
+    return seed
+
+
+def _parse_seeds(val: str) -> tuple[int, ...]:
+    return tuple(_parse_seed(v.strip()) for v in val.split(",") if v.strip())
+
+
 def _parse_ops(val: str) -> tuple[int, ...]:
     try:
         return tuple(_OP_BY_NAME[name.strip().upper()] for name in val.split(","))
@@ -168,6 +179,10 @@ _CODECS = {
 _FIELD_CODECS = {
     (TaskConfig, "ops"): (_parse_ops, lambda ops: ",".join(OP_NAMES[o] for o in ops)),
     (ObjectiveSpec, "base"): (_parse_base, str),
+    # SeedSequence takes no negative entropy, so a run would fail at its first stream
+    (CorpusSettings, "seed"): (_parse_seed, str),
+    (EvalConfig, "seed"): (_parse_seed, str),
+    (TrainSettings, "seeds"): (_parse_seeds, _CODECS["tuple[int, ...]"][1]),
 }
 
 # file section -> (attribute, settings class), in file order; the

@@ -248,6 +248,8 @@ class MatrixResult:
 
 def _run_objectives(cfg: ExperimentConfig, objectives, out_dir, jobs: int, do_drift: bool) -> MatrixResult:
     """Train and evaluate every (objective, seed) cell of ``objectives`` x the config's seeds."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     os.makedirs(out_dir, exist_ok=True)
     # the corpus, its arrays and both problem sets are the same for every cell:
     # build them once, and hand them to each worker process once rather than

@@ -26,8 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .policy import kl_divergences, rollouts, stream
+from .policy import kl_divergences, rollouts
 from .policy import greedy_decode, sample_sequence  # noqa: F401 -- bench/tracer.py wraps these names here
+from .streams import uniform_block
 from .task import ProblemInstance, answer_token
 from .vocab import ANSWER_MARK, EOS, TokenSequence
 
@@ -79,7 +80,7 @@ def rollout_divergences(teacher, student, question: TokenSequence, rollout) -> n
 
 def _accumulated(teacher, student, source, questions, max_len: int, seed: int, tag: int, horizons) -> np.ndarray:
     """Roll ``source`` out once per question in lockstep, row idx drawing from
-    its own stream SeedSequence([seed, idx, tag]) so that curves are paired
+    its own stream ``stream(seed, idx, tag)`` so that curves are paired
     across policies, and accumulate KL(teacher || student) along each rollout
     up to every horizon: a (P, H) array.
 
@@ -88,8 +89,8 @@ def _accumulated(teacher, student, source, questions, max_len: int, seed: int, t
     drawn from the same uniforms either way.
     """
     n = min(max_len, max(horizons))
-    streams = (stream(seed, idx, tag) for idx in range(len(questions)))
-    divs = rollouts(source, questions, n, streams, private_streams=True, divergence=(teacher, student)).divergences
+    uniforms = uniform_block((seed, np.arange(len(questions)), tag), n)
+    divs = rollouts(source, questions, n, uniforms=uniforms, divergence=(teacher, student)).divergences
     # positions past a row's end hold 0, so its sum stays at its total there
     return np.cumsum(divs, axis=1)[:, [min(h, n) - 1 for h in horizons]]
 

@@ -52,8 +52,11 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def check_tokens(tokens, vocab_size: int) -> None:
-    """Raise PolicyError unless every token lies in the vocabulary."""
-    if tokens and (min(tokens) < 0 or max(tokens) >= vocab_size):
+    """Raise PolicyError unless every token, of a list or an int array, lies in the vocabulary."""
+    if not len(tokens):
+        return
+    low, high = (tokens.min(), tokens.max()) if isinstance(tokens, np.ndarray) else (min(tokens), max(tokens))
+    if low < 0 or high >= vocab_size:
         bad = next(t for t in tokens if not 0 <= t < vocab_size)
         raise PolicyError(f"context token {bad} outside vocabulary of size {vocab_size}")
 
@@ -331,8 +334,17 @@ class _WindowState(RolloutState):
 
     def __init__(self, policy: ParametricPolicy, questions):
         self.policy = policy
-        windows = [policy._context_window(q)[0] for q in questions]
-        self.windows = np.array(windows, dtype=np.int64).reshape(-1, policy.order)
+        # every question's tokens end to end: row i's window is the k tokens
+        # before its end, with BOS where they would reach into the question before
+        lengths = np.fromiter(map(len, questions), np.int64, len(questions))
+        if lengths.size and lengths.min() < 1:
+            raise PolicyError("context must be non-empty (sequences start at BOS)")
+        tokens = np.fromiter(chain.from_iterable(questions), np.int64, lengths.sum())
+        check_tokens(tokens, policy.vocab.size)
+        ends = np.cumsum(lengths)[:, None]
+        starts = ends - lengths[:, None]
+        at = ends + np.arange(-policy.order, 0)
+        self.windows = np.where(at >= starts, tokens[np.maximum(at, starts)], BOS)
 
     def distributions(self, rows: np.ndarray) -> np.ndarray:
         return _softmax(self.policy.forward(self.windows[rows])[0])
@@ -378,19 +390,17 @@ def stream(*entropy) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(entropy))))
 
 
-def rollouts(model, questions, max_len: int, streams=None, private_streams: bool = False, divergence=None) -> Rollouts:
+def rollouts(model, questions, max_len: int, streams=None, uniforms=None, divergence=None) -> Rollouts:
     """Roll out every question together, until EOS or ``max_len`` tokens.
 
     Each step makes one (P, V) array of next-token distributions for the live
     rows and picks one token per row: the argmax (ties to the lowest index)
-    when ``streams`` is None, otherwise an inverse-CDF draw of one uniform from
-    that row's own generator ``streams[i]``, one per emitted token and none
-    after EOS. With ``private_streams`` nothing else draws from those
-    generators, so each row's ``max_len`` uniforms come from one call: PCG64
-    gives the same values as that many single draws, and the unused tail is
-    never seen. ``streams`` is then read once, in row order, and may be a
-    generator expression, so that no more than one generator is alive at a
-    time.
+    when neither ``uniforms`` nor ``streams`` is given, otherwise an
+    inverse-CDF draw of one uniform per emitted token. Row i's token t draws
+    ``uniforms[i, t]`` from a (P, max_len) array, such as a ``uniform_block``
+    of one stream per row; or, given ``streams``, the next ``random()`` of row
+    i's generator ``streams[i]``, none after EOS, so that a generator shared
+    with other draws stays in step.
 
     Given a ``divergence`` pair (teacher, student), each step also writes
     KL(teacher || student) at every live row's prefix into ``divergences``.
@@ -403,8 +413,10 @@ def rollouts(model, questions, max_len: int, streams=None, private_streams: bool
     """
     if max_len < 1:
         raise PolicyError("max_len must be >= 1")
-    state = model.rollout_state(questions)
     P = len(questions)
+    if uniforms is not None and (streams is not None or np.shape(uniforms) != (P, max_len)):
+        raise PolicyError(f"uniforms must be a ({P}, {max_len}) array, and come without streams")
+    state = model.rollout_state(questions)
     tokens = np.zeros((P, max_len), dtype=np.int64)
     probs = np.zeros((P, max_len))
     states, divergences = [state], None
@@ -414,10 +426,6 @@ def rollouts(model, questions, max_len: int, streams=None, private_streams: bool
         s_state = state if student is model else t_state if student is teacher else student.rollout_state(questions)
         states = list({id(s): s for s in (state, t_state, s_state)}.values())  # each advanced once per step
         divergences = np.zeros((P, max_len))
-    if private_streams:
-        uniforms = np.empty((P, max_len))
-        for row, rng in zip(uniforms, streams, strict=True):
-            row[:] = rng.random(max_len)
     live = np.arange(P)
     for t in range(max_len):
         if not live.size:
@@ -431,10 +439,10 @@ def rollouts(model, questions, max_len: int, streams=None, private_streams: bool
                 dists, q_log = state.distributions(live), s_state.log_distributions(live)
             p = dists if t_state is state else t_state.distributions(live)
             divergences[live, t] = kl_divergences(p, q_log)
-        if streams is None:
+        if streams is None and uniforms is None:
             toks = dists.argmax(axis=1)
         else:
-            u = uniforms[live, t] if private_streams else np.array([streams[i].random() for i in live.tolist()])
+            u = uniforms[live, t] if uniforms is not None else np.array([streams[i].random() for i in live.tolist()])
             # the inverse CDF: the first token whose cumulative sum exceeds u,
             # and the last token for a u at or past the rounded total
             cdf = dists.cumsum(axis=1)

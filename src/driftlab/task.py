@@ -21,6 +21,7 @@ from itertools import chain
 import numpy as np
 
 from .policy import RolloutState, check_tokens, rollouts, stream
+from .streams import uniform_block, word_block
 from .vocab import ADD, ANSWER_MARK, BOS, EOS, MUL, N_SPECIAL, VALUE_BASE, TokenSequence, Vocabulary
 
 
@@ -95,11 +96,56 @@ def generate_problem(cfg: TaskConfig, rng: np.random.Generator) -> ProblemInstan
 
 
 def generate_problems(cfg: TaskConfig, n: int, seed: int) -> list[ProblemInstance]:
-    """n problems with per-index derived streams, so any slice is reproducible."""
-    out = []
-    for i in range(n):
-        out.append(generate_problem(cfg, stream(seed, i)))
-    return out
+    """n problems with per-index derived streams, so any slice is reproducible:
+    problem i is ``generate_problem(cfg, stream(seed, i))``. All n are drawn
+    together from the first words of their streams; a problem whose words
+    would take the bounded draw's rejection branch (about one draw in 2^32 / m)
+    is drawn again by ``generate_problem`` from its stream."""
+    problems, rejected = _problems_of_words(cfg, word_block((seed, np.arange(n)), len(_word_bounds(cfg))))
+    for i in np.flatnonzero(rejected).tolist():
+        problems[i] = generate_problem(cfg, stream(seed, i))
+    return problems
+
+
+def _word_bounds(cfg: TaskConfig) -> list[int]:
+    """The bound of the draw each stream word makes in ``generate_problem``:
+    the start value, one operator per step (none when there is one operator
+    to pick, as ``integers(1)`` reads no word), then one operand per step."""
+    k, L = len(cfg.ops), cfg.chain_length
+    return [cfg.modulus] + [k] * (L if k > 1 else 0) + [cfg.modulus] * L
+
+
+def _problems_of_words(cfg: TaskConfig, words: np.ndarray) -> tuple[list[ProblemInstance], np.ndarray]:
+    """The problems ``generate_problem`` draws from each row of 32-bit stream
+    words, when no draw is rejected, and the rows where one is.
+
+    A word w draws ``integers(b)`` as numpy does (Lemire's method): the high
+    half of w * b, unless the low half falls below 2^32 mod b, where numpy
+    rejects w and reads the next word."""
+    m, L = cfg.modulus, cfg.chain_length
+    bounds = _word_bounds(cfg)
+    scaled = words.astype(np.uint64) * np.array(bounds, dtype=np.uint64)
+    rejected = ((scaled & 0xFFFFFFFF) < np.array([(1 << 32) % b for b in bounds], dtype=np.uint64)).any(axis=1)
+    draws = (scaled >> 32).astype(np.int64)
+    n = len(draws)
+    v0, operands = draws[:, 0], draws[:, len(bounds) - L :]
+    op_index = draws[:, 1 : L + 1] if len(cfg.ops) > 1 else np.zeros((n, L), dtype=np.int64)
+    ops = np.asarray(cfg.ops, dtype=np.int64)[op_index]
+    values = np.empty((n, L), dtype=np.int64)
+    v = v0
+    for j in range(L):
+        v = np.where(ops[:, j] == ADD, v + operands[:, j], v * operands[:, j]) % m
+        values[:, j] = v
+    questions = np.empty((n, cfg.question_len), dtype=np.int64)
+    questions[:, 0], questions[:, 1] = BOS, VALUE_BASE + v0
+    questions[:, 2::2], questions[:, 3::2] = ops, VALUE_BASE + operands
+    answers = VALUE_BASE + values[:, -1:]
+    traces = np.hstack([VALUE_BASE + values, np.full((n, 1), ANSWER_MARK), answers, np.full((n, 1), EOS)])
+    problems = [
+        ProblemInstance(TokenSequence(tuple(q), "question"), t[-2], TokenSequence(tuple(t), "trace"))
+        for q, t in zip(questions.tolist(), traces.tolist())
+    ]
+    return problems, rejected
 
 
 @dataclass(frozen=True)
@@ -377,8 +423,8 @@ def generate_corpus(
     if samples_per_problem < 1:
         raise TaskError("samples_per_problem must be >= 1")
     sources = [problem for problem in problems for _ in range(samples_per_problem)]
-    streams = (stream(seed, r_idx) for r_idx in range(len(sources)))
-    sampled = rollouts(teacher, [p.question for p in sources], max_len, streams, private_streams=True)
+    uniforms = uniform_block((seed, np.arange(len(sources))), max_len)
+    sampled = rollouts(teacher, [p.question for p in sources], max_len, uniforms=uniforms)
     records = []
     for problem, trace, probs in zip(sources, sampled.traces, sampled.token_probs):
         correct = trace.ends_with_eos and answer_token(trace) == problem.gold_answer

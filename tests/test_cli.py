@@ -19,8 +19,10 @@ from driftlab.config import (
     config_hash,
     default_config,
     format_config,
+    load_config,
     parse_config,
 )
+from driftlab.harness import run_matrix
 from driftlab.objectives import ObjectiveSpec, WeightTransform
 from driftlab.policy import TabularPolicy, save_policy
 from driftlab.task import TaskConfig, TeacherSpec, read_corpus
@@ -241,6 +243,49 @@ def test_invalid_value_exits_2_before_writing(tmp_path, capsys, old, new):
     err = capsys.readouterr().err
     assert new.split(" = ")[0] in err and section_of(old) in err
     assert not (out / "corpus.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("corpus_seed = 77", "corpus_seed = -3"),
+        ("eval_seed = 5", "eval_seed = -1"),
+        ("seeds = 0,1", "seeds = 0,-2"),
+    ],
+)
+def test_negative_seed_exits_2_at_parse_and_writes_nothing(tmp_path, capsys, old, new):
+    # a seed becomes SeedSequence entropy, which takes no negative int: such a
+    # run used to stop with exit 3 at its first stream, after writing files
+    cfg_path = write_config(tmp_path, SMALL_CONFIG.replace(old, new))
+    out = tmp_path / "results"
+    for command in ("gen-corpus", "drift", "matrix"):
+        assert main([command, "--config", cfg_path, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{section_of(old)} {new.split(' = ')[0]} = " in err and "non-negative" in err
+    assert not out.exists()
+
+
+def test_jobs_and_seed_flags_below_their_minimum_exit_2(tmp_path, capsys):
+    cfg_path = write_config(tmp_path)
+    out = str(tmp_path / "results")
+    assert main(["gen-corpus", "--config", cfg_path, "--out", out]) == EXIT_OK
+    written = sorted(os.listdir(out))
+    for command, *flags in (
+        ["matrix", "--jobs", "0"],
+        ["drift", "--jobs", "-5"],
+        ["ablate-weights", "--jobs", "0"],
+        ["matrix", "--jobs", "two"],
+        ["train", "--seed", "-1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg_path, "--out", out, *flags])
+        assert exc.value.code == EXIT_CONFIG
+        assert f"argument {flags[0]}" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == written
+    # a library caller gets an error before any cell runs
+    with pytest.raises(ValueError, match="jobs must be >= 1, got 0"):
+        run_matrix(load_config(cfg_path), out, jobs=0)
+    assert sorted(os.listdir(out)) == written
 
 
 @pytest.mark.parametrize("label", ["a,b", "../escape", "two words", ""])

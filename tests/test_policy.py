@@ -70,6 +70,33 @@ def test_out_of_vocabulary_context_rejected():
         pol.next_token_distribution(())
 
 
+@pytest.mark.parametrize("order", [1, 2, 3, 5])
+def test_rollout_windows_equal_per_question_context_windows(order):
+    # contexts shorter than, as long as and longer than the order, with and
+    # without a leading BOS, a bare BOS and a TokenSequence, built as one
+    # padded array
+    rng = rng_of(order)
+    questions = [[BOS] + rng.integers(0, VOCAB.size, size=n).tolist() for n in (0, 1, 2, 4, 7, 0, 3)]
+    questions += [rng.integers(1, VOCAB.size, size=n).tolist() for n in (1, 2, 3, 5, 6)] + [CTX]
+    for make in (lambda: TabularPolicy(VOCAB, order), lambda: random_ff(order=order)):
+        policy = make()
+        state = policy.rollout_state(questions)
+        want = np.vstack([policy._context_window(q) for q in questions])
+        assert state.windows.dtype == want.dtype and np.array_equal(state.windows, want)
+        assert policy.rollout_state([]).windows.shape == (0, order)
+
+
+def test_rollout_windows_reject_what_context_windows_reject():
+    policy = TabularPolicy(VOCAB, 2)
+    for questions in ([[BOS, 3], []], [[BOS, 3], [BOS, VOCAB.size + 2, -1]], [[BOS, -1]]):
+        bad = next(q for q in questions if not q or not all(0 <= t < VOCAB.size for t in q))
+        with pytest.raises(PolicyError) as want:
+            policy._context_window(bad)
+        with pytest.raises(PolicyError) as got:
+            policy.rollout_state(questions)
+        assert str(got.value) == str(want.value)
+
+
 def test_log_prob_uniform_policy():
     pol = TabularPolicy(VOCAB, 1)
     trace = TokenSequence((5, 6, 7, EOS), "trace")

@@ -78,8 +78,13 @@ def assert_rows_match(got, model, questions, max_len, streams_of=None, exact_pro
             np.testing.assert_allclose(got.token_probs[i, : len(toks)], probs, rtol=1e-12)
 
 
+def uniforms_of(seed, rows, max_len):
+    """Row i: the first ``max_len`` uniforms of stream(seed, i)."""
+    return np.array([stream(seed, i).random(max_len) for i in range(rows)]).reshape(rows, max_len)
+
+
 def test_bulk_uniforms_equal_single_draws():
-    # the metrics and the corpus draw a private stream's uniforms in one call
+    # a stream's first n uniforms from one call, as a block row holds them
     for seed in range(200):
         bulk = stream(seed, 3, 1).random(40)
         one_by_one = stream(seed, 3, 1)
@@ -100,9 +105,10 @@ def test_greedy_lockstep_matches_reference(name, max_len):
 @pytest.mark.parametrize("max_len", (1, 3, 14))
 def test_sampled_lockstep_matches_reference(name, max_len):
     model = MODELS[name]()
-    for private in (True, False):
-        streams = [stream(41, i) for i in range(len(QUESTIONS))]
-        got = rollouts(model, QUESTIONS, max_len, streams, private_streams=private)
+    # each row's own uniforms, or its own generator drawn from token by token
+    uniforms = uniforms_of(41, len(QUESTIONS), max_len)
+    for draws in ({"uniforms": uniforms}, {"streams": [stream(41, i) for i in range(len(QUESTIONS))]}):
+        got = rollouts(model, QUESTIONS, max_len, **draws)
         assert_rows_match(got, model, QUESTIONS, max_len, lambda i: stream(41, i), exact_probs=name != "feedforward")
     if max_len == 14 and name.startswith("teacher"):
         assert len({len(trace) for trace in got.traces}) > 1  # rows end at different steps
@@ -114,10 +120,22 @@ def test_sampled_lockstep_matches_reference(name, max_len):
     assert rng.random() == ref.random()
 
 
+def test_uniforms_are_one_per_row_and_token():
+    model, P = MODELS["tabular-1"](), len(QUESTIONS)
+    uniforms = uniforms_of(41, P, 5)
+    for draws in (
+        {"uniforms": uniforms[1:]},
+        {"uniforms": uniforms[:, :4]},
+        {"uniforms": uniforms, "streams": [stream(41, i) for i in range(P)]},
+    ):
+        with pytest.raises(PolicyError, match=f"uniforms must be a \\({P}, 5\\) array"):
+            rollouts(model, QUESTIONS, 5, **draws)
+
+
 def test_duplicate_questions_keep_their_own_streams():
     model = MODELS["tabular-2"]()
     questions = [PROBLEMS[0].question] * 40
-    got = rollouts(model, questions, 10, [stream(7, i) for i in range(40)], private_streams=True)
+    got = rollouts(model, questions, 10, uniforms=uniforms_of(7, 40, 10))
     assert_rows_match(got, model, questions, 10, lambda i: stream(7, i))
     assert len({trace.tokens for trace in got.traces}) > 1
 
@@ -126,7 +144,7 @@ def test_hand_built_policy_rows_are_stacked():
     question, teacher, student = micro_instance()
     questions = [question] * 30
     for model in (teacher, student):
-        got = rollouts(model, questions, 3, [stream(9, i) for i in range(30)], private_streams=True)
+        got = rollouts(model, questions, 3, uniforms=uniforms_of(9, 30, 3))
         assert_rows_match(got, model, questions, 3, lambda i: stream(9, i))
         assert_rows_match(rollouts(model, questions, 3), model, questions, 3)
 
@@ -137,7 +155,7 @@ def test_eos_at_step_zero():
     eos_student.params.reshape(V, V)[:, EOS] = 500.0
     questions = [malformed(PROBLEMS[0].question), PROBLEMS[1].question]
     for model, rows in ((teacher, [0]), (eos_student, [0, 1])):
-        got = rollouts(model, questions, 6, [stream(3, i) for i in range(2)], private_streams=True)
+        got = rollouts(model, questions, 6, uniforms=uniforms_of(3, 2, 6))
         for i in rows:
             assert got.traces[i].tokens == (EOS,)
             assert got.token_probs[i, 0] == 1.0
@@ -219,8 +237,8 @@ def test_fused_divergences_match_per_rollout(student_name):
     ends = set()
     for source in (teacher, student, base):
         for max_len in (5, 10):
-            streams = [stream(43, i) for i in range(len(QUESTIONS))]
-            got = rollouts(source, QUESTIONS, max_len, streams, private_streams=True, divergence=(teacher, student))
+            uniforms = uniforms_of(43, len(QUESTIONS), max_len)
+            got = rollouts(source, QUESTIONS, max_len, uniforms=uniforms, divergence=(teacher, student))
             exact = not isinstance(source, FeedForwardPolicy)
             assert_rows_match(got, source, QUESTIONS, max_len, lambda i: stream(43, i), exact_probs=exact)
             for i, (question, trace) in enumerate(zip(QUESTIONS, got.traces)):
@@ -239,7 +257,7 @@ def test_fused_divergences_of_hand_built_policies():
     question, teacher, student = micro_instance()
     questions = [question] * 30
     for source in (teacher, student):
-        got = rollouts(source, questions, 3, [stream(9, i) for i in range(30)], True, divergence=(teacher, student))
+        got = rollouts(source, questions, 3, uniforms=uniforms_of(9, 30, 3), divergence=(teacher, student))
         for row, trace in zip(got.divergences, got.traces):
             assert np.array_equal(row[: len(trace)], rollout_divergences(teacher, student, question, trace))
     assert got.divergences is not None and rollouts(student, questions, 3).divergences is None
