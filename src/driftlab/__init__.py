@@ -13,7 +13,6 @@ from .policy import (
     finite_difference_check,
     greedy_decode,
     load_policy,
-    log_prob_sequence,
     sample_sequence,
     save_policy,
 )
@@ -35,7 +34,6 @@ from .objectives import (
     WeightTransform,
     apply_transform,
     gkd_step,
-    kl_loss,
     nce_identity_residual,
     sequence_weight,
     sft_loss,

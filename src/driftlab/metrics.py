@@ -17,7 +17,8 @@ term can be exactly zero, which never happens with real models.
 ``exaccerr`` samples one rollout pair per problem; ``exaccerr_exact``
 enumerates the full rollout tree of both policies and weights every pair by
 its probability, which only makes sense for tiny vocabularies but gives
-oracle-grade numbers.
+oracle-grade numbers. Both score KL on the models' P-row ``rollout_state``s,
+inside the lockstep rollout or a tree level at a time, never one prefix at a time.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from .task import ProblemInstance, answer_token
 from .vocab import ANSWER_MARK, EOS, TokenSequence
 
 KL_FLOOR = 1e-9
+# the most rollouts, finished and live, that one tree of ``exaccerr_exact`` may hold
+MAX_TREE_ROWS = 200000
 
 
 @dataclass
@@ -66,18 +69,6 @@ def final_answer_accuracy(policy, problems: list[ProblemInstance], max_len: int 
     return hits / len(problems)
 
 
-def rollout_divergences(teacher, student, question: TokenSequence, rollout) -> np.ndarray:
-    """Per-position KL(teacher || student) along the given rollout's prefixes,
-    from one ``next_token_distribution`` and one ``log_next_token_distribution``
-    call per prefix: the form the tree enumeration of ``exaccerr_exact`` needs."""
-    full = [*question, *rollout]
-    contexts = [full[:t] for t in range(len(full) - len(rollout), len(full))]
-    V = teacher.vocab.size
-    p = np.array([teacher.next_token_distribution(ctx) for ctx in contexts]).reshape(-1, V)
-    q_log = np.array([student.log_next_token_distribution(ctx) for ctx in contexts]).reshape(-1, V)
-    return kl_divergences(p, q_log)
-
-
 def _accumulated(teacher, student, source, questions, max_len: int, seed: int, tag: int, horizons) -> np.ndarray:
     """Roll ``source`` out once per question in lockstep, row idx drawing from
     its own stream ``stream(seed, idx, tag)`` so that curves are paired
@@ -91,13 +82,22 @@ def _accumulated(teacher, student, source, questions, max_len: int, seed: int, t
     n = min(max_len, max(horizons))
     uniforms = uniform_block((seed, np.arange(len(questions)), tag), n)
     divs = rollouts(source, questions, n, uniforms=uniforms, divergence=(teacher, student)).divergences
-    # positions past a row's end hold 0, so its sum stays at its total there
+    return _horizon_sums(divs, horizons)
+
+
+def _horizon_sums(divs: np.ndarray, horizons) -> np.ndarray:
+    """Each row's KL summed up to every horizon, (rows, H), from one cumsum
+    over the zero-padded (rows, n) divergences; past a row's end, and at a
+    horizon past n, a row reads its total."""
+    n = divs.shape[1]
     return np.cumsum(divs, axis=1)[:, [min(h, n) - 1 for h in horizons]]
 
 
-def _cumulative(divs: np.ndarray, horizons) -> np.ndarray:
-    sums = np.concatenate([[0.0], np.cumsum(divs)])
-    return np.array([sums[min(h, len(divs))] for h in horizons])
+def _checked_horizons(horizons) -> tuple[int, ...]:
+    horizons = tuple(horizons)
+    if not horizons or any(h < 1 for h in horizons):
+        raise ValueError("horizons must be non-empty and >= 1")
+    return horizons
 
 
 def _aggregate_curve(per_problem_ref, per_problem_self, horizons, floor) -> ExAccErrCurve:
@@ -119,9 +119,7 @@ def _aggregate_curve(per_problem_ref, per_problem_self, horizons, floor) -> ExAc
 def _drift_curve(teacher, student, source, problems, horizons, seed: int, max_len: int, floor: float) -> ExAccErrCurve:
     """Mean excess of the student's drift on ``source`` rollouts over its drift
     on teacher rollouts, one rollout of each per problem."""
-    horizons = tuple(horizons)
-    if not horizons or any(h < 1 for h in horizons):
-        raise ValueError("horizons must be non-empty and >= 1")
+    horizons = _checked_horizons(horizons)
     questions = [problem.question for problem in problems]
     refs = _accumulated(teacher, student, teacher, questions, max_len, seed, 0, horizons)
     selfs = _accumulated(teacher, student, source, questions, max_len, seed, 1, horizons)
@@ -167,25 +165,37 @@ def prefix_drift_eval(
     return _drift_curve(teacher, trained_policy, prefix_source_policy, problems, horizons, seed, max_len, floor)
 
 
-def enumerate_rollouts(policy, question: TokenSequence, max_len: int, prob_floor: float = 0.0, max_leaves: int = 200000):
-    """All rollouts (token tuple, probability) of a policy; tiny vocabularies only."""
-    leaves: list[tuple[tuple[int, ...], float]] = []
-    stack = [((), 1.0)]
-    while stack:
-        prefix, prob = stack.pop()
-        if prefix and prefix[-1] == EOS:
-            leaves.append((prefix, prob))
-            continue
-        if len(prefix) == max_len:
-            leaves.append((prefix, prob))
-            continue
-        dist = policy.next_token_distribution(list(question.tokens) + list(prefix))
-        for tok, p in enumerate(dist):
-            if p > prob_floor:
-                stack.append((prefix + (tok,), prob * float(p)))
-        if len(stack) + len(leaves) > max_leaves:
+def _rollout_tree(source, teacher, student, question: TokenSequence, max_len: int):
+    """Every rollout of ``source`` on ``question``, until EOS or ``max_len``
+    tokens, a tree level at a time: the leaves' probabilities and their
+    (leaves, max_len) KL(teacher || student) at each prefix, 0 past the end.
+    At depth t the live prefixes are the rows of one ``rollout_state`` per
+    model, and each row grows by every token the source gives mass."""
+    prefixes = np.zeros((1, 0), dtype=np.int64)
+    probs, divs = np.ones(1), np.zeros((1, max_len))
+    leaf_probs, leaf_divs = [], []
+    for t in range(max_len):
+        contexts = [[*question, *prefix] for prefix in prefixes.tolist()]
+        rows = np.arange(len(contexts))
+        p = teacher.rollout_state(contexts).distributions(rows)
+        s_state = student.rollout_state(contexts)
+        if source is teacher:
+            dist, q_log = p, s_state.log_distributions(rows)
+        else:
+            dist, q_log = s_state.scored(rows)
+        divs[:, t] = kl_divergences(p, q_log)
+        parent, tok = np.nonzero(dist > 0.0)
+        if sum(map(len, leaf_probs)) + parent.size > MAX_TREE_ROWS:
             raise ValueError("rollout tree too large to enumerate")
-    return leaves
+        prefixes = np.hstack([prefixes[parent], tok[:, None]])
+        probs, divs = probs[parent] * dist[parent, tok], divs[parent]
+        ends = (tok == EOS) | (t + 1 == max_len)
+        leaf_probs.append(probs[ends])
+        leaf_divs.append(divs[ends])
+        prefixes, probs, divs = prefixes[~ends], probs[~ends], divs[~ends]
+        if not probs.size:
+            break
+    return np.concatenate(leaf_probs), np.vstack(leaf_divs)
 
 
 def exaccerr_exact(
@@ -202,25 +212,19 @@ def exaccerr_exact(
     weighted ratio; pairs whose reference accumulation is below the floor are
     dropped and the remaining mass renormalized.
     """
-    horizons = tuple(horizons)
-    t_leaves = enumerate_rollouts(teacher, question, max_len)
-    s_leaves = enumerate_rollouts(student, question, max_len)
-    t_cums = [_cumulative(rollout_divergences(teacher, student, question, toks), horizons) for toks, _ in t_leaves]
-    s_cums = [_cumulative(rollout_divergences(teacher, student, question, toks), horizons) for toks, _ in s_leaves]
-    values = np.zeros(len(horizons))
-    floor_used = False
-    for j in range(len(horizons)):
-        num = 0.0
-        mass = 0.0
-        for (_, tp), e_ref in zip(t_leaves, t_cums):
-            if e_ref[j] < floor:
-                floor_used = True
-                continue
-            for (_, sp), e_self in zip(s_leaves, s_cums):
-                num += tp * sp * 100.0 * (e_self[j] - e_ref[j]) / e_ref[j]
-                mass += tp * sp
-        values[j] = num / mass if mass > 0.0 else 0.0
-    return ExAccErrCurve(horizons=horizons, values=values, floor_used=floor_used)
+    horizons = _checked_horizons(horizons)
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
+    t_probs, t_divs = _rollout_tree(teacher, teacher, student, question, max_len)
+    s_probs, s_divs = _rollout_tree(student, teacher, student, question, max_len)
+    e_ref, e_self = _horizon_sums(t_divs, horizons), _horizon_sums(s_divs, horizons)
+    # the sum over pairs of tp * sp * (e_self / e_ref - 1) splits into one sum per tree
+    kept = e_ref >= floor
+    t_mass = np.where(kept, t_probs[:, None], 0.0)
+    mass = s_probs.sum() * t_mass.sum(axis=0)
+    num = 100.0 * (s_probs @ e_self * (t_mass / np.where(kept, e_ref, 1.0)).sum(axis=0) - mass)
+    values = np.divide(num, mass, out=np.zeros(len(horizons)), where=mass > 0.0)
+    return ExAccErrCurve(horizons=horizons, values=values, floor_used=not kept.all())
 
 
 def repeated_4gram_fraction(trace) -> float:

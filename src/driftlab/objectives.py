@@ -331,11 +331,10 @@ def sft_loss(policy, record: CorpusRecord, transform: WeightTransform = CONSTANT
 def _kl_terms(p_teacher: np.ndarray, q_log: np.ndarray, direction: str):
     """Per-position divergence values and their gradients w.r.t. the student logits.
 
+    forward is KL(teacher || student), reverse KL(student || teacher), symmetric their mean.
     Rows are positions: (T, V) teacher distributions and student log-distributions
     give T values and (T, V) logit gradients.
     """
-    if direction not in ("forward", "reverse", "symmetric"):
-        raise ObjectiveError(f"unknown KL direction {direction!r}")
     q = np.exp(q_log)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_p = np.log(p_teacher)
@@ -356,32 +355,13 @@ def _kl_terms(p_teacher: np.ndarray, q_log: np.ndarray, direction: str):
     return 0.5 * (fwd + rev), 0.5 * (fwd_dlogits + rev_dlogits)
 
 
-def _kl_spec(direction: str, transform: WeightTransform = CONSTANT_ONE) -> ObjectiveSpec:
+def kl_loss_frozen(policy, record: CorpusRecord, teacher, direction: str, weights: np.ndarray) -> LossResult:
+    """Token-weighted full-vocabulary divergence on teacher-trace prefixes,
+    with the weights held fixed."""
     if direction not in _KL_BASES:
         raise ObjectiveError(f"unknown KL direction {direction!r}")
-    return ObjectiveSpec(_KL_BASES[direction], transform)
-
-
-def kl_loss_frozen(policy, record: CorpusRecord, teacher, direction: str, weights: np.ndarray) -> LossResult:
-    return batch_loss(policy, _record_batch(policy, record, teacher), _kl_spec(direction), teacher, weights)
-
-
-def kl_loss(
-    policy,
-    record: CorpusRecord,
-    teacher,
-    direction: str = "forward",
-    transform: WeightTransform = CONSTANT_ONE,
-) -> LossResult:
-    """Token-weighted full-vocabulary divergence on teacher-trace prefixes.
-
-    forward: KL(teacher || student); reverse: KL(student || teacher);
-    symmetric: their mean, with a single weight multiplying both directions.
-    Teacher zeros contribute nothing to the forward term (0 log 0 = 0); the
-    reverse term is finite only where the teacher has full support.
-    """
-    _require_cached_logps(record)
-    return batch_loss(policy, _record_batch(policy, record, teacher), _kl_spec(direction, transform), teacher)
+    spec = ObjectiveSpec(_KL_BASES[direction])
+    return batch_loss(policy, _record_batch(policy, record, teacher), spec, teacher, weights)
 
 
 def _js_terms(p_teacher: np.ndarray, q_log: np.ndarray, beta: float):

@@ -284,11 +284,6 @@ def score_traces(policy: ParametricPolicy, windows: np.ndarray, row_records=None
     return TraceScores(_log_softmax(logits), lambda dlogits, buf: policy.backward(cache, dlogits, buf, row_records))
 
 
-def score_trace(policy: ParametricPolicy, question, trace) -> TraceScores:
-    """``score_traces`` of one (question, trace) pair."""
-    return score_traces(policy, stacked_windows(policy.order, policy.vocab.size, [question], [trace]))
-
-
 def stacked_windows(order: int, vocab_size: int, questions, traces) -> np.ndarray:
     """(N, k) context windows of every teacher-forced prefix of B (question,
     trace) pairs, stacked pair by pair: row t of a pair holds the last k tokens
@@ -473,14 +468,6 @@ def greedy_decode(policy, question: TokenSequence, max_len: int) -> TokenSequenc
     """Greedy rollout, the one-row case of ``rollouts``; argmax ties break
     toward the lowest token index."""
     return rollouts(policy, [question], max_len).traces[0]
-
-
-def log_prob_sequence(policy, question: TokenSequence, trace: TokenSequence) -> float:
-    """Sum of per-token conditional log-probabilities of ``trace`` (EOS included)."""
-    if len(trace) == 0:
-        raise PolicyError("cannot score an empty trace")
-    logp = score_trace(policy, question, trace).logp
-    return float(logp[np.arange(len(trace)), list(trace.tokens)].sum())
 
 
 def finite_difference_check(policy, loss_evaluator, h: float = 1e-5) -> float:

@@ -226,10 +226,6 @@ def _automaton(m: int, L: int):
     return arrays
 
 
-_FIRST_ROW = np.zeros(1, dtype=np.int64)
-_FIRST_ROW.flags.writeable = False
-
-
 class ChainTeacher:
     """Analytic expert policy over full (question + trace prefix) contexts.
 
@@ -263,17 +259,12 @@ class ChainTeacher:
         eye = np.eye(self.vocab.size)
         self._dist_rows = np.vstack([np.where(eye > 0, 1.0 - self.epsilon, self.epsilon / (len(eye) - 1)), eye[EOS]])
 
-    def expected_next(self, context) -> int | None:
-        """Semantically correct continuation for this prefix, or None for the sink."""
-        target = int(self.rollout_state([context]).targets(_FIRST_ROW)[0])
-        return None if target < 0 else target
-
     def target_distributions(self, targets: np.ndarray) -> np.ndarray:
         """One row per expected token: ``1 - eps`` on it, or a point mass on EOS for -1."""
         return self._dist_rows[targets]
 
     def next_token_distribution(self, context) -> np.ndarray:
-        return self.rollout_state([context]).distributions(_FIRST_ROW)[0]
+        return self.rollout_state([context]).distributions(np.zeros(1, dtype=np.int64))[0]
 
     def log_next_token_distribution(self, context) -> np.ndarray:
         with np.errstate(divide="ignore"):

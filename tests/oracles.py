@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from driftlab.metrics import ExAccErrCurve, _cumulative, rollout_divergences
+from driftlab.metrics import ExAccErrCurve
 from driftlab.objectives import evaluate_objective, js_sequence_loss
 from driftlab.policy import GradientBuffer, PolicyError, RolloutState, sample_sequence
 from driftlab.task import CorpusRecord, ProblemInstance, TraceCorpus, answer_token, chain_step, generate_problems
@@ -345,16 +345,28 @@ def reference_js_loss(policy, teacher, question, supervision, beta):
 
 
 def reference_rollout_divergences(teacher, student, question, rollout):
-    """KL(teacher || student) at each prefix of a rollout, one call pair per prefix."""
-    ctx = list(question.tokens)
-    out = []
+    """KL(teacher || student) at each prefix of a rollout, one call pair per
+    prefix. The one-row results are stacked and each row is summed over the
+    whole vocabulary, zeros included, so that a row rounds as the same row of
+    a P-row array does."""
+    ctx = list(question)
+    p, q_log = [], []
     for tok in rollout:
-        p = teacher.next_token_distribution(ctx)
-        q_log = student.log_next_token_distribution(ctx)
-        mask = p > 0.0
-        out.append(float(np.sum(p[mask] * (np.log(p[mask]) - q_log[mask]))))
+        p.append(teacher.next_token_distribution(ctx))
+        q_log.append(student.log_next_token_distribution(ctx))
         ctx.append(tok)
-    return np.array(out)
+    p, q_log = (np.array(rows).reshape(-1, teacher.vocab.size) for rows in (p, q_log))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(p > 0.0, p * (np.log(p) - q_log), 0.0).sum(axis=-1)
+
+
+def reference_horizon_sums(divs, horizons):
+    """The divergences added left to right from 0.0 up to each horizon; a
+    horizon past the rollout reads its total."""
+    sums = [0.0]
+    for d in divs:
+        sums.append(sums[-1] + float(d))
+    return np.array([sums[min(h, len(divs))] for h in horizons])
 
 
 def reference_teacher_target(cfg, context):
@@ -537,8 +549,8 @@ def reference_drift_curve(teacher, student, problems, horizons, seed, max_len, p
     """``exaccerr`` (no ``prefix_source``) or ``prefix_drift_eval``, one problem
     at a time: per problem a full-length teacher rollout from stream (seed,
     idx, 0) and a student or prefix-source rollout from stream (seed, idx, 1),
-    each scored after the fact by ``rollout_divergences``, and the curve
-    aggregated by a running sum."""
+    each scored after the fact by ``reference_rollout_divergences``, and the
+    curve aggregated by a running sum."""
     horizons = tuple(horizons)
     refs, selfs = [], []
     for idx, problem in enumerate(problems):
@@ -547,8 +559,9 @@ def reference_drift_curve(teacher, student, problems, horizons, seed, max_len, p
             y_self, _ = reference_rollout(student, problem.question, max_len, stream(seed, idx, 1))
         else:
             y_self, _ = reference_rollout(prefix_source, problem.question, max(horizons), stream(seed, idx, 1))
-        refs.append(_cumulative(rollout_divergences(teacher, student, problem.question, y_teacher), horizons))
-        selfs.append(_cumulative(rollout_divergences(teacher, student, problem.question, y_self), horizons))
+        for rollout, sums in ((y_teacher, refs), (y_self, selfs)):
+            divs = reference_rollout_divergences(teacher, student, problem.question, rollout)
+            sums.append(reference_horizon_sums(divs, horizons))
     return reference_aggregate_curve(refs, selfs, horizons, floor)
 
 

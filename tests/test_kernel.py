@@ -9,7 +9,6 @@ weights for every student family, objective base and weight transform.
 import numpy as np
 import pytest
 
-from driftlab.metrics import rollout_divergences
 from driftlab.objectives import (
     ObjectiveError,
     ObjectiveSpec,
@@ -31,11 +30,9 @@ from driftlab.training import OptimizerState, TrainConfig, _apply_update
 from driftlab.vocab import ADD, BOS, EOS, TokenSequence
 
 from oracles import (
-    micro_instance,
     random_prefixes,
     reference_js_loss,
     reference_kl_loss,
-    reference_rollout_divergences,
     reference_sft_loss,
     reference_teacher_distribution,
     reference_teacher_target,
@@ -150,22 +147,6 @@ def test_teacher_scan_equals_per_prefix_teacher(cfg):
     assert all(np.array_equal(d, reference_teacher_distribution(cfg, 0.05, c)) for d, c in zip(dists, contexts))
     with pytest.raises(PolicyError):
         teacher.trace_targets([[BOS], [BOS]], [[], [cfg.vocab().size]])
-
-
-def test_batched_rollout_divergences_match_per_prefix():
-    student = STUDENTS["tabular-2"]()
-    ff = STUDENTS["feedforward"]()
-    for i, record in enumerate(CORPUS):
-        rollout = sample_sequence(student, record.question, rng_of(100 + i), max_len=12)
-        for pol in (student, ff):
-            for toks in (record.trace, rollout, ()):
-                got = rollout_divergences(TEACHER, pol, record.question, toks)
-                assert_rel_close(got, reference_rollout_divergences(TEACHER, pol, record.question, toks))
-    # hand-built policies only have the per-prefix methods
-    question, teacher, hand_student = micro_instance()
-    for toks in ((0,), (0, 2), (2, 0, 1)):
-        got = rollout_divergences(teacher, hand_student, question, toks)
-        assert_rel_close(got, reference_rollout_divergences(teacher, hand_student, question, toks))
 
 
 def test_feedforward_logits_follow_in_place_updates():

@@ -5,9 +5,12 @@ hand-built micro instance and recomputes every divergence from first
 principles, independently of the metrics module.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from driftlab import metrics
 from driftlab.metrics import (
     _aggregate_curve,
     exaccerr,
@@ -15,14 +18,19 @@ from driftlab.metrics import (
     final_answer_accuracy,
     prefix_drift_eval,
     repeated_4gram_fraction,
-    rollout_divergences,
     trace_quality,
 )
 from driftlab.policy import FeedForwardPolicy, TabularPolicy
 from driftlab.task import TaskConfig, TeacherSpec, generate_problems, teacher_policy
 from driftlab.vocab import EOS, TokenSequence
 
-from oracles import PrefixTablePolicy, micro_instance, oracle_curve, reference_aggregate_curve
+from oracles import (
+    PrefixTablePolicy,
+    micro_instance,
+    oracle_curve,
+    reference_aggregate_curve,
+    reference_rollout_divergences,
+)
 
 CFG = TaskConfig(modulus=7, chain_length=2)
 PROBLEMS = generate_problems(CFG, 50, seed=3)
@@ -156,11 +164,40 @@ def test_exaccerr_constant_divergence_is_zero():
 
 
 def test_exaccerr_exact_matches_enumeration_oracle():
+    # the student's depth-2 rows give mass past EOS, so max_len 3 cuts leaves
+    # of its tree; max_len 2 cuts both trees and max_len 1 leaves one level;
+    # horizon 5 lies past every max_len
     question, teacher, student = micro_instance()
-    horizons = (1, 2, 3)
-    curve = exaccerr_exact(teacher, student, question, horizons, max_len=3)
-    expected = oracle_curve(question, teacher, student, horizons, max_len=3)
-    assert np.allclose(curve.values, expected, atol=1e-9)
+    for max_len, horizons in ((3, (1, 2, 3)), (3, (2, 5)), (2, (1, 2, 5)), (1, (1, 5))):
+        curve = exaccerr_exact(teacher, student, question, horizons, max_len=max_len)
+        expected = oracle_curve(question, teacher, student, horizons, max_len=max_len)
+        assert np.allclose(curve.values, expected, atol=1e-9)
+
+
+def test_exaccerr_exact_rejects_horizons_and_max_len_below_one():
+    # the same check as the sampled curve's: no horizon may wrap around to the
+    # end of the accumulation or read the empty prefix
+    question, teacher, student = micro_instance()
+    for horizons in ((-1,), (0,), (), (2, 0)):
+        for curve_of in (
+            lambda: exaccerr_exact(teacher, student, question, horizons, max_len=3),
+            lambda: exaccerr(teacher, student, [SimpleNamespace(question=question)], horizons, seed=1, max_len=3),
+        ):
+            with pytest.raises(ValueError, match="horizons must be non-empty and >= 1"):
+                curve_of()
+    with pytest.raises(ValueError, match="max_len must be >= 1"):
+        exaccerr_exact(teacher, student, question, (1,), max_len=0)
+
+
+def test_exaccerr_exact_tree_size_guard(monkeypatch):
+    # at max_len 3 the teacher's tree holds 7 leaves and the student's 15
+    question, teacher, student = micro_instance()
+    monkeypatch.setattr(metrics, "MAX_TREE_ROWS", 14)
+    with pytest.raises(ValueError, match="rollout tree too large to enumerate"):
+        exaccerr_exact(teacher, student, question, (1, 2, 3), max_len=3)
+    exaccerr_exact(teacher, student, question, (1, 2), max_len=2)
+    monkeypatch.setattr(metrics, "MAX_TREE_ROWS", 15)
+    exaccerr_exact(teacher, student, question, (1, 2, 3), max_len=3)
 
 
 @pytest.mark.parametrize("family", ("tabular", "feedforward"))
@@ -235,8 +272,8 @@ def test_prefix_drift_single_horizon_direct_kl():
     expected = []
     for idx, p in enumerate(problems):
         # replicate the paired rollout streams (tags 0: teacher, 1: prefix source)
-        d_teacher = rollout_divergences(teacher, student, p.question, [0])[0]
-        d_prefix = rollout_divergences(teacher, student, p.question, [0])[0]
+        d_teacher = reference_rollout_divergences(teacher, student, p.question, [0])[0]
+        d_prefix = reference_rollout_divergences(teacher, student, p.question, [0])[0]
         # at horizon 1 only the first position matters and it is prefix-free,
         # so reference and generated accumulations coincide exactly
         expected.append(100.0 * (d_prefix - d_teacher) / d_teacher)

@@ -14,10 +14,11 @@ from driftlab.policy import (
     finite_difference_check,
     greedy_decode,
     load_policy,
-    log_prob_sequence,
     rollouts,
     sample_sequence,
     save_policy,
+    score_traces,
+    stacked_windows,
 )
 from driftlab.vocab import BOS, EOS, TokenSequence, Vocabulary
 
@@ -97,10 +98,17 @@ def test_rollout_windows_reject_what_context_windows_reject():
         assert str(got.value) == str(want.value)
 
 
+def trace_log_prob(policy, question, trace):
+    """Summed log-probability of ``trace`` (EOS included) after ``question``,
+    from one teacher-forced ``score_traces`` call."""
+    logp = score_traces(policy, stacked_windows(policy.order, policy.vocab.size, [question], [trace])).logp
+    return float(logp[np.arange(len(trace)), list(trace)].sum())
+
+
 def test_log_prob_uniform_policy():
     pol = TabularPolicy(VOCAB, 1)
     trace = TokenSequence((5, 6, 7, EOS), "trace")
-    assert np.isclose(log_prob_sequence(pol, CTX, trace), -4 * math.log(VOCAB.size), atol=1e-12)
+    assert np.isclose(trace_log_prob(pol, CTX, trace), -4 * math.log(VOCAB.size), atol=1e-12)
 
 
 def test_log_prob_deterministic_policy_is_zero():
@@ -115,7 +123,7 @@ def test_log_prob_deterministic_policy_is_zero():
         row = pol.context_index(ctx_tokens)
         pol.params[row * V + tok] = 500.0
         ctx_tokens.append(tok)
-    lp = log_prob_sequence(pol, CTX, TokenSequence(trace, "trace"))
+    lp = trace_log_prob(pol, CTX, TokenSequence(trace, "trace"))
     assert abs(lp) < 1e-12
 
 
@@ -130,13 +138,8 @@ def test_log_prob_matches_stepwise_product_oracle():
     for tok in trace_tokens:
         prod *= float(pol.next_token_distribution(ctx)[tok])
         ctx.append(tok)
-    lp = log_prob_sequence(pol, CTX, TokenSequence(trace_tokens, "full"))
+    lp = trace_log_prob(pol, CTX, TokenSequence(trace_tokens, "full"))
     assert np.isclose(lp, math.log(prod), atol=1e-12)
-
-
-def test_log_prob_empty_trace_rejected():
-    with pytest.raises(PolicyError):
-        log_prob_sequence(TabularPolicy(VOCAB, 1), CTX, TokenSequence((), "full"))
 
 
 def test_log_prob_equals_sum_of_log_distribution_entries():
@@ -147,7 +150,7 @@ def test_log_prob_equals_sum_of_log_distribution_entries():
     for tok in trace.tokens:
         total += math.log(float(pol.next_token_distribution(ctx)[tok]))
         ctx.append(tok)
-    assert abs(log_prob_sequence(pol, CTX, trace) - total) < 1e-12
+    assert abs(trace_log_prob(pol, CTX, trace) - total) < 1e-12
 
 
 def test_forced_eos_sampling():

@@ -11,7 +11,7 @@ feed-forward students (through their window arrays) and hand-built policies
 import numpy as np
 import pytest
 
-from driftlab.metrics import exaccerr, final_answer_accuracy, prefix_drift_eval, rollout_divergences
+from driftlab.metrics import exaccerr, final_answer_accuracy, prefix_drift_eval
 from driftlab.policy import (
     FeedForwardPolicy,
     PolicyError,
@@ -30,6 +30,7 @@ from oracles import (
     reference_corpus,
     reference_drift_curve,
     reference_rollout,
+    reference_rollout_divergences,
     reference_teacher_distribution,
     stream,
 )
@@ -242,7 +243,7 @@ def test_fused_divergences_match_per_rollout(student_name):
             exact = not isinstance(source, FeedForwardPolicy)
             assert_rows_match(got, source, QUESTIONS, max_len, lambda i: stream(43, i), exact_probs=exact)
             for i, (question, trace) in enumerate(zip(QUESTIONS, got.traces)):
-                want = rollout_divergences(teacher, student, question, trace)
+                want = reference_rollout_divergences(teacher, student, question, trace)
                 if student_name == "feedforward":
                     np.testing.assert_allclose(got.divergences[i, : len(trace)], want, rtol=1e-12, atol=0.0)
                 else:
@@ -259,7 +260,7 @@ def test_fused_divergences_of_hand_built_policies():
     for source in (teacher, student):
         got = rollouts(source, questions, 3, uniforms=uniforms_of(9, 30, 3), divergence=(teacher, student))
         for row, trace in zip(got.divergences, got.traces):
-            assert np.array_equal(row[: len(trace)], rollout_divergences(teacher, student, question, trace))
+            assert np.array_equal(row[: len(trace)], reference_rollout_divergences(teacher, student, question, trace))
     assert got.divergences is not None and rollouts(student, questions, 3).divergences is None
 
 

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from driftlab.objectives import ObjectiveSpec, WeightTransform
-from driftlab.policy import GradientBuffer, TabularPolicy, log_prob_sequence
+from driftlab.objectives import ObjectiveSpec, WeightTransform, sft_loss
+from driftlab.policy import GradientBuffer, TabularPolicy
 from driftlab.task import TaskConfig, TeacherSpec, generate_corpus, generate_problems, teacher_policy
 from driftlab.training import (
     OptimizerState,
@@ -126,9 +126,8 @@ def test_single_record_likelihood_increases():
     losses = history.losses()
     # negative log-likelihood of the only record falls monotonically to saturation
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
-    before = log_prob_sequence(init, record.question, record.trace)
-    after = log_prob_sequence(policy, record.question, record.trace)
-    assert after > before
+    # the record's negative log-likelihood, its unweighted SFT loss, ends below where it started
+    assert sft_loss(policy, record).loss < sft_loss(init, record).loss
 
 
 def test_epoch_mean_loss_non_increasing_small_lr():
