@@ -34,7 +34,7 @@ from itertools import chain
 
 import numpy as np
 
-from .policy import GradientBuffer, TraceScores, sample_sequence, score_traces, stacked_windows
+from .policy import GradientBuffer, TraceScores, rollouts, sample_sequence, score_traces, stacked_windows
 from .task import CorpusRecord, TraceCorpus
 from .vocab import TokenSequence
 
@@ -414,29 +414,32 @@ def gkd_step(
 ):
     """One online-baseline step over a batch of records.
 
-    Per record, one uniform draw decides the prefix source: with probability
-    ``gkd_lambda`` a fresh student rollout on the record's question (sampled
-    from the same ``rng`` stream, so a seeded rerun replays it exactly),
-    otherwise the stored teacher trace. The policy is fixed within the step,
-    so every record's sequence is drawn first, in record order, and all are
+    Each record's prefix source is a fresh student rollout on its question
+    with probability ``gkd_lambda``, otherwise its stored teacher trace. All
+    draws come from ``rng``, so a seeded rerun replays the step exactly: first
+    the B source uniforms in one call (a record is student-sourced when its
+    uniform is below ``gkd_lambda``), then one (S, max_len) block of token
+    uniforms for the S student-sourced records, in record order. The policy is
+    fixed within the step, so the S rollouts are one lockstep ``rollouts`` call
+    (a row's uniforms past its EOS go unused), and every record's sequence is
     scored in one kernel call. Returns the summed LossResult and the list of
     (source, supervision sequence) pairs actually used.
     """
     if not 0.0 <= gkd_lambda <= 1.0 or not 0.0 <= gkd_beta <= 1.0:
         raise ObjectiveError("gkd mixing parameters must lie in [0, 1]")
-    used = []
-    for record in records:
-        if rng.random() < gkd_lambda:
-            used.append(("student", _sample_trace(policy, record.question, rng, max_len)))
-        else:
-            used.append(("teacher", record.trace))
+    used = [("teacher", r.trace) for r in records]
+    students = np.flatnonzero(rng.random(len(used)) < gkd_lambda)
+    if students.size:
+        uniforms = rng.random((students.size, max_len))
+        sampled = rollouts(policy, [records[i].question for i in students], max_len, uniforms=uniforms)
+        for i, trace in zip(students.tolist(), sampled.traces):
+            used[i] = ("student", trace)
     batch = TraceBatch.build([r.question for r in records], [s for _, s in used], policy, teacher)
     spec = ObjectiveSpec("gkd", gkd_lambda=gkd_lambda, gkd_beta=gkd_beta)
     return batch_loss(policy, batch, spec, teacher), used
 
 
-# GKD's student rollouts, under a module-level name of their own so that
-# bench/tracer.py can time them apart from evaluation rollouts
+# no caller in src/: kept only because bench/tracer.py patches this name
 _sample_trace = sample_sequence
 
 

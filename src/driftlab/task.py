@@ -266,10 +266,6 @@ class ChainTeacher:
     def next_token_distribution(self, context) -> np.ndarray:
         return self.rollout_state([context]).distributions(np.zeros(1, dtype=np.int64))[0]
 
-    def log_next_token_distribution(self, context) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.log(self.next_token_distribution(context))
-
     def trace_targets(self, questions, traces) -> np.ndarray:
         """The expected token (-1 for the sink) at every prefix question +
         trace[:t] of B (question, trace) pairs, as (N,) ids stacked pair by

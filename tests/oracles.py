@@ -19,7 +19,7 @@ import numpy as np
 
 from driftlab.metrics import ExAccErrCurve
 from driftlab.objectives import evaluate_objective, js_sequence_loss
-from driftlab.policy import GradientBuffer, PolicyError, RolloutState, sample_sequence
+from driftlab.policy import GradientBuffer, PolicyError, RolloutState
 from driftlab.task import CorpusRecord, ProblemInstance, TraceCorpus, answer_token, chain_step, generate_problems
 from driftlab.training import (
     OptimizerState,
@@ -353,7 +353,11 @@ def reference_rollout_divergences(teacher, student, question, rollout):
     p, q_log = [], []
     for tok in rollout:
         p.append(teacher.next_token_distribution(ctx))
-        q_log.append(student.log_next_token_distribution(ctx))
+        if student is teacher:
+            with np.errstate(divide="ignore"):
+                q_log.append(np.log(p[-1]))
+        else:
+            q_log.append(student.log_next_token_distribution(ctx))
         ctx.append(tok)
     p, q_log = (np.array(rows).reshape(-1, teacher.vocab.size) for rows in (p, q_log))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -485,18 +489,20 @@ def stream(*entropy):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(entropy))))
 
 
-def reference_rollout(model, question, max_len, rng=None):
+def reference_rollout(model, question, max_len, rng=None, uniforms=None):
     """One rollout, one ``next_token_distribution`` call per token: the argmax
-    without ``rng``, else an inverse-CDF draw of one ``rng.random()`` per token.
+    without ``rng`` or ``uniforms``, else an inverse-CDF draw of one
+    ``rng.random()`` per token, or of ``uniforms[t]`` for token t.
     Returns the tokens and the probability of each."""
     ctx = list(question)
     toks, probs = [], []
-    for _ in range(max_len):
+    for t in range(max_len):
         dist = model.next_token_distribution(ctx)
-        if rng is None:
+        if rng is None and uniforms is None:
             tok = int(np.argmax(dist))
         else:
-            tok = min(int(np.searchsorted(np.cumsum(dist), rng.random(), side="right")), len(dist) - 1)
+            u = rng.random() if uniforms is None else uniforms[t]
+            tok = min(int(np.searchsorted(np.cumsum(dist), u, side="right")), len(dist) - 1)
         toks.append(tok)
         probs.append(float(dist[tok]))
         ctx.append(tok)
@@ -569,13 +575,19 @@ def reference_drift_curve(teacher, student, problems, horizons, seed, max_len, p
 
 
 def reference_gkd_step(policy, teacher, records, gkd_lambda, gkd_beta, rng, max_len):
-    """One online step, one record at a time: the source draw, the rollout on
-    the shared stream, then that record's JS loss, before the next record."""
+    """One online step, one record at a time: all B source draws first, then
+    one (S, max_len) block of token uniforms for the S student-sourced records
+    in record order; then per record its rollout (an inverse-CDF draw of one
+    row of the block per token) or teacher trace, and its JS loss."""
     buf = GradientBuffer(np.zeros_like(policy.params))
     total, n_tokens = 0.0, 0
-    for record in records:
-        on_policy = rng.random() < gkd_lambda
-        supervision = sample_sequence(policy, record.question, rng, max_len) if on_policy else record.trace
+    on_policy = [rng.random() < gkd_lambda for _ in records]
+    rows = iter(rng.random((sum(on_policy), max_len)))
+    for record, student in zip(records, on_policy):
+        supervision = record.trace
+        if student:
+            tokens, _ = reference_rollout(policy, record.question, max_len, uniforms=next(rows))
+            supervision = TokenSequence(tuple(tokens), "trace")
         loss, grad = js_sequence_loss(policy, teacher, record.question, supervision, gkd_beta)
         total += loss
         buf.add(grad)

@@ -11,7 +11,7 @@ differently from per-record ones.
 import numpy as np
 import pytest
 
-from driftlab import harness
+from driftlab import harness, objectives
 from driftlab.config import parse_config
 from driftlab.objectives import (
     ObjectiveError,
@@ -27,8 +27,9 @@ from driftlab.objectives import (
 from driftlab.policy import FeedForwardPolicy, GradientBuffer, TabularPolicy, finite_difference_check
 from driftlab.task import TaskConfig, TeacherSpec, TraceCorpus, generate_corpus, generate_problems, teacher_policy
 from driftlab.training import TrainConfig, TrainError, train
+from driftlab.vocab import EOS
 
-from oracles import reference_train, stream
+from oracles import reference_gkd_step, reference_train, stream
 
 CFG = TaskConfig(modulus=3, chain_length=3)  # vocab size 8
 TEACHER = teacher_policy(TeacherSpec(0.1, 0.3), CFG)
@@ -154,6 +155,57 @@ def test_batch_kernel_is_per_record_results_summed_in_order(make):
         grad.add(one_grad)
     assert_rel_close(result.loss, loss, rel)
     assert_rel_close(result.grad.values, grad.values, rel)
+
+
+def assert_gkd_step_is_reference(policy, records, gkd_lambda, seed, max_len=6):
+    """gkd_step on a tabular student equals the per-record oracle byte for
+    byte; returns the sources used and the stream as the step left it."""
+    rng = stream(seed)
+    result, used = gkd_step(policy, TEACHER, records, gkd_lambda, 0.4, rng, max_len=max_len)
+    loss, grad, _ = reference_gkd_step(policy, TEACHER, records, gkd_lambda, 0.4, stream(seed), max_len)
+    assert result.loss == loss
+    assert np.array_equal(result.grad.values, grad.values)
+    return used, rng
+
+
+def next_draw_after(seed, n_draws):
+    return stream(seed).random(n_draws + 1)[-1]
+
+
+def test_gkd_step_at_lambda_zero_draws_only_the_sources(monkeypatch):
+    def no_rollouts(*args, **kwargs):
+        raise AssertionError("no record is student-sourced, so no rollout is made")
+
+    monkeypatch.setattr(objectives, "rollouts", no_rollouts)
+    records = CORPUS.records[:5]
+    used, rng = assert_gkd_step_is_reference(tabular(1), records, 0.0, seed=21)
+    assert used == [("teacher", r.trace) for r in records]
+    assert rng.random() == next_draw_after(21, len(records))
+
+
+def test_gkd_step_at_lambda_one_rolls_out_every_record():
+    records = CORPUS.records[:5]
+    used, rng = assert_gkd_step_is_reference(tabular(1), records, 1.0, seed=22, max_len=6)
+    assert [src for src, _ in used] == ["student"] * len(records)
+    assert rng.random() == next_draw_after(22, len(records) * (1 + 6))
+
+
+def test_gkd_step_rows_that_stop_at_once_and_that_never_stop():
+    # an order-1 table whose row for one question's last token puts all its
+    # mass on EOS, and whose other rows put none on EOS or on that token: the
+    # first record's rollout is EOS alone, the second's runs to max_len
+    quick, slow = next(
+        (a, b) for a in CORPUS.records for b in CORPUS.records if a.question.tokens[-1] != b.question.tokens[-1]
+    )
+    last, V = quick.question.tokens[-1], CFG.vocab().size
+    logits = np.zeros((V, V))
+    logits[:, [EOS, last]] = -60.0
+    logits[last] = -60.0
+    logits[last, EOS] = 60.0
+    used, _ = assert_gkd_step_is_reference(TabularPolicy(CFG.vocab(), 1, logits.ravel()), [quick, slow], 1.0, seed=23)
+    assert [src for src, _ in used] == ["student", "student"]
+    assert used[0][1].tokens == (EOS,)
+    assert len(used[1][1]) == 6 and EOS not in used[1][1].tokens
 
 
 @pytest.mark.parametrize("make, tol", ((lambda: tabular(1), 1e-6), (feedforward, 1e-4)), ids=("tabular", "feedforward"))

@@ -446,6 +446,38 @@ def test_drift_study_output_bytes_are_pinned(tmp_path):
     assert file_hashes(out, GOLDEN_DRIFT_STUDY) == GOLDEN_DRIFT_STUDY
 
 
+GKD_CONFIG = SMALL_CONFIG.replace(
+    "[objective.sigmoid_t1]\nbase = SFT\ntransform = sigmoid\ntau = 1.0\ntau_convention = divide",
+    "[objective.gkd]\nbase = GKD\ngkd_lambda = 0.5\ngkd_beta = 0.5",
+).replace("[objective.sft]\nbase = SFT\ntransform = constant-one\n\n", "")
+
+# SHA-256 of every file that gen-corpus then drift write on GKD_CONFIG: pins
+# the online baseline's source draws, its student rollouts and its JS steps
+GOLDEN_GKD_DRIFT_STUDY = {
+    "corpus.txt": "7597bb076e0513484df4e4427c639ff950a603482c5483985e0d249cea62aa8a",
+    "drift.csv": "0bbad322e907b6a36a5ede8a26638b79e9e82346eb31b6763c23387681e47ef6",
+    "drift_runs.csv": "4d0ef6f6cee1954aa7e635470cce91d9a8d81aca7a42f8824ca236771257d65f",
+    "history_gkd_s0.csv": "afdbc6be9aea201f0beaf8de02a92b2326630d10aae8df6425775e595983f225",
+    "history_gkd_s1.csv": "6ec40f4b0eec6b2c5478b29c1964a7757b3d6c6527bedd29ca9a8874ddc6475e",
+    "manifest.json": "edabc29703bf92daab9edb01f76c4e526235a71eeadb7fb681d9d1bab163d86b",
+    "policy_gkd_s0.txt": "0f7a88f91f6f84de7403de9f808e687e05c870195cd23936f283bbe8dd207b48",
+    "policy_gkd_s1.txt": "015291db85eb3895ecfe0274692fe8a3171240b86e0bc22b1ea5de71fd2b6de5",
+}
+
+
+def test_gkd_drift_study_output_bytes_are_pinned(tmp_path):
+    cfg_path = write_config(tmp_path, GKD_CONFIG, "gkd.cfg")
+    corpus = str(tmp_path / "corpus")
+    assert main(["gen-corpus", "--config", cfg_path, "--out", corpus]) == EXIT_OK
+    # a rerun, and the cells split over two jobs, write the same bytes
+    for run, jobs in (("first", "1"), ("rerun", "1"), ("parallel", "2")):
+        out = str(tmp_path / run)
+        shutil.copytree(corpus, out)
+        assert main(["drift", "--config", cfg_path, "--out", out, "--jobs", jobs]) == EXIT_OK
+        assert sorted(os.listdir(out)) == sorted(GOLDEN_GKD_DRIFT_STUDY)
+        assert file_hashes(out, GOLDEN_GKD_DRIFT_STUDY) == GOLDEN_GKD_DRIFT_STUDY
+
+
 def test_drift_runs_values_are_plain_floats(tmp_path):
     cfg_path = write_config(tmp_path)
     out = str(tmp_path / "results")

@@ -27,7 +27,7 @@ from driftlab.policy import (
     ParametricPolicy,
     TabularPolicy,
     finite_difference_check,
-    sample_sequence,
+    rollouts,
 )
 from driftlab.task import TaskConfig, TeacherSpec, generate_corpus, generate_problems, teacher_policy
 from driftlab.vocab import BOS
@@ -282,16 +282,25 @@ def test_gkd_zero_when_matched():
 
 
 def test_gkd_student_rollout_replays_with_same_seed():
-    corpus = small_corpus(n=1, seed=79)
+    records = small_corpus(n=6, seed=79).records
     pol = random_tabular(83)
-    seed = 1234
-    _, used = gkd_step(pol, TEACHER, corpus.records, 1.0, 0.5, rng_of(seed), max_len=12)
-    assert used[0][0] == "student"
-    # replay: one uniform draw decides the source, then the rollout shares the stream
+    seed, lam, max_len = 1234, 0.5, 12
+    result, used = gkd_step(pol, TEACHER, records, lam, 0.5, rng_of(seed), max_len=max_len)
+    rerun, rerun_used = gkd_step(pol, TEACHER, records, lam, 0.5, rng_of(seed), max_len=max_len)
+    assert rerun.loss == result.loss and np.array_equal(rerun.grad.values, result.grad.values)
+    assert [(src, seq.tokens) for src, seq in rerun_used] == [(src, seq.tokens) for src, seq in used]
+    # replay: all B source uniforms in one call, then one (S, max_len) block of
+    # token uniforms for the S student-sourced records, each rolled out alone
     rng = rng_of(seed)
-    assert rng.random() < 1.0
-    replay = sample_sequence(pol, corpus.records[0].question, rng, max_len=12)
-    assert replay.tokens == used[0][1].tokens
+    student = rng.random(len(records)) < lam
+    assert 0 < student.sum() < len(records)  # the sources are mixed
+    assert [src for src, _ in used] == ["student" if s else "teacher" for s in student]
+    block = iter(rng.random((student.sum(), max_len)))
+    for record, from_student, (_, seq) in zip(records, student, used):
+        want = record.trace
+        if from_student:
+            want = rollouts(pol, [record.question], max_len, uniforms=next(block)[None, :]).traces[0]
+        assert seq.tokens == want.tokens
 
 
 def test_gkd_js_gradient_matches_finite_differences():
