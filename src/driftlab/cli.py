@@ -54,7 +54,9 @@ def _add_common(sub, jobs: bool = False):
     sub.add_argument("--config", required=True, help="experiment config file")
     sub.add_argument("--out", default="results", help="output directory")
     if jobs:
-        sub.add_argument("--jobs", type=_int_at_least(1), default=1, help="parallel (objective, seed) cells")
+        sub.add_argument(
+            "--jobs", type=_int_at_least(1), default=1, help="worker processes, each running one seed's cells at a time"
+        )
     return sub
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +27,7 @@ from .metrics import (
     trace_quality,
 )
 from .objectives import ObjectiveSpec, TraceBatch, WeightTransform
-from .policy import FeedForwardPolicy, TabularPolicy, rollouts, save_policy, stream
+from .policy import FeedForwardPolicy, ParametricPolicy, TabularPolicy, rollouts, save_policy, stream
 from .policy import greedy_decode  # noqa: F401 -- bench/tracer.py wraps this name here
 from .task import (
     TaskError,
@@ -172,8 +171,9 @@ class CellResult:
     history: RunHistory | None = None
 
 
-# the corpus, its arrays and both problem sets of the running study, the same
-# for every cell: set once per process, by the pool initializer in each worker
+# the corpus, its arrays, both problem sets and the teacher of the running
+# study, the same for every cell: set once per process, by the pool
+# initializer in each worker
 _shared_inputs: tuple | None = None
 
 
@@ -194,29 +194,44 @@ def evaluate_policy(cfg: ExperimentConfig, policy, problems):
     return final_answer_accuracy(policy, problems, max_len=cfg.corpus.max_len, traces=traces), trace_quality(traces)
 
 
-def _run_cell(args) -> CellResult:
-    cfg, label, spec, seed, out_dir, do_drift = args
-    corpus, arrays, probs_eval, probs_drift = _shared_inputs
-    teacher = teacher_policy(cfg.teacher, cfg.task)
-    init = make_student(cfg, seed)
+def _run_cell(args) -> tuple[CellResult, ParametricPolicy | None]:
+    """Train one (objective, seed) cell, score its accuracy and trace quality,
+    and save it: the cell and its trained policy, None when training aborted."""
+    cfg, label, spec, seed, out_dir = args
+    corpus, arrays, probs_eval, _, teacher = _shared_inputs
     tc = cfg.train.train_config(seed)
     try:
-        policy, history = train(tc, corpus, spec, init, teacher=teacher, max_len=cfg.corpus.max_len, arrays=arrays)
+        policy, history = train(
+            tc, corpus, spec, make_student(cfg, seed), teacher=teacher, max_len=cfg.corpus.max_len, arrays=arrays
+        )
     except TrainAbortError as abort:
-        return CellResult(label=label, seed=seed, status="aborted", abort_step=abort.step)
+        return CellResult(label=label, seed=seed, status="aborted", abort_step=abort.step), None
     cell = CellResult(label=label, seed=seed, history=history)
-    rseed = rollout_seed(cfg, seed)
     cell.accuracy, cell.quality = evaluate_policy(cfg, policy, probs_eval)
-    if do_drift:
-        cell.exaccerr_curve = prefix_drift_eval(
-            init, policy, teacher, probs_drift, cfg.eval.horizons, seed=rseed, max_len=cfg.corpus.max_len
-        )
-    else:
-        cell.exaccerr_curve = exaccerr(
-            teacher, policy, probs_drift, cfg.eval.horizons, seed=rseed, max_len=cfg.corpus.max_len
-        )
     save_cell(cfg, out_dir, label, seed, policy, history)
-    return cell
+    return cell, policy
+
+
+def _run_seed(args) -> list[CellResult]:
+    """Every objective's cell at one seed: train them one by one, then score
+    the drift curves of those that trained in one group. The drift study
+    scores them all on the same teacher and base-student rollouts, the matrix
+    on the same teacher rollouts; a cell that aborted leaves the group."""
+    cfg, objectives, seed, out_dir, do_drift = args
+    _, _, _, probs_drift, teacher = _shared_inputs
+    trained = [_run_cell((cfg, label, spec, seed, out_dir)) for label, spec in objectives]
+    ok = [(cell, policy) for cell, policy in trained if policy is not None]
+    if ok:
+        policies = [policy for _, policy in ok]
+        horizons, rseed, max_len = cfg.eval.horizons, rollout_seed(cfg, seed), cfg.corpus.max_len
+        if do_drift:
+            base = make_student(cfg, seed)
+            curves = prefix_drift_eval(base, policies, teacher, probs_drift, horizons, seed=rseed, max_len=max_len)
+        else:
+            curves = exaccerr(teacher, policies, probs_drift, horizons, seed=rseed, max_len=max_len)
+        for (cell, _), curve in zip(ok, curves):
+            cell.exaccerr_curve = curve
+    return [cell for cell, _ in trained]
 
 
 def mean_std(values) -> tuple[float, float]:
@@ -247,29 +262,38 @@ class MatrixResult:
 
 
 def _run_objectives(cfg: ExperimentConfig, objectives, out_dir, jobs: int, do_drift: bool) -> MatrixResult:
-    """Train and evaluate every (objective, seed) cell of ``objectives`` x the config's seeds."""
+    """Train and evaluate every (objective, seed) cell of ``objectives`` x the
+    config's seeds. The unit of work is one seed's group of cells, so at most
+    one worker process per seed is started, and a one-seed study runs in this
+    process."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     os.makedirs(out_dir, exist_ok=True)
-    # the corpus, its arrays and both problem sets are the same for every cell:
-    # build them once, and hand them to each worker process once rather than
-    # with every cell. Every student of the study has the same order, and the
-    # teacher's expected tokens are only needed by the KL bases.
+    # the corpus, its arrays, both problem sets and the teacher are the same
+    # for every cell: build them once, and hand them to each worker process
+    # once rather than with every seed. Every student of the study has the
+    # same order, and the teacher's expected tokens are only needed by the KL bases.
     corpus = load_corpus_checked(cfg, out_dir)
-    teacher = teacher_policy(cfg.teacher, cfg.task) if any(spec.base.endswith("-kl") for _, spec in objectives) else None
-    arrays = TraceBatch.of_corpus(corpus, make_student(cfg, cfg.train.seeds[0]), teacher)
-    shared = (corpus, arrays, eval_problems(cfg), drift_problems(cfg))
-    args = [(cfg, label, spec, seed, out_dir, do_drift) for label, spec in objectives for seed in cfg.train.seeds]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_share_inputs, initargs=(shared,)) as pool:
-            results = list(pool.map(_run_cell, args))
+    teacher = teacher_policy(cfg.teacher, cfg.task)
+    with_targets = any(spec.base.endswith("-kl") for _, spec in objectives)
+    arrays = TraceBatch.of_corpus(corpus, make_student(cfg, cfg.train.seeds[0]), teacher if with_targets else None)
+    shared = (corpus, arrays, eval_problems(cfg), drift_problems(cfg), teacher)
+    args = [(cfg, objectives, seed, out_dir, do_drift) for seed in cfg.train.seeds]
+    workers = min(jobs, len(args))
+    if workers > 1:
+        # imported here: loading the process pool's modules is a large part
+        # of importing this module, and a serial study never needs them
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers, initializer=_share_inputs, initargs=(shared,)) as pool:
+            groups = list(pool.map(_run_seed, args))
     else:
         _share_inputs(shared)
         try:
-            results = [_run_cell(a) for a in args]
+            groups = [_run_seed(a) for a in args]
         finally:
             _share_inputs(None)
-    results.sort(key=lambda c: (c.label, c.seed))
+    results = sorted((cell for group in groups for cell in group), key=lambda c: (c.label, c.seed))
     dataset = f"chain-m{cfg.task.modulus}-L{cfg.task.chain_length}"
     return MatrixResult(cells=results, dataset=dataset, out_dir=str(out_dir))
 

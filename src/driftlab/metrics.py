@@ -19,6 +19,8 @@ enumerates the full rollout tree of both policies and weights every pair by
 its probability, which only makes sense for tiny vocabularies but gives
 oracle-grade numbers. Both score KL on the models' P-row ``rollout_state``s,
 inside the lockstep rollout or a tree level at a time, never one prefix at a time.
+The sampled curves also take a list of students, and score them all on the
+same rollouts of the teacher and of the prefix source.
 """
 
 from __future__ import annotations
@@ -69,28 +71,12 @@ def final_answer_accuracy(policy, problems: list[ProblemInstance], max_len: int 
     return hits / len(problems)
 
 
-def _accumulated(teacher, student, source, questions, max_len: int, seed: int, tag: int, horizons) -> np.ndarray:
-    """Roll ``source`` out once per question in lockstep, row idx drawing from
-    its own stream ``stream(seed, idx, tag)`` so that curves are paired
-    across policies, and accumulate KL(teacher || student) along each rollout
-    up to every horizon: a (P, H) array.
-
-    The divergences come out of the rollout itself. No position past the
-    longest horizon is read, so rollouts stop there; a row's first tokens are
-    drawn from the same uniforms either way.
-    """
-    n = min(max_len, max(horizons))
-    uniforms = uniform_block((seed, np.arange(len(questions)), tag), n)
-    divs = rollouts(source, questions, n, uniforms=uniforms, divergence=(teacher, student)).divergences
-    return _horizon_sums(divs, horizons)
-
-
 def _horizon_sums(divs: np.ndarray, horizons) -> np.ndarray:
-    """Each row's KL summed up to every horizon, (rows, H), from one cumsum
-    over the zero-padded (rows, n) divergences; past a row's end, and at a
+    """Each row's KL summed up to every horizon, (..., rows, H), from one cumsum
+    over the zero-padded (..., rows, n) divergences; past a row's end, and at a
     horizon past n, a row reads its total."""
-    n = divs.shape[1]
-    return np.cumsum(divs, axis=1)[:, [min(h, n) - 1 for h in horizons]]
+    n = divs.shape[-1]
+    return np.cumsum(divs, axis=-1)[..., [min(h, n) - 1 for h in horizons]]
 
 
 def _checked_horizons(horizons) -> tuple[int, ...]:
@@ -116,14 +102,40 @@ def _aggregate_curve(per_problem_ref, per_problem_self, horizons, floor) -> ExAc
     return ExAccErrCurve(horizons=horizons, values=values, floor_used=bool(skipped.any()))
 
 
-def _drift_curve(teacher, student, source, problems, horizons, seed: int, max_len: int, floor: float) -> ExAccErrCurve:
-    """Mean excess of the student's drift on ``source`` rollouts over its drift
-    on teacher rollouts, one rollout of each per problem."""
+def _drift_curves(
+    teacher, students, source, problems, horizons, seed: int, max_len: int, floor: float
+) -> ExAccErrCurve | list[ExAccErrCurve]:
+    """Mean excess of each student's drift on generated rollouts over its drift
+    on teacher rollouts, one rollout of each per problem: one curve per student
+    of a list, or the one curve of a single student.
+
+    Row idx of every rollout draws from its own stream ``stream(seed, idx,
+    tag)``, tag 0 for the teacher's and 1 for the generated ones, so that
+    curves are paired across students. All students are scored on the same
+    teacher rollouts, and on the same rollouts of ``source``; with no source,
+    each student rolls itself out. KL(teacher || student) comes out of the
+    rollouts themselves. No position past the longest horizon is read, so
+    rollouts stop there; a row's first tokens are drawn from the same uniforms
+    either way.
+    """
+    if not isinstance(students, (list, tuple)):
+        return _drift_curves(teacher, [students], source, problems, horizons, seed, max_len, floor)[0]
     horizons = _checked_horizons(horizons)
     questions = [problem.question for problem in problems]
-    refs = _accumulated(teacher, student, teacher, questions, max_len, seed, 0, horizons)
-    selfs = _accumulated(teacher, student, source, questions, max_len, seed, 1, horizons)
-    return _aggregate_curve(refs, selfs, horizons, floor)
+    n = min(max_len, max(horizons))
+
+    def accumulated(model, group, tag):
+        """The (C, P, H) KL of ``group`` accumulated along ``model``'s rollouts."""
+        uniforms = uniform_block((seed, np.arange(len(questions)), tag), n)
+        divs = rollouts(model, questions, n, uniforms=uniforms, divergence=(teacher, group)).divergences
+        return _horizon_sums(divs, horizons)
+
+    refs = accumulated(teacher, students, 0)
+    if source is None:
+        selfs = [accumulated(student, [student], 1)[0] for student in students]
+    else:
+        selfs = accumulated(source, students, 1)
+    return [_aggregate_curve(ref, own, horizons, floor) for ref, own in zip(refs, selfs)]
 
 
 def exaccerr(
@@ -134,13 +146,15 @@ def exaccerr(
     seed: int,
     max_len: int = 24,
     floor: float = KL_FLOOR,
-) -> ExAccErrCurve:
+) -> ExAccErrCurve | list[ExAccErrCurve]:
     """Sampled drift curve: one teacher rollout and one student rollout per problem.
 
     Rollout streams derive from (seed, problem index), so curves for different
     trained policies evaluated with the same seed are paired comparisons.
+    Given a list of students, gives a list of their curves, all scored on one
+    set of teacher rollouts.
     """
-    return _drift_curve(teacher, student, student, problems, horizons, seed, max_len, floor)
+    return _drift_curves(teacher, student, None, problems, horizons, seed, max_len, floor)
 
 
 def prefix_drift_eval(
@@ -152,17 +166,19 @@ def prefix_drift_eval(
     seed: int,
     max_len: int = 24,
     floor: float = KL_FLOOR,
-) -> ExAccErrCurve:
+) -> ExAccErrCurve | list[ExAccErrCurve]:
     """Drift curve with generated prefixes drawn from a fixed prefix source.
 
     The prefix source is typically the untrained base student; its partial
     rollouts are truncated at each horizon and the trained policy is scored on
     them, against the same accumulation along teacher-rollout prefixes.
+    Given a list of trained policies, gives a list of their curves, all scored
+    on one set of teacher rollouts and one of prefix-source rollouts.
     """
     horizons = tuple(horizons)
     if max(horizons, default=1) > max_len:
         raise ValueError("horizons must stay within the rollout length cap")
-    return _drift_curve(teacher, trained_policy, prefix_source_policy, problems, horizons, seed, max_len, floor)
+    return _drift_curves(teacher, trained_policy, prefix_source_policy, problems, horizons, seed, max_len, floor)
 
 
 def _rollout_tree(source, teacher, student, question: TokenSequence, max_len: int):

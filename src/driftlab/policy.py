@@ -161,6 +161,9 @@ class TabularPolicy(ParametricPolicy):
     def context_index(self, context) -> int:
         return int(self._context_window(context)[0].dot(self._place))
 
+    def rollout_state(self, questions) -> "RolloutState":
+        return _TableState(self, questions)
+
     def forward(self, windows):
         rows = windows.dot(self._place)
         return self.params.reshape(self.n_contexts, -1).take(rows, axis=0), rows
@@ -323,23 +326,28 @@ class RolloutState:
         raise NotImplementedError
 
 
+def _question_windows(policy: ParametricPolicy, questions) -> np.ndarray:
+    """The (P, k) windows of P questions: the last k tokens of each, left-padded with BOS."""
+    # every question's tokens end to end: row i's window is the k tokens
+    # before its end, with BOS where they would reach into the question before
+    lengths = np.fromiter(map(len, questions), np.int64, len(questions))
+    if lengths.size and lengths.min() < 1:
+        raise PolicyError("context must be non-empty (sequences start at BOS)")
+    tokens = np.fromiter(chain.from_iterable(questions), np.int64, lengths.sum())
+    check_tokens(tokens, policy.vocab.size)
+    ends = np.cumsum(lengths)[:, None]
+    starts = ends - lengths[:, None]
+    at = ends + np.arange(-policy.order, 0)
+    return np.where(at >= starts, tokens[np.maximum(at, starts)], BOS)
+
+
 class _WindowState(RolloutState):
     """P growing contexts of a trainable policy, kept as a (P, k) window array:
     one ``forward`` call gives the next-token distributions of any rows."""
 
     def __init__(self, policy: ParametricPolicy, questions):
         self.policy = policy
-        # every question's tokens end to end: row i's window is the k tokens
-        # before its end, with BOS where they would reach into the question before
-        lengths = np.fromiter(map(len, questions), np.int64, len(questions))
-        if lengths.size and lengths.min() < 1:
-            raise PolicyError("context must be non-empty (sequences start at BOS)")
-        tokens = np.fromiter(chain.from_iterable(questions), np.int64, lengths.sum())
-        check_tokens(tokens, policy.vocab.size)
-        ends = np.cumsum(lengths)[:, None]
-        starts = ends - lengths[:, None]
-        at = ends + np.arange(-policy.order, 0)
-        self.windows = np.where(at >= starts, tokens[np.maximum(at, starts)], BOS)
+        self.windows = _question_windows(policy, questions)
 
     def distributions(self, rows: np.ndarray) -> np.ndarray:
         return _softmax(self.policy.forward(self.windows[rows])[0])
@@ -356,6 +364,40 @@ class _WindowState(RolloutState):
         self.windows[rows, -1] = tokens
 
 
+class _TableState(RolloutState):
+    """P growing contexts of a tabular policy, kept as one context index per
+    row. The policy's table does not change during a rollout, so the softmax
+    and the log-softmax of all its (V**k, V) logits are computed once, on
+    first use, and each step gathers rows of them. A row whose window drops
+    its oldest token and takes ``token`` moves to ``idx * V % V**k + token``."""
+
+    def __init__(self, policy: TabularPolicy, questions):
+        self.logits = policy.params.reshape(policy.n_contexts, -1)
+        self.idx = _question_windows(policy, questions).dot(policy._place)
+
+    @functools.cached_property
+    def probs(self) -> np.ndarray:
+        return _softmax(self.logits)
+
+    @functools.cached_property
+    def logp(self) -> np.ndarray:
+        return _log_softmax(self.logits)
+
+    def distributions(self, rows: np.ndarray) -> np.ndarray:
+        return self.probs[self.idx[rows]]
+
+    def log_distributions(self, rows: np.ndarray) -> np.ndarray:
+        return self.logp[self.idx[rows]]
+
+    def scored(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        idx = self.idx[rows]
+        return self.probs[idx], self.logp[idx]
+
+    def advance(self, rows: np.ndarray, tokens: np.ndarray) -> None:
+        n_contexts, V = self.logits.shape
+        self.idx[rows] = self.idx[rows] * V % n_contexts + tokens
+
+
 def kl_divergences(p: np.ndarray, q_log: np.ndarray) -> np.ndarray:
     """KL(p || q) of each row, from the distributions p and the log-distributions
     of q; a token that p gives no mass adds nothing."""
@@ -366,9 +408,9 @@ def kl_divergences(p: np.ndarray, q_log: np.ndarray) -> np.ndarray:
 @dataclass
 class Rollouts:
     """P rollouts made in lockstep. ``tokens[i, t]`` is row i's token t and
-    ``token_probs[i, t]`` the probability the model gave it; ``divergences[i, t]``
-    is KL(teacher || student) at row i's prefix question + trace[:t] when
-    ``rollouts`` was given that pair. All three are 0 past a row's end."""
+    ``token_probs[i, t]`` the probability the model gave it; ``divergences[c, i, t]``
+    is KL(teacher || student c) at row i's prefix question + trace[:t] when
+    ``rollouts`` was given a teacher and C students. All three are 0 past a row's end."""
 
     tokens: np.ndarray
     token_probs: np.ndarray
@@ -397,14 +439,16 @@ def rollouts(model, questions, max_len: int, streams=None, uniforms=None, diverg
     i's generator ``streams[i]``, none after EOS, so that a generator shared
     with other draws stays in step.
 
-    Given a ``divergence`` pair (teacher, student), each step also writes
-    KL(teacher || student) at every live row's prefix into ``divergences``.
-    Both models follow the emitted tokens in P-row states of their own; a
-    model that is also the one rolled out shares its state, and a student
-    rolled out gives its distributions and log-distributions from one forward.
+    Given ``divergence=(teacher, students)``, a teacher and a sequence of C
+    students, each step also writes KL(teacher || student c) at every live
+    row's prefix into ``divergences[c]``, a (C, P, max_len) array. Every model
+    follows the emitted tokens in one P-row state of its own, which a model
+    given twice shares; a student rolled out gives its distributions and
+    log-distributions together.
 
     Each model keeps its own P-row state, from ``model.rollout_state(questions)``:
-    the window array of a trainable policy, the teacher's automaton.
+    the context indices of a tabular policy, the window array of a
+    feed-forward one, the teacher's automaton.
     """
     if max_len < 1:
         raise PolicyError("max_len must be >= 1")
@@ -414,13 +458,15 @@ def rollouts(model, questions, max_len: int, streams=None, uniforms=None, diverg
     state = model.rollout_state(questions)
     tokens = np.zeros((P, max_len), dtype=np.int64)
     probs = np.zeros((P, max_len))
-    states, divergences = [state], None
+    states, divergences = {id(model): state}, None
     if divergence is not None:
-        teacher, student = divergence
-        t_state = state if teacher is model else teacher.rollout_state(questions)
-        s_state = state if student is model else t_state if student is teacher else student.rollout_state(questions)
-        states = list({id(s): s for s in (state, t_state, s_state)}.values())  # each advanced once per step
-        divergences = np.zeros((P, max_len))
+        teacher, students = divergence
+        for m in (teacher, *students):
+            if id(m) not in states:
+                states[id(m)] = m.rollout_state(questions)
+        t_state, s_states = states[id(teacher)], [states[id(s)] for s in students]
+        source_scored = any(s is state for s in s_states)
+        divergences = np.zeros((len(students), P, max_len))
     live = np.arange(P)
     for t in range(max_len):
         if not live.size:
@@ -428,12 +474,16 @@ def rollouts(model, questions, max_len: int, streams=None, uniforms=None, diverg
         if divergence is None:
             dists = state.distributions(live)
         else:
-            if s_state is state:
-                dists, q_log = state.scored(live)
+            logs = {}  # the log-distributions of each student state, once per step
+            if source_scored:
+                dists, logs[id(state)] = state.scored(live)
             else:
-                dists, q_log = state.distributions(live), s_state.log_distributions(live)
+                dists = state.distributions(live)
             p = dists if t_state is state else t_state.distributions(live)
-            divergences[live, t] = kl_divergences(p, q_log)
+            for c, s in enumerate(s_states):
+                if id(s) not in logs:
+                    logs[id(s)] = s.log_distributions(live)
+                divergences[c, live, t] = kl_divergences(p, logs[id(s)])
         if streams is None and uniforms is None:
             toks = dists.argmax(axis=1)
         else:
@@ -449,7 +499,7 @@ def rollouts(model, questions, max_len: int, streams=None, uniforms=None, diverg
         if np.count_nonzero(going) < live.size:
             live, toks = live[going], toks[going]
         if t + 1 < max_len:
-            for s in states:
+            for s in states.values():
                 s.advance(live, toks)
     return Rollouts(tokens, probs, divergences)
 

@@ -6,6 +6,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -439,11 +441,15 @@ GOLDEN_DRIFT_STUDY = {
 
 def test_drift_study_output_bytes_are_pinned(tmp_path):
     cfg_path = write_config(tmp_path)
-    out = str(tmp_path / "results")
-    assert main(["gen-corpus", "--config", cfg_path, "--out", out]) == EXIT_OK
-    assert main(["drift", "--config", cfg_path, "--out", out]) == EXIT_OK
-    assert sorted(os.listdir(out)) == sorted(GOLDEN_DRIFT_STUDY)
-    assert file_hashes(out, GOLDEN_DRIFT_STUDY) == GOLDEN_DRIFT_STUDY
+    corpus = str(tmp_path / "corpus")
+    assert main(["gen-corpus", "--config", cfg_path, "--out", corpus]) == EXIT_OK
+    # a rerun, and the seeds split over two jobs, write the same bytes
+    for run, jobs in (("first", "1"), ("rerun", "1"), ("parallel", "2")):
+        out = str(tmp_path / run)
+        shutil.copytree(corpus, out)
+        assert main(["drift", "--config", cfg_path, "--out", out, "--jobs", jobs]) == EXIT_OK
+        assert sorted(os.listdir(out)) == sorted(GOLDEN_DRIFT_STUDY)
+        assert file_hashes(out, GOLDEN_DRIFT_STUDY) == GOLDEN_DRIFT_STUDY
 
 
 GKD_CONFIG = SMALL_CONFIG.replace(
@@ -607,6 +613,51 @@ def test_matrix_records_aborts_and_continues(tmp_path, monkeypatch):
         summary = {line.split(",")[0]: line.split(",") for line in fh.read().splitlines()[2:] if line}
     assert summary["sigmoid_t1"][1] == "1"
     assert summary["sft"][1] == "2"
+
+
+def test_drift_study_records_aborts_and_scores_the_other_cells(tmp_path, monkeypatch):
+    # a cell that aborts leaves its seed's drift group: the other cells of
+    # that seed are scored as in a study where nothing aborts
+    import driftlab.harness as harness
+    from driftlab.training import TrainAbortError
+
+    cfg_path = write_config(tmp_path)
+    corpus = str(tmp_path / "corpus")
+    assert main(["gen-corpus", "--config", cfg_path, "--out", corpus]) == EXIT_OK
+    full, flaky = str(tmp_path / "full"), str(tmp_path / "flaky")
+    shutil.copytree(corpus, full)
+    shutil.copytree(corpus, flaky)
+    assert main(["drift", "--config", cfg_path, "--out", full]) == EXIT_OK
+    real_train = harness.train
+
+    def flaky_train(cfg, corpus, objective, init_policy, **kwargs):
+        if objective.transform.kind == "sigmoid" and cfg.seed == 1:
+            raise TrainAbortError(13, "forced abort for the harness test")
+        return real_train(cfg, corpus, objective, init_policy, **kwargs)
+
+    monkeypatch.setattr(harness, "train", flaky_train)
+    assert main(["drift", "--config", cfg_path, "--out", flaky]) == EXIT_OK
+    with open(os.path.join(full, "drift_runs.csv")) as fh:
+        want = [row for row in fh.read().splitlines()[2:] if not row.startswith("sigmoid_t1,1,")]
+    with open(os.path.join(flaky, "drift_runs.csv")) as fh:
+        got = fh.read().splitlines()[2:]
+    assert got == want and len(got) == 3 * 3
+    assert not os.path.exists(os.path.join(flaky, "policy_sigmoid_t1_s1.txt"))
+
+
+def test_importing_the_harness_loads_no_process_pool():
+    # a study with --jobs 1 never needs the pool, so its modules are imported
+    # only when a study asks for more jobs
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {src!r})",
+        "import driftlab.harness",
+        "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))",
+    ])
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 def test_parallel_matrix_matches_serial(tmp_path):

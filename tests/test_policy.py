@@ -11,6 +11,7 @@ from driftlab.policy import (
     NonDeterministicLossError,
     PolicyError,
     TabularPolicy,
+    _WindowState,
     finite_difference_check,
     greedy_decode,
     load_policy,
@@ -79,23 +80,58 @@ def test_rollout_windows_equal_per_question_context_windows(order):
     rng = rng_of(order)
     questions = [[BOS] + rng.integers(0, VOCAB.size, size=n).tolist() for n in (0, 1, 2, 4, 7, 0, 3)]
     questions += [rng.integers(1, VOCAB.size, size=n).tolist() for n in (1, 2, 3, 5, 6)] + [CTX]
-    for make in (lambda: TabularPolicy(VOCAB, order), lambda: random_ff(order=order)):
-        policy = make()
-        state = policy.rollout_state(questions)
-        want = np.vstack([policy._context_window(q) for q in questions])
-        assert state.windows.dtype == want.dtype and np.array_equal(state.windows, want)
-        assert policy.rollout_state([]).windows.shape == (0, order)
+    # a feed-forward state keeps the windows, a tabular one their context indices
+    policy = random_ff(order=order)
+    state = policy.rollout_state(questions)
+    want = np.vstack([policy._context_window(q) for q in questions])
+    assert state.windows.dtype == want.dtype and np.array_equal(state.windows, want)
+    assert policy.rollout_state([]).windows.shape == (0, order)
+    policy = TabularPolicy(VOCAB, order)
+    state = policy.rollout_state(questions)
+    want = np.array([policy.context_index(q) for q in questions], dtype=np.int64)
+    assert state.idx.dtype == want.dtype and np.array_equal(state.idx, want)
+    assert policy.rollout_state([]).idx.shape == (0,)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 5])
+def test_table_state_equals_window_state(order):
+    # the context indices and the gathered softmax table of a tabular state,
+    # against the window array and per-step forward of the feed-forward
+    # family's state over the same policy, and against one context window per
+    # row, along random tokens: questions shorter and longer than the order,
+    # each step advancing a random subset of the rows
+    rng = rng_of(10 + order)
+    policy = TabularPolicy(VOCAB, order, rng.standard_normal(VOCAB.size ** (order + 1)))
+    questions = [[BOS] + rng.integers(0, VOCAB.size, size=n).tolist() for n in (0, 1, 2, 3, 4, 6, 9)] + [CTX]
+    table, windows = policy.rollout_state(questions), _WindowState(policy, questions)
+    contexts = [list(q) for q in questions]
+    everyone = np.arange(len(questions))
+    for _ in range(3 * order + 2):
+        want = np.vstack([policy._context_window(c) for c in contexts])
+        assert np.array_equal(windows.windows, want)
+        assert np.array_equal(table.idx, want.dot(policy._place))
+        for got, ref in ((table.distributions(everyone), windows.distributions(everyone)),
+                         (table.log_distributions(everyone), windows.log_distributions(everyone)),
+                         *zip(table.scored(everyone), windows.scored(everyone))):
+            assert np.array_equal(got, ref)
+        rows = np.flatnonzero(rng.random(len(questions)) < 0.7)
+        assert np.array_equal(table.distributions(rows), windows.distributions(rows))
+        toks = rng.integers(0, VOCAB.size, size=rows.size)
+        table.advance(rows, toks)
+        windows.advance(rows, toks)
+        for i, tok in zip(rows.tolist(), toks.tolist()):
+            contexts[i].append(tok)
 
 
 def test_rollout_windows_reject_what_context_windows_reject():
-    policy = TabularPolicy(VOCAB, 2)
-    for questions in ([[BOS, 3], []], [[BOS, 3], [BOS, VOCAB.size + 2, -1]], [[BOS, -1]]):
-        bad = next(q for q in questions if not q or not all(0 <= t < VOCAB.size for t in q))
-        with pytest.raises(PolicyError) as want:
-            policy._context_window(bad)
-        with pytest.raises(PolicyError) as got:
-            policy.rollout_state(questions)
-        assert str(got.value) == str(want.value)
+    for policy in (TabularPolicy(VOCAB, 2), random_ff(order=2)):
+        for questions in ([[BOS, 3], []], [[BOS, 3], [BOS, VOCAB.size + 2, -1]], [[BOS, -1]]):
+            bad = next(q for q in questions if not q or not all(0 <= t < VOCAB.size for t in q))
+            with pytest.raises(PolicyError) as want:
+                policy._context_window(bad)
+            with pytest.raises(PolicyError) as got:
+                policy.rollout_state(questions)
+            assert str(got.value) == str(want.value)
 
 
 def trace_log_prob(policy, question, trace):

@@ -239,16 +239,17 @@ def test_fused_divergences_match_per_rollout(student_name):
     for source in (teacher, student, base):
         for max_len in (5, 10):
             uniforms = uniforms_of(43, len(QUESTIONS), max_len)
-            got = rollouts(source, QUESTIONS, max_len, uniforms=uniforms, divergence=(teacher, student))
+            got = rollouts(source, QUESTIONS, max_len, uniforms=uniforms, divergence=(teacher, [student]))
             exact = not isinstance(source, FeedForwardPolicy)
             assert_rows_match(got, source, QUESTIONS, max_len, lambda i: stream(43, i), exact_probs=exact)
+            assert got.divergences.shape == (1, len(QUESTIONS), max_len)
             for i, (question, trace) in enumerate(zip(QUESTIONS, got.traces)):
                 want = reference_rollout_divergences(teacher, student, question, trace)
                 if student_name == "feedforward":
-                    np.testing.assert_allclose(got.divergences[i, : len(trace)], want, rtol=1e-12, atol=0.0)
+                    np.testing.assert_allclose(got.divergences[0, i, : len(trace)], want, rtol=1e-12, atol=0.0)
                 else:
-                    assert np.array_equal(got.divergences[i, : len(trace)], want)
-                assert np.all(got.divergences[i, len(trace) :] == 0.0)
+                    assert np.array_equal(got.divergences[0, i, : len(trace)], want)
+                assert np.all(got.divergences[0, i, len(trace) :] == 0.0)
                 ends.add((len(trace), trace.ends_with_eos))
     assert len({n for n, eos in ends if eos}) > 1  # rows reach EOS at different steps
     assert (5, False) in ends and (10, False) in ends  # and rows hit the length cap
@@ -258,10 +259,61 @@ def test_fused_divergences_of_hand_built_policies():
     question, teacher, student = micro_instance()
     questions = [question] * 30
     for source in (teacher, student):
-        got = rollouts(source, questions, 3, uniforms=uniforms_of(9, 30, 3), divergence=(teacher, student))
-        for row, trace in zip(got.divergences, got.traces):
+        got = rollouts(source, questions, 3, uniforms=uniforms_of(9, 30, 3), divergence=(teacher, [student]))
+        for row, trace in zip(got.divergences[0], got.traces):
             assert np.array_equal(row[: len(trace)], reference_rollout_divergences(teacher, student, question, trace))
     assert got.divergences is not None and rollouts(student, questions, 3).divergences is None
+
+
+@pytest.mark.parametrize("family", ["tabular", "feedforward"])
+def test_grouped_curves_equal_per_student_curves(family):
+    # C students scored on shared teacher and prefix-source rollouts, against
+    # one curve call per student: C = 1 and C = 3, where the third student of
+    # the group is the prefix source itself
+    teacher, base = MODELS["teacher"](), MODELS["tabular-1"]()
+    if family == "tabular":
+        others = [MODELS["tabular-2"](), TabularPolicy(CFG.vocab(), 2, 0.5 * rng_of(7).standard_normal(V**3))]
+    else:
+        others = [MODELS["feedforward"](), FeedForwardPolicy(CFG.vocab(), order=3, embed_dim=2, hidden_dim=4,
+                                                             init_scale=0.5, rng=rng_of(8))]
+    problems = PROBLEMS + [PROBLEMS[0]]
+    horizons = (1, 2, 4, 8)
+
+    def assert_same(got, want):
+        assert got.horizons == want.horizons and got.floor_used == want.floor_used
+        if family == "tabular":
+            assert np.array_equal(got.values, want.values)
+        else:
+            np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=0.0)
+
+    for group in ([others[0]], [*others, base]):
+        curves = exaccerr(teacher, group, problems, horizons, seed=23, max_len=12)
+        assert len(curves) == len(group)
+        for student, curve in zip(group, curves):
+            assert_same(curve, exaccerr(teacher, student, problems, horizons, seed=23, max_len=12))
+        curves = prefix_drift_eval(base, group, teacher, problems, horizons, seed=29, max_len=12)
+        assert len(curves) == len(group)
+        for student, curve in zip(group, curves):
+            assert_same(curve, prefix_drift_eval(base, student, teacher, problems, horizons, seed=29, max_len=12))
+
+
+def test_grouped_divergences_equal_one_student_rollouts():
+    # the (C, P, n) divergences of one rollout against C one-student rollouts
+    # from the same uniforms, with the source, the teacher and a repeated
+    # student among the students
+    teacher, source = MODELS["teacher"](), MODELS["tabular-1"]()
+    students = [MODELS["tabular-2"](), source, teacher, MODELS["feedforward"]()]
+    students.append(students[0])
+    uniforms = uniforms_of(47, len(QUESTIONS), 10)
+    got = rollouts(source, QUESTIONS, 10, uniforms=uniforms, divergence=(teacher, students))
+    assert got.divergences.shape == (len(students), len(QUESTIONS), 10)
+    for c, student in enumerate(students):
+        one = rollouts(source, QUESTIONS, 10, uniforms=uniforms, divergence=(teacher, [student]))
+        assert np.array_equal(one.tokens, got.tokens) and np.array_equal(one.token_probs, got.token_probs)
+        assert np.array_equal(one.divergences[0], got.divergences[c])
+    assert np.all(got.divergences[2] == 0.0)  # the teacher against itself
+    none = rollouts(source, QUESTIONS, 10, uniforms=uniforms, divergence=(teacher, []))
+    assert none.divergences.shape == (0, len(QUESTIONS), 10) and np.array_equal(none.tokens, got.tokens)
 
 
 @pytest.mark.parametrize("student_name", ["tabular-2", "feedforward"])
