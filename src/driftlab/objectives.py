@@ -30,11 +30,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
-from .policy import GradientBuffer, TraceScores, rollouts, sample_sequence, score_traces, stacked_windows
+from .policy import GradientBuffer, TraceScores, flat_tokens, rollouts, sample_sequence, score_traces, stacked_windows
 from .task import CorpusRecord, TraceCorpus
 from .vocab import TokenSequence
 
@@ -193,11 +192,9 @@ class TraceBatch:
         expected tokens for a ``teacher``, and the per-record ``teacher_logps``
         when every record has them. Each array is allocated once, at its full
         size."""
-        lengths = np.array([len(t) for t in traces], dtype=np.int64)
+        tokens, lengths = flat_tokens(traces)
         offsets = np.zeros(lengths.size + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
-        n = int(offsets[-1])
-        tokens = np.fromiter(chain.from_iterable(traces), dtype=np.int64, count=n)
         windows = None
         if student is not None:
             windows = stacked_windows(student.order, student.vocab.size, questions, traces)
@@ -206,7 +203,7 @@ class TraceBatch:
         if teacher_logps is not None and all(
             lp is not None and len(lp) == size for lp, size in zip(teacher_logps, lengths.tolist())
         ):
-            logps = np.fromiter(chain.from_iterable(teacher_logps), dtype=np.float64, count=n)
+            logps = np.concatenate([np.zeros(0), *teacher_logps])
         return cls(offsets, tokens, windows, logps, targets)
 
     @classmethod

@@ -291,20 +291,33 @@ def stacked_windows(order: int, vocab_size: int, questions, traces) -> np.ndarra
     """(N, k) context windows of every teacher-forced prefix of B (question,
     trace) pairs, stacked pair by pair: row t of a pair holds the last k tokens
     of question + trace[:t], left-padded with BOS."""
-    # each pair's tokens, BOS-padded in front, laid end to end; row t of a pair
-    # has its window at (the pair's start + len(question) + t) in there
-    tokens, firsts, pad = [], [], (BOS,) * order
-    for question, trace in zip(questions, traces):
-        q = len(question)
-        if q < 1:
-            raise PolicyError("context must be non-empty (sequences start at BOS)")
-        firsts.append(range(len(tokens) + q, len(tokens) + q + len(trace)))
-        tokens.extend(pad)
-        tokens.extend(question)
-        tokens.extend(trace)
+    # each pair's question and trace laid end to end, pair after pair: row t
+    # of a pair ends at (the pair's start + len(question) + t) in there
+    tokens, lengths = flat_tokens(chain.from_iterable(zip(questions, traces)))
+    q, t = lengths[0::2], lengths[1::2]
+    if q.size and q.min() < 1:
+        raise PolicyError("context must be non-empty (sequences start at BOS)")
     check_tokens(tokens, vocab_size)
-    first = np.fromiter(chain.from_iterable(firsts), np.int64, sum(map(len, firsts)))
-    return np.array(tokens, dtype=np.int64)[first[:, None] + np.arange(order)]
+    pair, rows = q + t, np.repeat(np.arange(t.size), t)
+    starts = (np.cumsum(pair) - pair)[rows]
+    ends = starts + q[rows] + np.arange(rows.size) - (np.cumsum(t) - t)[rows]
+    return _windows(tokens, starts, ends, order)
+
+
+def flat_tokens(rows) -> tuple[np.ndarray, np.ndarray]:
+    """The tokens of a sequence of token rows laid end to end, as one int64
+    array, and the rows' lengths. A ``TokenSequence`` row is read through its
+    tuple, with no Python-level ``__len__`` or ``__iter__`` call."""
+    rows = [row.tokens if isinstance(row, TokenSequence) else row for row in rows]
+    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+    return np.fromiter(chain.from_iterable(rows), np.int64, lengths.sum()), lengths
+
+
+def _windows(tokens: np.ndarray, starts: np.ndarray, ends: np.ndarray, order: int) -> np.ndarray:
+    """The (N, k) windows of the k tokens before each of N ends in ``tokens``,
+    with BOS where they would reach before their row's start."""
+    at = ends[:, None] + np.arange(-order, 0)
+    return np.where(at >= starts[:, None], tokens[np.maximum(at, starts[:, None])], BOS)
 
 
 class RolloutState:
@@ -328,17 +341,12 @@ class RolloutState:
 
 def _question_windows(policy: ParametricPolicy, questions) -> np.ndarray:
     """The (P, k) windows of P questions: the last k tokens of each, left-padded with BOS."""
-    # every question's tokens end to end: row i's window is the k tokens
-    # before its end, with BOS where they would reach into the question before
-    lengths = np.fromiter(map(len, questions), np.int64, len(questions))
+    tokens, lengths = flat_tokens(questions)
     if lengths.size and lengths.min() < 1:
         raise PolicyError("context must be non-empty (sequences start at BOS)")
-    tokens = np.fromiter(chain.from_iterable(questions), np.int64, lengths.sum())
     check_tokens(tokens, policy.vocab.size)
-    ends = np.cumsum(lengths)[:, None]
-    starts = ends - lengths[:, None]
-    at = ends + np.arange(-policy.order, 0)
-    return np.where(at >= starts, tokens[np.maximum(at, starts)], BOS)
+    ends = np.cumsum(lengths)
+    return _windows(tokens, ends - lengths, ends, policy.order)
 
 
 class _WindowState(RolloutState):
@@ -417,9 +425,16 @@ class Rollouts:
     divergences: np.ndarray | None = None
 
     @functools.cached_property
+    def lengths(self) -> np.ndarray:
+        """Row i's length, up to and including its EOS."""
+        eos = self.tokens == EOS
+        return np.where(eos.any(axis=1), eos.argmax(axis=1) + 1, self.tokens.shape[1])
+
+    @functools.cached_property
     def traces(self) -> list[TokenSequence]:
         """Row i's trace, up to and including its EOS."""
-        return [TokenSequence(_until_eos(row.tolist()), "trace") for row in self.tokens]
+        rows = zip(self.tokens.tolist(), self.lengths.tolist())
+        return TokenSequence.from_rows([row[:n] for row, n in rows], "trace")
 
 
 def stream(*entropy) -> np.random.Generator:
@@ -504,10 +519,6 @@ def rollouts(model, questions, max_len: int, streams=None, uniforms=None, diverg
     return Rollouts(tokens, probs, divergences)
 
 
-def _until_eos(tokens: list[int]) -> tuple[int, ...]:
-    return tuple(tokens[: tokens.index(EOS) + 1] if EOS in tokens else tokens)
-
-
 def sample_sequence(policy, question: TokenSequence, rng: np.random.Generator, max_len: int) -> TokenSequence:
     """Autoregressively sample until EOS or ``max_len`` tokens: the one-row
     case of ``rollouts``, drawing one uniform per token from ``rng``."""
@@ -562,7 +573,7 @@ def save_policy(policy: ParametricPolicy, path) -> None:
         lines.append(f"embed_dim={policy.embed_dim}")
         lines.append(f"hidden_dim={policy.hidden_dim}")
     lines.append(f"n_params={policy.params.size}")
-    lines.extend(repr(float(v)) for v in policy.params)
+    lines.extend(map(repr, policy.params.tolist()))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -15,12 +15,13 @@ mass on EOS.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
-from .policy import RolloutState, check_tokens, rollouts, stream
+from .policy import RolloutState, check_tokens, flat_tokens, rollouts, stream
 from .streams import uniform_block, word_block
 from .vocab import ADD, ANSWER_MARK, BOS, EOS, MUL, N_SPECIAL, VALUE_BASE, TokenSequence, Vocabulary
 
@@ -141,11 +142,9 @@ def _problems_of_words(cfg: TaskConfig, words: np.ndarray) -> tuple[list[Problem
     questions[:, 2::2], questions[:, 3::2] = ops, VALUE_BASE + operands
     answers = VALUE_BASE + values[:, -1:]
     traces = np.hstack([VALUE_BASE + values, np.full((n, 1), ANSWER_MARK), answers, np.full((n, 1), EOS)])
-    problems = [
-        ProblemInstance(TokenSequence(tuple(q), "question"), t[-2], TokenSequence(tuple(t), "trace"))
-        for q, t in zip(questions.tolist(), traces.tolist())
-    ]
-    return problems, rejected
+    questions = TokenSequence.from_rows(questions.tolist(), "question")
+    golds = TokenSequence.from_rows(traces.tolist(), "trace")
+    return [ProblemInstance(q, t.tokens[-2], t) for q, t in zip(questions, golds)], rejected
 
 
 @dataclass(frozen=True)
@@ -236,9 +235,10 @@ class ChainTeacher:
 
     The rules are written once, in ``_transition`` and ``_emission``, and
     tabulated once per (modulus, chain length). One evaluator reads those
-    tables, the P-row state ``_TeacherState``: a lockstep rollout advances
-    one, the per-prefix methods are its one-row case, and ``trace_targets``
-    walks one along the traces.
+    tables, ``_prefix_states``, which steps P contexts together: the P-row
+    ``_TeacherState`` of a lockstep rollout starts from it, the per-prefix
+    methods are its one-row case, and ``trace_targets`` reads it at every
+    trace position.
     """
 
     family = "analytic-teacher"
@@ -269,53 +269,68 @@ class ChainTeacher:
     def trace_targets(self, questions, traces) -> np.ndarray:
         """The expected token (-1 for the sink) at every prefix question +
         trace[:t] of B (question, trace) pairs, as (N,) ids stacked pair by
-        pair, from one state over the questions walked along the traces. They
+        pair, from the automaton stepped along all pairs together. They
         depend on the task alone, not on epsilon."""
-        state = self.rollout_state(questions)
-        check_tokens(list(chain.from_iterable(traces)), self.vocab.size)
-        states = [s for i, trace in enumerate(traces) for s in state.walk(i, trace)]
-        rows = np.repeat(np.arange(len(traces)), [len(trace) for trace in traces])
-        return state.targets(rows, np.array(states, dtype=np.int64))
+        tokens, lengths = flat_tokens(chain.from_iterable(zip(questions, traces)))
+        check_tokens(tokens, self.vocab.size)
+        q, t = lengths[0::2], lengths[1::2]
+        states, ops, operands = self._prefix_states(tokens, q + t)
+        rows = np.repeat(np.arange(t.size), t)
+        at = q[rows] + np.arange(rows.size) - (np.cumsum(t) - t)[rows]
+        return self._expected(states[at, rows], rows, ops, operands)
 
     def rollout_state(self, contexts) -> "_TeacherState":
         return _TeacherState(self, contexts)
 
+    def _prefix_states(self, tokens: np.ndarray, lengths: np.ndarray):
+        """The automaton over P contexts laid end to end in ``tokens``, stepped
+        along all of them together: the (W + 1, P) state after every prefix
+        of each, W the longest context or question, and the (P, L) operator
+        and operand tokens of each one's question block.
+
+        A block reads the first question-length tokens of its context; a
+        short one is padded with BOS, which no position past the first
+        allows, so the prefixes before a question length are the sink. Past a
+        context's end the states follow its padding and mean nothing."""
+        qlen = self.cfg.question_len
+        width = max(int(lengths.max(initial=0)), qlen)
+        rows = np.repeat(np.arange(lengths.size), lengths)
+        ctx = np.full((width, lengths.size), BOS)
+        ctx[np.arange(tokens.size) - (np.cumsum(lengths) - lengths)[rows], rows] = tokens
+        block = ctx[:qlen].T
+        ok = ((block >= self._question_lo) & (block <= self._question_hi)).all(axis=1)
+        states = np.zeros((width + 1, lengths.size), dtype=np.int64)
+        states[qlen] = (block[:, 1] + (2 + self.cfg.modulus - VALUE_BASE)) * ok
+        for p in range(qlen, width):
+            states[p + 1] = self._next[states[p], ctx[p]]
+        return states, block[:, 2::2], block[:, 3::2]
+
+    def _expected(self, states: np.ndarray, rows: np.ndarray, ops: np.ndarray, operands: np.ndarray) -> np.ndarray:
+        """The expected next token (-1 for the sink) in each of N states, of
+        contexts ``rows`` whose questions hold the (P, L) operator and operand tokens."""
+        step = self._step[states]
+        return self._emit[states, ops[rows, step], operands[rows, step]]
+
 
 class _TeacherState(RolloutState):
-    """The automaton in P growing contexts. The question blocks of all P are
-    parsed together, and a short or malformed one gives the sink. A context
-    shorter than a question sits in the sink until it is one long, and is
-    parsed then; every other token moves a row by one lookup in the
-    next-state array."""
+    """The automaton in P growing contexts, all parsed and stepped together
+    by ``ChainTeacher._prefix_states``. A context shorter than a question
+    sits in the sink until it is one long, and is parsed then; every other
+    token moves a row by one lookup in the next-state array."""
 
     def __init__(self, teacher: ChainTeacher, contexts):
         self.teacher = teacher
-        qlen = teacher.cfg.question_len
-        contexts = [list(context) for context in contexts]
-        check_tokens(list(chain.from_iterable(contexts)), teacher.vocab.size)
-        self.states, self.ops, self.operands = self._parse([context[:qlen] for context in contexts])
-        self.short = {i: context for i, context in enumerate(contexts) if len(context) < qlen}
-        for i, context in enumerate(contexts):
-            if len(context) > qlen:
-                self.walk(i, context[qlen:])
+        tokens, lengths = flat_tokens(contexts)
+        check_tokens(tokens, teacher.vocab.size)
+        states, self.ops, self.operands = teacher._prefix_states(tokens, lengths)
+        self.states = states[lengths, np.arange(lengths.size)]
+        ends = np.cumsum(lengths)
+        short = np.flatnonzero(lengths < teacher.cfg.question_len).tolist()
+        self.short = {i: tokens[ends[i] - lengths[i] : ends[i]].tolist() for i in short}
 
-    def _parse(self, questions):
-        """The start state and the (Q, L) operator and operand tokens of Q
-        question blocks. A short block is padded with BOS, which no position
-        past the first allows; the sink emits -1 whatever tokens it reads."""
-        t = self.teacher
-        qlen = t.cfg.question_len
-        q = np.array([block + [BOS] * (qlen - len(block)) for block in questions], dtype=np.int64).reshape(-1, qlen)
-        ok = ((q >= t._question_lo) & (q <= t._question_hi)).all(axis=1)
-        return (q[:, 1] + (2 + t.cfg.modulus - VALUE_BASE)) * ok, q[:, 2::2], q[:, 3::2]
-
-    def targets(self, rows: np.ndarray, states: np.ndarray | None = None) -> np.ndarray:
-        """The expected next token (-1 for the sink) of ``rows``, in their
-        current states or in the given ``states``."""
-        if states is None:
-            states = self.states[rows]
-        step = self.teacher._step[states]
-        return self.teacher._emit[states, self.ops[rows, step], self.operands[rows, step]]
+    def targets(self, rows: np.ndarray) -> np.ndarray:
+        """The expected next token (-1 for the sink) of ``rows``."""
+        return self.teacher._expected(self.states[rows], rows, self.ops, self.operands)
 
     def distributions(self, rows: np.ndarray) -> np.ndarray:
         return self.teacher.target_distributions(self.targets(rows))
@@ -325,24 +340,16 @@ class _TeacherState(RolloutState):
         if self.short:
             for i, tok in zip(rows.tolist(), tokens.tolist()):
                 if i in self.short:
-                    self.walk(i, [tok])
+                    self._grow(i, tok)
 
-    def walk(self, i: int, tokens: list[int]) -> list[int]:
-        """Advance row i along ``tokens``, one token at a time, and return its
-        state before each; a short row grows, and is parsed once it is a
-        question long."""
-        before, state = [], self.states.item(i)
-        for tok in tokens:
-            before.append(state)
-            context = self.short.get(i)
-            if context is None:
-                state = self.teacher._next.item(state, tok)
-                continue
-            context.append(tok)
-            if len(context) == self.teacher.cfg.question_len:
-                (state,), (self.ops[i],), (self.operands[i],) = self._parse([self.short.pop(i)])
-        self.states[i] = state
-        return before
+    def _grow(self, i: int, tok: int) -> None:
+        """Append ``tok`` to short row i, and parse the row once it is a question long."""
+        context = self.short[i]
+        context.append(tok)
+        qlen = self.teacher.cfg.question_len
+        if len(context) == qlen:
+            states, ops, operands = self.teacher._prefix_states(np.array(self.short.pop(i)), np.array([qlen]))
+            self.states[i], self.ops[i], self.operands[i] = states[qlen, 0], ops[0], operands[0]
 
 
 def teacher_policy(spec: TeacherSpec, cfg: TaskConfig) -> ChainTeacher:
@@ -412,17 +419,18 @@ def generate_corpus(
     sources = [problem for problem in problems for _ in range(samples_per_problem)]
     uniforms = uniform_block((seed, np.arange(len(sources))), max_len)
     sampled = rollouts(teacher, [p.question for p in sources], max_len, uniforms=uniforms)
-    records = []
-    for problem, trace, probs in zip(sources, sampled.traces, sampled.token_probs):
-        correct = trace.ends_with_eos and answer_token(trace) == problem.gold_answer
-        records.append(
-            CorpusRecord(
-                question=problem.question,
-                trace=trace,
-                teacher_token_logps=np.log(probs[: len(trace)]),
-                teacher_correct=bool(correct),
-            )
+    # every record's log-probabilities in one flat array, each record's a slice of it
+    logps = np.log(sampled.token_probs[np.arange(max_len) < sampled.lengths[:, None]])
+    ends = np.cumsum(sampled.lengths).tolist()
+    records = [
+        CorpusRecord(
+            problem.question,
+            trace,
+            logps[end - len(trace) : end],
+            trace.ends_with_eos and answer_token(trace) == problem.gold_answer,
         )
+        for problem, trace, end in zip(sources, sampled.traces, ends)
+    ]
     return TraceCorpus(records)
 
 
@@ -444,9 +452,9 @@ def write_corpus(corpus: TraceCorpus, path, header_comment: str | None = None) -
         lines.append(
             "\t".join(
                 [
-                    " ".join(str(t) for t in r.question.tokens),
-                    " ".join(str(t) for t in r.trace.tokens),
-                    " ".join(repr(float(v)) for v in r.teacher_token_logps),
+                    " ".join(map(str, r.question.tokens)),
+                    " ".join(map(str, r.trace.tokens)),
+                    " ".join(map(repr, r.teacher_token_logps.tolist())),
                     "1" if r.teacher_correct else "0",
                 ]
             )
@@ -458,42 +466,117 @@ def write_corpus(corpus: TraceCorpus, path, header_comment: str | None = None) -
 def read_corpus(path, vocab: Vocabulary | None = None) -> TraceCorpus:
     """Read a corpus written by ``write_corpus``, checking every record line.
 
-    A line must have the four fields, a log-probability per trace token, each
-    finite and at most 0, and a correct flag of 0 or 1; with ``vocab``, every
-    token must lie in it. Any other line raises TaskError naming the file and
-    the line number.
+    A line must have the four fields, a non-empty question and trace, a
+    log-probability per trace token, each finite and at most 0, a correct flag
+    of 0 or 1, and no trace token after an EOS; with ``vocab``, every token
+    must lie in it. Each line is parsed into flat token, length and
+    log-probability arrays, and the checks run once over all lines. The first
+    line that fails one raises TaskError naming the file, the line number and,
+    from ``_line_error``, what is wrong with it.
     """
-    records = []
+    linenos, questions, traces, logps, flags = [], [], [], [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
             try:
-                records.append(_parse_record(line, vocab))
-            except ValueError as exc:
-                raise TaskError(f"{path} line {lineno}: {exc}") from None
-    return TraceCorpus(records)
+                q, t, lp, flag = line.split("\t")
+                lp = np.array(lp.split(), dtype=np.float64)
+            except ValueError:  # not four fields, or a log-probability that does not parse
+                q, t, lp, flag = "", "", np.zeros(0), ""  # which the flag test rejects
+            linenos.append(lineno)
+            questions.append(q)
+            traces.append(t)
+            logps.append(lp)
+            flags.append(flag)
+    q_tokens, q_lengths, q_parsed = _int_fields(questions)
+    t_tokens, t_lengths, t_parsed = _int_fields(traces)
+    flat_logps = np.concatenate([np.zeros(0), *logps])
+    lp_lengths = np.fromiter(map(len, logps), np.int64, len(logps))
+    bad = ~q_parsed | ~t_parsed | (q_lengths == 0) | (t_lengths == 0) | (lp_lengths != t_lengths)
+    bad |= np.array([flag not in ("0", "1") for flag in flags], dtype=bool)
+    lp_rows = np.repeat(np.arange(bad.size), lp_lengths)
+    bad[lp_rows[~(np.isfinite(flat_logps) & (flat_logps <= 0.0))]] = True
+    t_rows = np.repeat(np.arange(bad.size), t_lengths)
+    last = np.cumsum(t_lengths)[t_rows] - 1
+    bad[t_rows[(t_tokens == EOS) & (np.arange(t_tokens.size) != last)]] = True
+    if vocab is not None:
+        q_rows = np.repeat(np.arange(bad.size), q_lengths)
+        bad[q_rows[(q_tokens < 0) | (q_tokens >= vocab.size)]] = True
+        bad[t_rows[(t_tokens < 0) | (t_tokens >= vocab.size)]] = True
+    if bad.any():
+        lineno = linenos[int(bad.argmax())]
+        raise TaskError(f"{path} line {lineno}: {_line_error(path, lineno, vocab)}")
+    questions = TokenSequence.from_rows(_cut(q_tokens, q_lengths), "question")
+    traces = TokenSequence.from_rows(_cut(t_tokens, t_lengths), "trace")
+    return TraceCorpus([CorpusRecord(*fields, flag == "1") for *fields, flag in zip(questions, traces, logps, flags)])
 
 
-def _parse_record(line: str, vocab: Vocabulary | None) -> CorpusRecord:
+def _cut(tokens: np.ndarray, lengths: np.ndarray) -> list[list[int]]:
+    """Flat tokens cut into rows of the given lengths, as lists of Python ints."""
+    flat, ends = tokens.tolist(), np.cumsum(lengths).tolist()
+    return [flat[end - n : end] for end, n in zip(ends, lengths.tolist())]
+
+
+def _int_fields(fields: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The whitespace-separated integers of each field, as one flat int64
+    array, each field's count, and whether each field parsed. Fields of plain
+    digits and spaces, as ``write_corpus`` writes them, are parsed together
+    from their bytes; otherwise each field is parsed on its own, as ``int``
+    parses each of its words, and one that does not parse, or holds an
+    integer outside int64, counts no integers."""
+    text = np.frombuffer("\n".join(fields).encode(), np.uint8)
+    digits = text - ord("0")
+    is_digit = digits < 10
+    if (is_digit | (text == ord(" ")) | (text == ord("\n"))).all():
+        edges = np.flatnonzero(np.diff(is_digit, prepend=False, append=False))
+        starts, widths = edges[0::2], edges[1::2] - edges[0::2]
+        if widths.max(initial=0) <= 18:
+            values = np.zeros(starts.size, dtype=np.int64)
+            for j in range(int(widths.max(initial=0))):
+                more = widths > j
+                values[more] = values[more] * 10 + digits[starts[more] + j]
+            field_of = np.cumsum(text == ord("\n"))[starts]
+            return values, np.bincount(field_of, minlength=len(fields)), np.ones(len(fields), dtype=bool)
+    rows, parsed = [], np.ones(len(fields), dtype=bool)
+    for i, field in enumerate(fields):
+        try:
+            rows.append(np.array(field.split(), dtype=np.int64))
+        except (ValueError, OverflowError):
+            rows.append(np.zeros(0, dtype=np.int64))
+            parsed[i] = False
+    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+    return np.concatenate([np.zeros(0, dtype=np.int64), *rows]), lengths, parsed
+
+
+def _line_error(path, lineno: int, vocab: Vocabulary | None) -> str:
+    """What is wrong with line ``lineno`` of a corpus, from the checks of
+    ``read_corpus`` made on that line alone, in this order: its fields, its
+    tokens, its log-probabilities, its flag, its trace's EOS, then empty
+    fields."""
+    with open(path) as fh:
+        line = next(islice(fh, lineno - 1, None)).rstrip("\n")
     fields = line.split("\t")
     if len(fields) != 4:
-        raise ValueError(f"expected 4 tab-separated fields, found {len(fields)}")
+        return f"expected 4 tab-separated fields, found {len(fields)}"
     q, t, lp, flag = fields
-    question, trace = [int(v) for v in q.split()], [int(v) for v in t.split()]
-    if vocab is not None:
-        check_tokens(question + trace, vocab.size)
-    logps = np.array([float(v) for v in lp.split()], dtype=np.float64)
+    try:
+        question, trace = [int(v) for v in q.split()], [int(v) for v in t.split()]
+        if vocab is not None:
+            check_tokens(question + trace, vocab.size)
+        logps = [float(v) for v in lp.split()]
+    except ValueError as exc:
+        return str(exc)
     if len(logps) != len(trace):
-        raise ValueError(f"{len(logps)} log-probabilities for a trace of {len(trace)} tokens")
-    if not np.all(np.isfinite(logps) & (logps <= 0.0)):
-        raise ValueError("log-probabilities must be finite and at most 0")
+        return f"{len(logps)} log-probabilities for a trace of {len(trace)} tokens"
+    if not all(math.isfinite(v) and v <= 0.0 for v in logps):
+        return "log-probabilities must be finite and at most 0"
     if flag not in ("0", "1"):
-        raise ValueError(f"correct flag must be 0 or 1, found {flag!r}")
-    return CorpusRecord(
-        question=TokenSequence(tuple(question), "question"),
-        trace=TokenSequence(tuple(trace), "trace"),
-        teacher_token_logps=logps,
-        teacher_correct=flag == "1",
-    )
+        return f"correct flag must be 0 or 1, found {flag!r}"
+    if EOS in trace[:-1]:
+        return "trace has tokens after its EOS"
+    if not question or not trace:
+        return f"empty {'question' if not question else 'trace'} field"
+    # left only without a vocabulary, for a token that int64 cannot hold
+    return "token outside the int64 range"

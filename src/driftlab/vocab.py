@@ -83,6 +83,23 @@ class TokenSequence:
             if self.tokens.index(EOS) != len(self.tokens) - 1:
                 raise VocabularyError("trace has tokens after its EOS")
 
+    @classmethod
+    def from_rows(cls, rows, kind: str) -> list["TokenSequence"]:
+        """One sequence per row of Python ints, such as the rows of an int
+        array's ``tolist()``, with none of ``__post_init__``'s per-sequence
+        work: the caller has checked the rows as a set, and a trace's EOS
+        only ends it."""
+        if kind not in SEQ_KINDS:
+            raise VocabularyError(f"unknown sequence kind {kind!r}")
+        new, setattr_ = object.__new__, object.__setattr__
+        out = []
+        for row in rows:
+            seq = new(cls)
+            setattr_(seq, "tokens", tuple(row))
+            setattr_(seq, "kind", kind)
+            out.append(seq)
+        return out
+
     def __len__(self) -> int:
         return len(self.tokens)
 

@@ -20,7 +20,15 @@ import numpy as np
 from driftlab.metrics import ExAccErrCurve
 from driftlab.objectives import evaluate_objective, js_sequence_loss
 from driftlab.policy import GradientBuffer, PolicyError, RolloutState
-from driftlab.task import CorpusRecord, ProblemInstance, TraceCorpus, answer_token, chain_step, generate_problems
+from driftlab.task import (
+    CorpusRecord,
+    ProblemInstance,
+    TaskError,
+    TraceCorpus,
+    answer_token,
+    chain_step,
+    generate_problems,
+)
 from driftlab.training import (
     OptimizerState,
     RunHistory,
@@ -523,6 +531,51 @@ def reference_corpus(teacher, problems, seed, samples_per_problem=1, max_len=24)
             logps = np.array([float(np.log(p)) for p in probs], dtype=np.float64)
             records.append(CorpusRecord(problem.question, trace, logps, bool(correct)))
     return TraceCorpus(records)
+
+
+def reference_read_corpus(path, vocab=None):
+    """``read_corpus`` one line at a time: each record line is split, parsed
+    with ``int`` and ``float`` and checked in turn, and the first line that
+    fails a check raises TaskError naming the file and the line."""
+    records = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line or line.startswith("#"):
+                continue
+            try:
+                records.append(_reference_record(line, vocab))
+            except ValueError as exc:
+                raise TaskError(f"{path} line {lineno}: {exc}") from None
+    return TraceCorpus(records)
+
+
+def _reference_record(line, vocab):
+    fields = line.split("\t")
+    if len(fields) != 4:
+        raise ValueError(f"expected 4 tab-separated fields, found {len(fields)}")
+    q, t, lp, flag = fields
+    question, trace = [int(v) for v in q.split()], [int(v) for v in t.split()]
+    if vocab is not None:
+        bad = [tok for tok in question + trace if not 0 <= tok < vocab.size]
+        if bad:
+            raise ValueError(f"context token {bad[0]} outside vocabulary of size {vocab.size}")
+    logps = np.array([float(v) for v in lp.split()], dtype=np.float64)
+    if len(logps) != len(trace):
+        raise ValueError(f"{len(logps)} log-probabilities for a trace of {len(trace)} tokens")
+    if not np.all(np.isfinite(logps) & (logps <= 0.0)):
+        raise ValueError("log-probabilities must be finite and at most 0")
+    if flag not in ("0", "1"):
+        raise ValueError(f"correct flag must be 0 or 1, found {flag!r}")
+    if EOS in trace[:-1]:
+        raise ValueError("trace has tokens after its EOS")
+    if not question:
+        raise ValueError("empty question field")
+    if not trace:
+        raise ValueError("empty trace field")
+    if vocab is None and not all(-(2**63) <= tok < 2**63 for tok in question + trace):
+        raise ValueError("token outside the int64 range")
+    return CorpusRecord(TokenSequence(tuple(question), "question"), TokenSequence(tuple(trace), "trace"), logps, flag == "1")
 
 
 def reference_accuracy(policy, problems, max_len):

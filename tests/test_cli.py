@@ -520,6 +520,8 @@ def _damage(fields):
         "non_finite_log_prob": [q, t, "nan " + lp.split(" ", 1)[1], flag],
         "positive_log_prob": [q, t, "0.25 " + lp.split(" ", 1)[1], flag],
         "bad_flag": [q, t, lp, "yes"],
+        "empty_question": ["", t, lp, flag],
+        "empty_trace": [q, "", "", flag],
     }
 
 
@@ -530,6 +532,8 @@ CORPUS_ERRORS = {
     "non_finite_log_prob": "log-probabilities must be finite and at most 0",
     "positive_log_prob": "log-probabilities must be finite and at most 0",
     "bad_flag": "correct flag must be 0 or 1, found 'yes'",
+    "empty_question": "empty question field",
+    "empty_trace": "empty trace field",
 }
 
 

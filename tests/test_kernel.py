@@ -129,9 +129,11 @@ def test_teacher_scan_equals_per_prefix_teacher(cfg):
     teacher = teacher_policy(TeacherSpec(0.05, 0.3), cfg)
     pairs = random_prefixes(cfg, 600, seed=cfg.modulus)
     qlen = cfg.question_len
-    # the batches hold empty traces, short and malformed questions, questions
-    # that the trace completes, and EOS before a trace's last token
+    # the batches hold empty traces, empty, short, malformed and over-long
+    # questions, questions that the trace completes, and EOS before a trace's
+    # last token
     assert any(not trace for _, trace in pairs)
+    assert any(not question for question, _ in pairs) and any(len(question) > qlen for question, _ in pairs)
     assert any(len(question) < qlen < len(question) + len(trace) for question, trace in pairs)
     assert any(len(question) >= qlen and reference_teacher_target(cfg, question) < 0 for question, _ in pairs)
     assert any(EOS in trace[:-1] for _, trace in pairs)
