@@ -291,17 +291,25 @@ def stacked_windows(order: int, vocab_size: int, questions, traces) -> np.ndarra
     """(N, k) context windows of every teacher-forced prefix of B (question,
     trace) pairs, stacked pair by pair: row t of a pair holds the last k tokens
     of question + trace[:t], left-padded with BOS."""
-    # each pair's question and trace laid end to end, pair after pair: row t
-    # of a pair ends at (the pair's start + len(question) + t) in there
-    tokens, lengths = flat_tokens(chain.from_iterable(zip(questions, traces)))
-    q, t = lengths[0::2], lengths[1::2]
+    tokens, q, _, _, ends = flat_pairs(questions, traces, pad=order)
     if q.size and q.min() < 1:
         raise PolicyError("context must be non-empty (sequences start at BOS)")
     check_tokens(tokens, vocab_size)
-    pair, rows = q + t, np.repeat(np.arange(t.size), t)
-    starts = (np.cumsum(pair) - pair)[rows]
-    ends = starts + q[rows] + np.arange(rows.size) - (np.cumsum(t) - t)[rows]
-    return _windows(tokens, starts, ends, order)
+    return tokens[ends[:, None] + np.arange(-order, 0)]
+
+
+def flat_pairs(questions, traces, pad: int = 0):
+    """B (question, trace) pairs laid end to end as one int64 array, each
+    after ``pad`` BOS tokens; the (B,) question and trace lengths; and, for the
+    N prefixes question + trace[:t] stacked pair by pair, each one's pair and
+    the index in the flat array where it ends."""
+    bos = (BOS,) * pad
+    tokens, lengths = flat_tokens(chain.from_iterable((bos, q, t) for q, t in zip(questions, traces)))
+    q, t = lengths[1::3], lengths[2::3]
+    rows = np.repeat(np.arange(t.size), t)
+    # prefix i of pair b is question + trace[:i - (pair b's first prefix)],
+    # so it ends (the pads and questions up to b's) + i tokens in
+    return tokens, q, t, rows, np.cumsum(pad + q)[rows] + np.arange(rows.size)
 
 
 def flat_tokens(rows) -> tuple[np.ndarray, np.ndarray]:
@@ -311,13 +319,6 @@ def flat_tokens(rows) -> tuple[np.ndarray, np.ndarray]:
     rows = [row.tokens if isinstance(row, TokenSequence) else row for row in rows]
     lengths = np.fromiter(map(len, rows), np.int64, len(rows))
     return np.fromiter(chain.from_iterable(rows), np.int64, lengths.sum()), lengths
-
-
-def _windows(tokens: np.ndarray, starts: np.ndarray, ends: np.ndarray, order: int) -> np.ndarray:
-    """The (N, k) windows of the k tokens before each of N ends in ``tokens``,
-    with BOS where they would reach before their row's start."""
-    at = ends[:, None] + np.arange(-order, 0)
-    return np.where(at >= starts[:, None], tokens[np.maximum(at, starts[:, None])], BOS)
 
 
 class RolloutState:
@@ -341,12 +342,12 @@ class RolloutState:
 
 def _question_windows(policy: ParametricPolicy, questions) -> np.ndarray:
     """The (P, k) windows of P questions: the last k tokens of each, left-padded with BOS."""
-    tokens, lengths = flat_tokens(questions)
-    if lengths.size and lengths.min() < 1:
+    bos = (BOS,) * policy.order
+    tokens, lengths = flat_tokens(chain.from_iterable((bos, question) for question in questions))
+    if lengths.size and lengths[1::2].min() < 1:
         raise PolicyError("context must be non-empty (sequences start at BOS)")
     check_tokens(tokens, policy.vocab.size)
-    ends = np.cumsum(lengths)
-    return _windows(tokens, ends - lengths, ends, policy.order)
+    return tokens[np.cumsum(lengths)[1::2, None] + np.arange(-policy.order, 0)]
 
 
 class _WindowState(RolloutState):
@@ -573,9 +574,9 @@ def save_policy(policy: ParametricPolicy, path) -> None:
         lines.append(f"embed_dim={policy.embed_dim}")
         lines.append(f"hidden_dim={policy.hidden_dim}")
     lines.append(f"n_params={policy.params.size}")
-    lines.extend(map(repr, policy.params.tolist()))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+        fh.writelines(f"{v!r}\n" for v in policy.params.tolist())
 
 
 def load_policy(path) -> ParametricPolicy:

@@ -17,11 +17,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
-from .policy import RolloutState, check_tokens, flat_tokens, rollouts, stream
+from .policy import RolloutState, check_tokens, flat_pairs, flat_tokens, rollouts, stream
 from .streams import uniform_block, word_block
 from .vocab import ADD, ANSWER_MARK, BOS, EOS, MUL, N_SPECIAL, VALUE_BASE, TokenSequence, Vocabulary
 
@@ -271,22 +271,21 @@ class ChainTeacher:
         trace[:t] of B (question, trace) pairs, as (N,) ids stacked pair by
         pair, from the automaton stepped along all pairs together. They
         depend on the task alone, not on epsilon."""
-        tokens, lengths = flat_tokens(chain.from_iterable(zip(questions, traces)))
+        tokens, q, t, rows, ends = flat_pairs(questions, traces)
         check_tokens(tokens, self.vocab.size)
-        q, t = lengths[0::2], lengths[1::2]
-        states, ops, operands = self._prefix_states(tokens, q + t)
-        rows = np.repeat(np.arange(t.size), t)
-        at = q[rows] + np.arange(rows.size) - (np.cumsum(t) - t)[rows]
-        return self._expected(states[at, rows], rows, ops, operands)
+        ends -= (np.cumsum(q + t) - (q + t))[rows]  # now each prefix's end in its own pair
+        states, ops, operands = self._prefix_states(tokens, q + t, ends, rows)
+        return self._expected(states, rows, ops, operands)
 
     def rollout_state(self, contexts) -> "_TeacherState":
         return _TeacherState(self, contexts)
 
-    def _prefix_states(self, tokens: np.ndarray, lengths: np.ndarray):
+    def _prefix_states(self, tokens: np.ndarray, lengths: np.ndarray, ends=None, rows=None):
         """The automaton over P contexts laid end to end in ``tokens``, stepped
-        along all of them together: the (W + 1, P) state after every prefix
-        of each, W the longest context or question, and the (P, L) operator
-        and operand tokens of each one's question block.
+        along all of them together: its state after the first ends[i] tokens
+        of context rows[i], for each i (by default, after each whole context),
+        and the (P, L) operator and operand tokens of each context's question
+        block.
 
         A block reads the first question-length tokens of its context; a
         short one is padded with BOS, which no position past the first
@@ -294,16 +293,20 @@ class ChainTeacher:
         context's end the states follow its padding and mean nothing."""
         qlen = self.cfg.question_len
         width = max(int(lengths.max(initial=0)), qlen)
-        rows = np.repeat(np.arange(lengths.size), lengths)
-        ctx = np.full((width, lengths.size), BOS)
-        ctx[np.arange(tokens.size) - (np.cumsum(lengths) - lengths)[rows], rows] = tokens
-        block = ctx[:qlen].T
+        padded = np.full((lengths.size, width), BOS)
+        # row i of the grid: context i, then BOS up to the width (a mask built
+        # by repeat, since a broadcast comparison allocates ufunc buffers)
+        fill = np.repeat(np.tile([True, False], lengths.size), np.stack([lengths, width - lengths], axis=1).ravel())
+        np.place(padded, fill, tokens)
+        block, ctx = padded[:, :qlen], padded.T
         ok = ((block >= self._question_lo) & (block <= self._question_hi)).all(axis=1)
         states = np.zeros((width + 1, lengths.size), dtype=np.int64)
         states[qlen] = (block[:, 1] + (2 + self.cfg.modulus - VALUE_BASE)) * ok
         for p in range(qlen, width):
             states[p + 1] = self._next[states[p], ctx[p]]
-        return states, block[:, 2::2], block[:, 3::2]
+        if ends is None:
+            ends, rows = lengths, np.arange(lengths.size)
+        return states[ends, rows], block[:, 2::2].copy(), block[:, 3::2].copy()
 
     def _expected(self, states: np.ndarray, rows: np.ndarray, ops: np.ndarray, operands: np.ndarray) -> np.ndarray:
         """The expected next token (-1 for the sink) in each of N states, of
@@ -322,8 +325,7 @@ class _TeacherState(RolloutState):
         self.teacher = teacher
         tokens, lengths = flat_tokens(contexts)
         check_tokens(tokens, teacher.vocab.size)
-        states, self.ops, self.operands = teacher._prefix_states(tokens, lengths)
-        self.states = states[lengths, np.arange(lengths.size)]
+        self.states, self.ops, self.operands = teacher._prefix_states(tokens, lengths)
         ends = np.cumsum(lengths)
         short = np.flatnonzero(lengths < teacher.cfg.question_len).tolist()
         self.short = {i: tokens[ends[i] - lengths[i] : ends[i]].tolist() for i in short}
@@ -349,7 +351,7 @@ class _TeacherState(RolloutState):
         qlen = self.teacher.cfg.question_len
         if len(context) == qlen:
             states, ops, operands = self.teacher._prefix_states(np.array(self.short.pop(i)), np.array([qlen]))
-            self.states[i], self.ops[i], self.operands[i] = states[qlen, 0], ops[0], operands[0]
+            self.states[i], self.ops[i], self.operands[i] = states[0], ops[0], operands[0]
 
 
 def teacher_policy(spec: TeacherSpec, cfg: TaskConfig) -> ChainTeacher:
@@ -469,12 +471,12 @@ def read_corpus(path, vocab: Vocabulary | None = None) -> TraceCorpus:
     A line must have the four fields, a non-empty question and trace, a
     log-probability per trace token, each finite and at most 0, a correct flag
     of 0 or 1, and no trace token after an EOS; with ``vocab``, every token
-    must lie in it. Each line is parsed into flat token, length and
-    log-probability arrays, and the checks run once over all lines. The first
-    line that fails one raises TaskError naming the file, the line number and,
-    from ``_line_error``, what is wrong with it.
+    must lie in it. Each line's fields are parsed as it is read, and the checks
+    run once over all lines, on flat token, length and log-probability arrays.
+    The first line that fails one raises TaskError naming the file, the line
+    number and, from ``_line_error``, what is wrong with it.
     """
-    linenos, questions, traces, logps, flags = [], [], [], [], []
+    linenos, questions, traces, logps, flags, unparsed = [], [], [], [], [], None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -482,19 +484,21 @@ def read_corpus(path, vocab: Vocabulary | None = None) -> TraceCorpus:
                 continue
             try:
                 q, t, lp, flag = line.split("\t")
+                question, trace = list(map(int, q.split())), list(map(int, t.split()))
                 lp = np.array(lp.split(), dtype=np.float64)
-            except ValueError:  # not four fields, or a log-probability that does not parse
-                q, t, lp, flag = "", "", np.zeros(0), ""  # which the flag test rejects
+            except ValueError:  # not four fields, or a word that does not parse
+                unparsed = lineno
+                break
             linenos.append(lineno)
-            questions.append(q)
-            traces.append(t)
+            questions.append(question)
+            traces.append(trace)
             logps.append(lp)
             flags.append(flag)
-    q_tokens, q_lengths, q_parsed = _int_fields(questions)
-    t_tokens, t_lengths, t_parsed = _int_fields(traces)
+    q_tokens, q_lengths = _int64_rows(questions)
+    t_tokens, t_lengths = _int64_rows(traces)
     flat_logps = np.concatenate([np.zeros(0), *logps])
     lp_lengths = np.fromiter(map(len, logps), np.int64, len(logps))
-    bad = ~q_parsed | ~t_parsed | (q_lengths == 0) | (t_lengths == 0) | (lp_lengths != t_lengths)
+    bad = (q_lengths == 0) | (t_lengths == 0) | (lp_lengths != t_lengths)
     bad |= np.array([flag not in ("0", "1") for flag in flags], dtype=bool)
     lp_rows = np.repeat(np.arange(bad.size), lp_lengths)
     bad[lp_rows[~(np.isfinite(flat_logps) & (flat_logps <= 0.0))]] = True
@@ -505,56 +509,32 @@ def read_corpus(path, vocab: Vocabulary | None = None) -> TraceCorpus:
         q_rows = np.repeat(np.arange(bad.size), q_lengths)
         bad[q_rows[(q_tokens < 0) | (q_tokens >= vocab.size)]] = True
         bad[t_rows[(t_tokens < 0) | (t_tokens >= vocab.size)]] = True
-    if bad.any():
-        lineno = linenos[int(bad.argmax())]
-        raise TaskError(f"{path} line {lineno}: {_line_error(path, lineno, vocab)}")
-    questions = TokenSequence.from_rows(_cut(q_tokens, q_lengths), "question")
-    traces = TokenSequence.from_rows(_cut(t_tokens, t_lengths), "trace")
+    first = linenos[int(bad.argmax())] if bad.any() else unparsed
+    if first is not None:
+        raise TaskError(f"{path} line {first}: {_line_error(path, first, vocab)}")
+    questions = TokenSequence.from_rows(questions, "question")
+    traces = TokenSequence.from_rows(traces, "trace")
     return TraceCorpus([CorpusRecord(*fields, flag == "1") for *fields, flag in zip(questions, traces, logps, flags)])
 
 
-def _cut(tokens: np.ndarray, lengths: np.ndarray) -> list[list[int]]:
-    """Flat tokens cut into rows of the given lengths, as lists of Python ints."""
-    flat, ends = tokens.tolist(), np.cumsum(lengths).tolist()
-    return [flat[end - n : end] for end, n in zip(ends, lengths.tolist())]
+def _int64_rows(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """``flat_tokens`` of rows of Python ints, with a row that holds a token
+    outside int64 laid out as an empty row, which ``read_corpus`` rejects."""
+    try:
+        return flat_tokens(rows)
+    except OverflowError:
+        return flat_tokens([row if _in_int64(row) else [] for row in rows])
 
 
-def _int_fields(fields: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The whitespace-separated integers of each field, as one flat int64
-    array, each field's count, and whether each field parsed. Fields of plain
-    digits and spaces, as ``write_corpus`` writes them, are parsed together
-    from their bytes; otherwise each field is parsed on its own, as ``int``
-    parses each of its words, and one that does not parse, or holds an
-    integer outside int64, counts no integers."""
-    text = np.frombuffer("\n".join(fields).encode(), np.uint8)
-    digits = text - ord("0")
-    is_digit = digits < 10
-    if (is_digit | (text == ord(" ")) | (text == ord("\n"))).all():
-        edges = np.flatnonzero(np.diff(is_digit, prepend=False, append=False))
-        starts, widths = edges[0::2], edges[1::2] - edges[0::2]
-        if widths.max(initial=0) <= 18:
-            values = np.zeros(starts.size, dtype=np.int64)
-            for j in range(int(widths.max(initial=0))):
-                more = widths > j
-                values[more] = values[more] * 10 + digits[starts[more] + j]
-            field_of = np.cumsum(text == ord("\n"))[starts]
-            return values, np.bincount(field_of, minlength=len(fields)), np.ones(len(fields), dtype=bool)
-    rows, parsed = [], np.ones(len(fields), dtype=bool)
-    for i, field in enumerate(fields):
-        try:
-            rows.append(np.array(field.split(), dtype=np.int64))
-        except (ValueError, OverflowError):
-            rows.append(np.zeros(0, dtype=np.int64))
-            parsed[i] = False
-    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
-    return np.concatenate([np.zeros(0, dtype=np.int64), *rows]), lengths, parsed
+def _in_int64(tokens: list[int]) -> bool:
+    return all(-(2**63) <= v < 2**63 for v in tokens)
 
 
 def _line_error(path, lineno: int, vocab: Vocabulary | None) -> str:
     """What is wrong with line ``lineno`` of a corpus, from the checks of
     ``read_corpus`` made on that line alone, in this order: its fields, its
-    tokens, its log-probabilities, its flag, its trace's EOS, then empty
-    fields."""
+    tokens, its log-probabilities, its flag, its trace's EOS, empty fields,
+    then tokens outside int64."""
     with open(path) as fh:
         line = next(islice(fh, lineno - 1, None)).rstrip("\n")
     fields = line.split("\t")
@@ -578,5 +558,6 @@ def _line_error(path, lineno: int, vocab: Vocabulary | None) -> str:
         return "trace has tokens after its EOS"
     if not question or not trace:
         return f"empty {'question' if not question else 'trace'} field"
-    # left only without a vocabulary, for a token that int64 cannot hold
-    return "token outside the int64 range"
+    if not _in_int64(question + trace):
+        return "token outside the int64 range"
+    raise RuntimeError(f"{path} line {lineno} failed a corpus check that the line alone passes")
