@@ -12,6 +12,7 @@ whose hashes disagree.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass, field
@@ -29,6 +30,7 @@ from .metrics import (
 from .objectives import ObjectiveSpec, TraceBatch, WeightTransform
 from .policy import FeedForwardPolicy, ParametricPolicy, TabularPolicy, rollouts, save_policy, stream
 from .policy import greedy_decode  # noqa: F401 -- bench/tracer.py wraps this name here
+from .streams import seed_words
 from .task import (
     TaskError,
     TraceCorpus,
@@ -81,20 +83,24 @@ def make_student(cfg: ExperimentConfig, seed: int):
     )
 
 
-def _derive_seed(*entropy: int) -> int:
-    return int(np.random.SeedSequence(list(entropy)).generate_state(1)[0])
+@functools.lru_cache(maxsize=4)
+def _derived_seeds(eval_seed: int, train_seeds: tuple[int, ...]) -> tuple[int, ...]:
+    """The eval and drift problem seeds, then each train seed's rollout seed, in one pass."""
+    tags = [(_EVAL_PROBLEM_TAG,), (_DRIFT_PROBLEM_TAG,)] + [(_ROLLOUT_TAG, seed) for seed in train_seeds]
+    return tuple(seed_words([(eval_seed, *tag) for tag in tags]).tolist())
 
 
 def eval_problems(cfg: ExperimentConfig):
-    return generate_problems(cfg.task, cfg.eval.eval_size, _derive_seed(cfg.eval.seed, _EVAL_PROBLEM_TAG))
+    return generate_problems(cfg.task, cfg.eval.eval_size, _derived_seeds(cfg.eval.seed, cfg.train.seeds)[0])
 
 
 def drift_problems(cfg: ExperimentConfig):
-    return generate_problems(cfg.task, cfg.eval.drift_problems, _derive_seed(cfg.eval.seed, _DRIFT_PROBLEM_TAG))
+    return generate_problems(cfg.task, cfg.eval.drift_problems, _derived_seeds(cfg.eval.seed, cfg.train.seeds)[1])
 
 
 def rollout_seed(cfg: ExperimentConfig, train_seed: int) -> int:
-    return _derive_seed(cfg.eval.seed, _ROLLOUT_TAG, train_seed)
+    seeds = cfg.train.seeds if train_seed in cfg.train.seeds else (train_seed,)
+    return _derived_seeds(cfg.eval.seed, seeds)[2 + seeds.index(train_seed)]
 
 
 def write_lines(path, lines) -> None:
@@ -196,7 +202,8 @@ def evaluate_policy(cfg: ExperimentConfig, policy, problems):
 
 def _run_cell(args) -> tuple[CellResult, ParametricPolicy | None]:
     """Train one (objective, seed) cell, score its accuracy and trace quality,
-    and save it: the cell and its trained policy, None when training aborted."""
+    and save it: the cell and its trained policy, None when training aborted.
+    Any other error ends the study, as a HarnessError naming the cell."""
     cfg, label, spec, seed, out_dir = args
     corpus, arrays, probs_eval, _, teacher = _shared_inputs
     tc = cfg.train.train_config(seed)
@@ -204,11 +211,13 @@ def _run_cell(args) -> tuple[CellResult, ParametricPolicy | None]:
         policy, history = train(
             tc, corpus, spec, make_student(cfg, seed), teacher=teacher, max_len=cfg.corpus.max_len, arrays=arrays
         )
+        cell = CellResult(label=label, seed=seed, history=history)
+        cell.accuracy, cell.quality = evaluate_policy(cfg, policy, probs_eval)
+        save_cell(cfg, out_dir, label, seed, policy, history)
     except TrainAbortError as abort:
         return CellResult(label=label, seed=seed, status="aborted", abort_step=abort.step), None
-    cell = CellResult(label=label, seed=seed, history=history)
-    cell.accuracy, cell.quality = evaluate_policy(cfg, policy, probs_eval)
-    save_cell(cfg, out_dir, label, seed, policy, history)
+    except Exception as exc:
+        raise HarnessError(f"cell {label} at seed {seed} failed: {type(exc).__name__}: {exc}") from exc
     return cell, policy
 
 

@@ -406,29 +406,29 @@ def gkd_step(
     records,
     gkd_lambda: float,
     gkd_beta: float,
-    rng: np.random.Generator,
+    uniforms: np.ndarray,
     max_len: int = 24,
 ):
-    """One online-baseline step over a batch of records.
+    """One online-baseline step over a batch of B records.
 
     Each record's prefix source is a fresh student rollout on its question
     with probability ``gkd_lambda``, otherwise its stored teacher trace. All
-    draws come from ``rng``, so a seeded rerun replays the step exactly: first
-    the B source uniforms in one call (a record is student-sourced when its
-    uniform is below ``gkd_lambda``), then one (S, max_len) block of token
-    uniforms for the S student-sourced records, in record order. The policy is
-    fixed within the step, so the S rollouts are one lockstep ``rollouts`` call
-    (a row's uniforms past its EOS go unused), and every record's sequence is
-    scored in one kernel call. Returns the summed LossResult and the list of
-    (source, supervision sequence) pairs actually used.
+    draws come from the 1-D ``uniforms``, so a seeded rerun replays the step
+    exactly: the first B are the source uniforms (a record is student-sourced
+    when its uniform is below ``gkd_lambda``), the next S * max_len an (S,
+    max_len) block of token uniforms for the S student-sourced records, in
+    record order. The policy is fixed within the step, so the S rollouts are
+    one lockstep ``rollouts`` call (a row's uniforms past its EOS go unused),
+    and every record's sequence is scored in one kernel call. Returns the
+    summed LossResult and the list of (source, supervision sequence) pairs.
     """
     if not 0.0 <= gkd_lambda <= 1.0 or not 0.0 <= gkd_beta <= 1.0:
         raise ObjectiveError("gkd mixing parameters must lie in [0, 1]")
     used = [("teacher", r.trace) for r in records]
-    students = np.flatnonzero(rng.random(len(used)) < gkd_lambda)
+    students = np.flatnonzero(uniforms[: len(used)] < gkd_lambda)
     if students.size:
-        uniforms = rng.random((students.size, max_len))
-        sampled = rollouts(policy, [records[i].question for i in students], max_len, uniforms=uniforms)
+        block = uniforms[len(used) : len(used) + students.size * max_len].reshape(students.size, max_len)
+        sampled = rollouts(policy, [records[i].question for i in students], max_len, uniforms=block)
         for i, trace in zip(students.tolist(), sampled.traces):
             used[i] = ("student", trace)
     batch = TraceBatch.build([r.question for r in records], [s for _, s in used], policy, teacher)

@@ -295,7 +295,8 @@ def stacked_windows(order: int, vocab_size: int, questions, traces) -> np.ndarra
     if q.size and q.min() < 1:
         raise PolicyError("context must be non-empty (sequences start at BOS)")
     check_tokens(tokens, vocab_size)
-    return tokens[ends[:, None] + np.arange(-order, 0)]
+    # the index laid out (k, N): a short inner axis would make numpy buffer each operand
+    return tokens[(ends + np.arange(-order, 0)[:, None]).T]
 
 
 def flat_pairs(questions, traces, pad: int = 0):
@@ -347,7 +348,7 @@ def _question_windows(policy: ParametricPolicy, questions) -> np.ndarray:
     if lengths.size and lengths[1::2].min() < 1:
         raise PolicyError("context must be non-empty (sequences start at BOS)")
     check_tokens(tokens, policy.vocab.size)
-    return tokens[np.cumsum(lengths)[1::2, None] + np.arange(-policy.order, 0)]
+    return tokens[(np.cumsum(lengths)[1::2] + np.arange(-policy.order, 0)[:, None]).T]
 
 
 class _WindowState(RolloutState):

@@ -6,7 +6,8 @@ need the first n draws of one such stream per row: ``uniform_block`` and
 ``word_block`` compute them for N entropy tuples in one pass of numpy array
 code, and row i of a block equals, bit for bit, what ``stream(*entropy_i)``
 gives: ``random(n)`` for the uniforms, and its first n 32-bit words (the ones
-``integers`` draws from) for the words.
+``integers`` draws from) for the words. ``seed_words`` and ``permutations``
+replace ``SeedSequence.generate_state`` and ``Generator.permutation``.
 
 The arithmetic follows numpy's published algorithms: ``SeedSequence``'s
 hash-mixing of the entropy into a pool of four uint32 words and its
@@ -24,6 +25,7 @@ silently where numpy scalars would warn.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 
 import numpy as np
@@ -58,6 +60,48 @@ def word_block(entropy, n: int) -> np.ndarray:
     out = _outputs(entropy, (n + 1) // 2)
     words = np.stack([out & _M32, out >> 32], axis=2).astype(np.uint32)
     return words.reshape(out.shape[0], 2 * out.shape[1])[:, :n]
+
+
+def seed_words(rows) -> np.ndarray:
+    """(N,) uint32: item i is ``SeedSequence(rows[i]).generate_state(1)[0]``,
+    for N tuples of non-negative ints, of any lengths, mixed in one pass."""
+    words, width = zip(*(_entropy_words(row) for row in rows))
+    grid = np.zeros((len(words), max(w.shape[1] for w in words)), dtype=np.uint32)
+    for i, row_words in enumerate(words):
+        grid[i, : row_words.shape[1]] = row_words[0]
+    return (_generate_state(grid, np.concatenate(width))[0] & _M32).astype(np.uint32)
+
+
+@functools.lru_cache(maxsize=4)
+def permutations(seed: int, epochs: int, n: int) -> np.ndarray:
+    """(epochs, n) read-only int64: row e is ``stream(seed, e).permutation(n)``,
+    cached for the runs at one seed. Each row reads ``word_block`` words, 1.39 n
+    on average, and reads a longer block of its stream if 1.5 n run out."""
+    perms, width = np.empty((epochs, n), dtype=np.int64), n + n // 2 + 16
+    for epoch, words in enumerate(word_block((seed, np.arange(epochs)), width).tolist()):
+        while (perm := _shuffled(words, n)) is None:
+            width *= 2
+            words = word_block((seed, epoch), width)[0].tolist()
+        perms[epoch] = perm
+    perms.flags.writeable = False
+    return perms
+
+
+def _shuffled(words: list[int], n: int) -> list[int] | None:
+    """``arange(n)`` shuffled as numpy does, None if the 32-bit ``words`` run
+    out: Fisher-Yates from i = n - 1 down to 1, j in [0, i] the next word
+    masked to the bits of i, drawn again while above i (``random_interval``)."""
+    perm, words = list(range(n)), iter(words)
+    for i in range(n - 1, 0, -1):
+        mask = (1 << i.bit_length()) - 1
+        for word in words:
+            j = word & mask
+            if j <= i:
+                break
+        else:
+            return None
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
 
 
 def _outputs(entropy, n: int) -> np.ndarray:
@@ -121,39 +165,40 @@ def _generate_state(words: np.ndarray, width: np.ndarray):
     for w in sorted(set(width[~short].tolist())):
         rows = width == w
         pools[rows] = _mixed_pool(words[rows, :w])
-    state, h = [], _INIT_B
-    for i in range(2 * _POOL):
-        value = pools[:, i % _POOL] ^ h
-        h = (h * _MULT_B) & _M32
-        value = value * h
-        state.append((value ^ (value >> 16)).astype(np.uint64))
-    return [state[2 * k] | (state[2 * k + 1] << 32) for k in range(_POOL)]
+    state = _hashed(np.tile(pools, 2), _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)).astype(np.uint64)
+    return [state[:, 2 * k] | (state[:, 2 * k + 1] << 32) for k in range(_POOL)]
 
 
 def _mixed_pool(words: np.ndarray) -> np.ndarray:
-    """SeedSequence's mixing of (N, W) entropy words, W >= 4, into (N, 4) pools."""
-    h = _INIT_A
-
-    def hashmix(value):
-        nonlocal h
-        value = value ^ h
-        h = (h * _MULT_A) & _M32
-        value = value * h
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        result = x * _MIX_L - y * _MIX_R
-        return result ^ (result >> 16)
-
-    pool = [hashmix(words[:, i]) for i in range(_POOL)]
+    """SeedSequence's mixing of (N, W) entropy words, W >= 4, into (N, 4) pools;
+    the hashes of one source into the other pool words are taken at once."""
+    h, k = _hash_constants(_INIT_A, _MULT_A, _POOL * words.shape[1]), _POOL
+    pool = _hashed(words[:, :_POOL], h[: _POOL + 1])
     for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        dst = [d for d in range(_POOL) if d != src]
+        pool[:, dst] = _mix(pool[:, dst], _hashed(pool[:, src, None], h[k : k + _POOL]))
+        k += _POOL - 1
     for src in range(_POOL, words.shape[1]):
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(words[:, src]))
-    return np.stack(pool, axis=1)
+        pool = _mix(pool, _hashed(words[:, src, None], h[k : k + _POOL + 1]))
+        k += _POOL
+    return pool
+
+
+@functools.lru_cache(maxsize=None)
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """The n + 1 uint32 constants of n hashes in a row: init, then each times mult."""
+    return np.array(list(itertools.accumulate(range(n), lambda h, _: h * mult & _M32, initial=init)), np.uint32)
+
+
+def _hashed(values: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of each values[..., j], with constants h[j] and h[j + 1]."""
+    values = (values ^ h[:-1]) * h[1:]
+    return values ^ (values >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * _MIX_L - y * _MIX_R
+    return result ^ (result >> 16)
 
 
 @functools.lru_cache(maxsize=16)

@@ -173,56 +173,36 @@ _SINK = 0
 _POST = 1
 
 
-def _transition(m: int, L: int, state: int, tok: int) -> int:
-    """The state after ``tok`` is emitted in ``state``."""
-    is_value = VALUE_BASE <= tok < VALUE_BASE + m
-    if tok == EOS or state == _SINK:
-        return _SINK
-    if state == _POST:
-        # absorbs everything but EOS: the correct continuation stays EOS
-        return _POST
-    if state < 2 + m:  # after the answer marker
-        if is_value:
-            return _POST
-        return state if tok == ANSWER_MARK else _SINK
-    steps, running = divmod(state - 2 - m, m)
-    if is_value:
-        return 2 + m + min(steps + 1, L) * m + tok - VALUE_BASE
-    return 2 + running if tok == ANSWER_MARK else _SINK
-
-
-def _emission(m: int, L: int, state: int, op: int, operand: int) -> int:
-    """The correct next token in ``state`` (-1 for the sink), where the
-    question's next chain step is the tokens ``op operand`` (-1 if they are
-    not an operator and a value)."""
-    if state == _SINK:
-        return -1
-    if state == _POST:
-        return EOS
-    if state < 2 + m:
-        return VALUE_BASE + state - 2
-    steps, running = divmod(state - 2 - m, m)
-    if steps == L:
-        return ANSWER_MARK
-    if op not in (ADD, MUL) or operand < VALUE_BASE:
-        return -1
-    return VALUE_BASE + chain_step(running, op, operand - VALUE_BASE, m)
-
-
 @functools.lru_cache(maxsize=None)
 def _automaton(m: int, L: int):
-    """The rules tabulated for modulus m and chain length L, as read-only
-    arrays: the next state per (state, token), the chain step whose operator
-    and operand each state's emission reads (0 if it reads none), and the
-    emission per (state, operator token, operand token)."""
-    states, tokens = range(2 + m * (L + 2)), range(N_SPECIAL + m)
-    nxt = [[_transition(m, L, state, tok) for tok in tokens] for state in states]
-    step = [min(max(state - 2 - m, 0) // m, L - 1) for state in states]
-    emit = [[[_emission(m, L, state, op, a) for a in tokens] for op in tokens] for state in states]
-    arrays = tuple(np.array(table, dtype=np.int64) for table in (nxt, step, emit))
-    for array in arrays:
+    """The rules tabulated for modulus m and chain length L, each filling its
+    block of read-only int64 arrays in place: the next state per (state,
+    token), the chain step whose operator and operand each state's emission
+    reads (0 if none), and the correct next token per (state, operator token,
+    operand token), -1 for the sink."""
+    n_states, V, values = 2 + m * (L + 2), N_SPECIAL + m, slice(VALUE_BASE, VALUE_BASE + m)
+    nxt = np.zeros((n_states, V), dtype=np.int64)  # the sink by default
+    emit = np.full((n_states, V, V), -1, dtype=np.int64)
+    # after the answer: absorbs everything, and only EOS is correct
+    nxt[_POST], emit[_POST] = _POST, EOS
+    # after the marker with running value r: answer r; a value ends it, a marker changes nothing
+    nxt[2 : 2 + m, values], nxt[2 : 2 + m, ANSWER_MARK] = _POST, np.arange(2, 2 + m)
+    emit[2 : 2 + m] = (VALUE_BASE + np.arange(m))[:, None, None]
+    # emitting chain values with running value r after k steps, as (k, r, ...)
+    # blocks: a value becomes the running value (k capped at L) and the marker
+    # moves to the answer; the correct token is step k's chain value (if the
+    # question holds an operator and a value there), and the marker at k = L
+    chain_nxt, chain_emit = nxt[2 + m :].reshape(L + 1, m, V), emit[2 + m :].reshape(L + 1, m, V, V)
+    chain_nxt[:, :, values] = (2 + m + m * np.minimum(np.arange(1, L + 2), L))[:, None, None] + np.arange(m)
+    chain_nxt[:, :, ANSWER_MARK] = 2 + np.arange(m)
+    for op in (ADD, MUL):
+        chain_emit[:L, :, op, values] = VALUE_BASE + chain_step(np.arange(m)[:, None], op, np.arange(m), m)
+    chain_emit[L] = ANSWER_MARK
+    nxt[:, EOS] = _SINK
+    step = np.minimum(np.maximum(np.arange(n_states) - 2 - m, 0) // m, L - 1)
+    for array in (nxt, step, emit):
         array.flags.writeable = False
-    return arrays
+    return nxt, step, emit
 
 
 class ChainTeacher:
@@ -233,8 +213,8 @@ class ChainTeacher:
     correct continuation (point mass on EOS). Stray value tokens update the
     running value, so the expert continues consistently from wrong states.
 
-    The rules are written once, in ``_transition`` and ``_emission``, and
-    tabulated once per (modulus, chain length). One evaluator reads those
+    The rules are written once, as the array fills of ``_automaton``, which
+    tabulates them once per (modulus, chain length). One evaluator reads those
     tables, ``_prefix_states``, which steps P contexts together: the P-row
     ``_TeacherState`` of a lockstep rollout starts from it, the per-prefix
     methods are its one-row case, and ``trace_targets`` reads it at every

@@ -23,7 +23,8 @@ import numpy as np
 
 from .objectives import ObjectiveSpec, TraceBatch, batch_loss, gkd_step
 from .objectives import evaluate_objective  # noqa: F401 -- bench/tracer.py wraps this name here
-from .policy import FAMILY_TABULAR, GradientBuffer, ParametricPolicy, stream
+from .policy import FAMILY_TABULAR, GradientBuffer, ParametricPolicy
+from .streams import permutations, uniform_block
 from .task import TraceCorpus
 
 
@@ -160,7 +161,8 @@ def train(
     with the teacher's targets for a KL base, when the caller shares one among
     runs; it is built here otherwise. Each
     offline step gathers its records' rows from it and makes one
-    ``batch_loss`` call; an online step makes one ``gkd_step``.
+    ``batch_loss`` call; an online step makes one ``gkd_step``, on the first
+    uniforms of stream (seed, 5, step), drawn for a whole epoch at once.
     """
     if len(corpus) == 0:
         raise TrainError("corpus is empty")
@@ -181,8 +183,10 @@ def train(
     state = OptimizerState.for_policy(policy)
     history = RunHistory(epochs=cfg.epochs)
     step = 0
-    for epoch in range(cfg.epochs):
-        perm = stream(cfg.seed, epoch).permutation(n)
+    for perm in permutations(cfg.seed, cfg.epochs, n):
+        if objective.base == "gkd":
+            # one row per step of the epoch: B source uniforms, then room for a (B, max_len) token block
+            draws = uniform_block((cfg.seed, 5, np.arange(step, step + n_batches)), cfg.batch_size * (1 + max_len))
         for batch in _batches(n, cfg.batch_size, perm):
             if objective.base == "gkd":
                 result, _ = gkd_step(
@@ -191,7 +195,7 @@ def train(
                     [records[i] for i in batch],
                     objective.gkd_lambda,
                     objective.gkd_beta,
-                    stream(cfg.seed, 5, step),
+                    draws[step % n_batches],
                     max_len=max_len,
                 )
             else:

@@ -438,6 +438,51 @@ def reference_teacher_distribution(cfg, epsilon, context):
     return dist
 
 
+def reference_automaton(m, L):
+    """``driftlab.task._automaton`` tabulated one cell at a time from scalar
+    rules: the next state per (state, token), the chain step each state's
+    emission reads, and the emission per (state, operator, operand token).
+    States: the sink (0), after the answer (1), after the answer marker with
+    running value r (2 + r), and emitting chain values with running value r
+    after k steps (2 + m + k*m + r, 0 <= k <= L)."""
+    sink, post = 0, 1
+
+    def transition(state, tok):
+        is_value = VALUE_BASE <= tok < VALUE_BASE + m
+        if tok == EOS or state == sink:
+            return sink
+        if state == post:
+            return post
+        if state < 2 + m:
+            if is_value:
+                return post
+            return state if tok == ANSWER_MARK else sink
+        steps, running = divmod(state - 2 - m, m)
+        if is_value:
+            return 2 + m + min(steps + 1, L) * m + tok - VALUE_BASE
+        return 2 + running if tok == ANSWER_MARK else sink
+
+    def emission(state, op, operand):
+        if state == sink:
+            return -1
+        if state == post:
+            return EOS
+        if state < 2 + m:
+            return VALUE_BASE + state - 2
+        steps, running = divmod(state - 2 - m, m)
+        if steps == L:
+            return ANSWER_MARK
+        if op not in (ADD, MUL) or operand < VALUE_BASE:
+            return -1
+        return VALUE_BASE + chain_step(running, op, operand - VALUE_BASE, m)
+
+    states, tokens = range(2 + m * (L + 2)), range(VALUE_BASE + m)
+    nxt = [[transition(state, tok) for tok in tokens] for state in states]
+    step = [min(max(state - 2 - m, 0) // m, L - 1) for state in states]
+    emit = [[[emission(state, op, a) for a in tokens] for op in tokens] for state in states]
+    return tuple(np.array(table, dtype=np.int64) for table in (nxt, step, emit))
+
+
 def random_prefixes(cfg, n, seed):
     """Question/trace splits: well-formed questions followed by random trace
     tokens (EOS mid-trace, repeated answer markers), truncated questions, and

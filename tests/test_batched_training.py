@@ -147,7 +147,7 @@ def test_batch_kernel_is_per_record_results_summed_in_order(make):
             got.token_weights, np.concatenate([record_token_weights(policy, r, spec.transform) for r in records])
         )
     # the online base: every sequence is drawn first, then all are scored at once
-    result, used = gkd_step(policy, TEACHER, records, 0.5, 0.3, stream(11), max_len=6)
+    result, used = gkd_step(policy, TEACHER, records, 0.5, 0.3, stream(11).random(len(records) * 7), max_len=6)
     loss, grad = 0.0, GradientBuffer.for_policy(policy)
     for record, (_, supervision) in zip(records, used):
         one_loss, one_grad = js_sequence_loss(policy, TEACHER, record.question, supervision, 0.3)
@@ -157,19 +157,17 @@ def test_batch_kernel_is_per_record_results_summed_in_order(make):
     assert_rel_close(result.grad.values, grad.values, rel)
 
 
-def assert_gkd_step_is_reference(policy, records, gkd_lambda, seed, max_len=6):
-    """gkd_step on a tabular student equals the per-record oracle byte for
-    byte; returns the sources used and the stream as the step left it."""
-    rng = stream(seed)
-    result, used = gkd_step(policy, TEACHER, records, gkd_lambda, 0.4, rng, max_len=max_len)
+def assert_gkd_step_is_reference(policy, records, gkd_lambda, seed, max_len=6, n_uniforms=None):
+    """gkd_step on a tabular student, given the first ``n_uniforms`` (by
+    default B * (1 + max_len), what ``train`` draws for a step) uniforms of
+    stream(seed), equals byte for byte the per-record oracle drawing from that
+    stream; returns the sources used."""
+    uniforms = stream(seed).random(len(records) * (1 + max_len) if n_uniforms is None else n_uniforms)
+    result, used = gkd_step(policy, TEACHER, records, gkd_lambda, 0.4, uniforms, max_len=max_len)
     loss, grad, _ = reference_gkd_step(policy, TEACHER, records, gkd_lambda, 0.4, stream(seed), max_len)
     assert result.loss == loss
     assert np.array_equal(result.grad.values, grad.values)
-    return used, rng
-
-
-def next_draw_after(seed, n_draws):
-    return stream(seed).random(n_draws + 1)[-1]
+    return used
 
 
 def test_gkd_step_at_lambda_zero_draws_only_the_sources(monkeypatch):
@@ -178,16 +176,16 @@ def test_gkd_step_at_lambda_zero_draws_only_the_sources(monkeypatch):
 
     monkeypatch.setattr(objectives, "rollouts", no_rollouts)
     records = CORPUS.records[:5]
-    used, rng = assert_gkd_step_is_reference(tabular(1), records, 0.0, seed=21)
+    # given only the B source uniforms: a read past them would fail
+    used = assert_gkd_step_is_reference(tabular(1), records, 0.0, seed=21, n_uniforms=len(records))
     assert used == [("teacher", r.trace) for r in records]
-    assert rng.random() == next_draw_after(21, len(records))
 
 
 def test_gkd_step_at_lambda_one_rolls_out_every_record():
     records = CORPUS.records[:5]
-    used, rng = assert_gkd_step_is_reference(tabular(1), records, 1.0, seed=22, max_len=6)
+    # given exactly B * (1 + max_len) uniforms, all of which the step reads
+    used = assert_gkd_step_is_reference(tabular(1), records, 1.0, seed=22, max_len=6)
     assert [src for src, _ in used] == ["student"] * len(records)
-    assert rng.random() == next_draw_after(22, len(records) * (1 + 6))
 
 
 def test_gkd_step_rows_that_stop_at_once_and_that_never_stop():
@@ -202,7 +200,7 @@ def test_gkd_step_rows_that_stop_at_once_and_that_never_stop():
     logits[:, [EOS, last]] = -60.0
     logits[last] = -60.0
     logits[last, EOS] = 60.0
-    used, _ = assert_gkd_step_is_reference(TabularPolicy(CFG.vocab(), 1, logits.ravel()), [quick, slow], 1.0, seed=23)
+    used = assert_gkd_step_is_reference(TabularPolicy(CFG.vocab(), 1, logits.ravel()), [quick, slow], 1.0, seed=23)
     assert [src for src, _ in used] == ["student", "student"]
     assert used[0][1].tokens == (EOS,)
     assert len(used[1][1]) == 6 and EOS not in used[1][1].tokens

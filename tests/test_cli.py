@@ -664,6 +664,52 @@ def test_importing_the_harness_loads_no_process_pool():
     assert run.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("family, command", [("tabular", "drift"), ("tabular", "matrix"), ("feedforward", "matrix")])
+def test_only_a_feedforward_study_imports_numpy_random(tmp_path, family, command):
+    # a tabular study's draws, the online steps' included, all come from
+    # driftlab.streams; a feed-forward student's initialization still draws
+    # from numpy.random, which shows that the check sees the import
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    text = SMALL_CONFIG.replace("family = tabular", f"family = {family}") + "[objective.gkd]\nbase = gkd\n"
+    cfg_path, out = write_config(tmp_path, text), str(tmp_path / "results")
+    code = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {src!r})",
+        "from driftlab.cli import main",
+        f"assert main(['gen-corpus', '--config', {cfg_path!r}, '--out', {out!r}]) == 0",
+        f"assert main([{command!r}, '--config', {cfg_path!r}, '--out', {out!r}, '--jobs', '1']) == 0",
+        "print('numpy.random' in sys.modules)",
+    ])
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == str(family == "feedforward")
+
+
+@pytest.mark.parametrize("error", [IndexError, KeyError])
+def test_a_failing_cell_is_named_and_exits_3(tmp_path, monkeypatch, capsys, error):
+    # an error other than a training abort ends the study with the cell named,
+    # and no traceback
+    import driftlab.harness as harness
+
+    real_train = harness.train
+
+    def failing_train(cfg, corpus, objective, init_policy, **kwargs):
+        if objective.transform.kind == "sigmoid" and cfg.seed == 1:
+            raise error("forced failure for the harness test")
+        return real_train(cfg, corpus, objective, init_policy, **kwargs)
+
+    cfg_path = write_config(tmp_path)
+    out = str(tmp_path / "results")
+    assert main(["gen-corpus", "--config", cfg_path, "--out", out]) == EXIT_OK
+    monkeypatch.setattr(harness, "train", failing_train)
+    capsys.readouterr()
+    assert main(["matrix", "--config", cfg_path, "--out", out, "--jobs", "1"]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert f"cell sigmoid_t1 at seed 1 failed: {error.__name__}" in err
+    assert "forced failure for the harness test" in err and "Traceback" not in err
+    assert not os.path.exists(os.path.join(out, "runs.csv"))
+
+
 def test_parallel_matrix_matches_serial(tmp_path):
     cfg_path = write_config(tmp_path)
     out1 = str(tmp_path / "serial")

@@ -40,6 +40,12 @@ def rng_of(seed):
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def step_uniforms(seed, n_records, max_len):
+    """What ``train`` hands ``gkd_step`` for a step of n records: the first
+    uniforms of one stream, enough for the sources and a full token block."""
+    return rng_of(seed).random(n_records * (1 + max_len))
+
+
 def small_corpus(n=4, seed=100):
     problems = generate_problems(CFG, n, seed=seed)
     return generate_corpus(TEACHER, problems, seed=seed + 1, max_len=12)
@@ -258,8 +264,8 @@ def test_kl_gradients_match_finite_differences():
 def test_gkd_lambda_zero_beta_one_is_forward_kl():
     corpus = small_corpus(n=3, seed=67)
     pol = random_tabular(71)
-    rng = rng_of(5)
-    result, used = gkd_step(pol, TEACHER, corpus.records, 0.0, 1.0, rng, max_len=12)
+    # at lambda 0 only the source uniforms are read
+    result, used = gkd_step(pol, TEACHER, corpus.records, 0.0, 1.0, rng_of(5).random(len(corpus)), max_len=12)
     assert all(src == "teacher" for src, _ in used)
     expected = 0.0
     grad = np.zeros_like(pol.params)
@@ -276,7 +282,8 @@ def test_gkd_zero_when_matched():
     teacher = teacher_policy(TeacherSpec(0.2, 0.5), cfg)
     corpus = generate_corpus(teacher, generate_problems(cfg, 2, seed=73), seed=74, max_len=8)
     for lam, beta in ((0.0, 0.5), (1.0, 0.25), (0.7, 0.9)):
-        result, _ = gkd_step(TeacherCopy(teacher), teacher, corpus.records, lam, beta, rng_of(3), max_len=8)
+        uniforms = step_uniforms(3, len(corpus), 8)
+        result, _ = gkd_step(TeacherCopy(teacher), teacher, corpus.records, lam, beta, uniforms, max_len=8)
         assert abs(result.loss) < 1e-12
         assert np.max(result.grad.values) < 1e-12
 
@@ -285,8 +292,9 @@ def test_gkd_student_rollout_replays_with_same_seed():
     records = small_corpus(n=6, seed=79).records
     pol = random_tabular(83)
     seed, lam, max_len = 1234, 0.5, 12
-    result, used = gkd_step(pol, TEACHER, records, lam, 0.5, rng_of(seed), max_len=max_len)
-    rerun, rerun_used = gkd_step(pol, TEACHER, records, lam, 0.5, rng_of(seed), max_len=max_len)
+    uniforms = step_uniforms(seed, len(records), max_len)
+    result, used = gkd_step(pol, TEACHER, records, lam, 0.5, uniforms, max_len=max_len)
+    rerun, rerun_used = gkd_step(pol, TEACHER, records, lam, 0.5, uniforms.copy(), max_len=max_len)
     assert rerun.loss == result.loss and np.array_equal(rerun.grad.values, result.grad.values)
     assert [(src, seq.tokens) for src, seq in rerun_used] == [(src, seq.tokens) for src, seq in used]
     # replay: all B source uniforms in one call, then one (S, max_len) block of

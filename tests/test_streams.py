@@ -1,20 +1,28 @@
-"""Stream blocks against numpy's own generators.
+"""Stream blocks against numpy's own generators, and the teacher's tables
+against their scalar tabulation.
 
 Row i of ``uniform_block(entropy, n)`` must equal ``stream(*entropy_i).random(n)``
 bit for bit, and row i of ``word_block`` the 32-bit words that stream's
 ``integers`` draws from, for every entropy layout driftlab uses. Problem sets
 drawn from word blocks must equal ``generate_problem`` on each problem's own
-stream, a rejected bounded draw included.
+stream, a rejected bounded draw included. ``seed_words`` must equal
+``SeedSequence.generate_state(1)``, ``permutations`` each epoch's
+``Generator.permutation``, and the online steps of ``train`` the first draws
+of their streams, so that no run needs ``numpy.random`` for them.
 """
 
 import numpy as np
 import pytest
 
-from driftlab import task
-from driftlab.policy import stream
-from driftlab.streams import uniform_block, word_block
-from driftlab.task import TaskConfig, generate_problem, generate_problems
+from driftlab import harness, streams, task, training
+from driftlab.config import default_config
+from driftlab.objectives import ObjectiveSpec
+from driftlab.policy import TabularPolicy, stream
+from driftlab.streams import permutations, seed_words, uniform_block, word_block
+from driftlab.task import TaskConfig, TeacherSpec, generate_corpus, generate_problem, generate_problems, teacher_policy
+from driftlab.training import TrainConfig, train
 from driftlab.vocab import ADD, MUL
+from oracles import reference_automaton
 
 # word values at the edges of SeedSequence's int-to-words split, and the tags
 # of every stream layout: problems (seed, i), corpus (seed, r), drift
@@ -143,3 +151,95 @@ def test_rejected_bounded_draw_falls_back_to_the_stream(monkeypatch):
     monkeypatch.setattr(task, "word_block", lambda entropy, n: crafted)
     assert generate_problems(cfg, 6, 41) == [generate_problem(cfg, stream(41, i)) for i in range(6)]
 
+
+
+def test_seed_words_equal_seed_sequence_states():
+    rng = np.random.default_rng(16)
+    rows = [(e,) for e in EDGES] + [(7, 11), (7, 12), (7, 13, 0), (2**100 + 3, 13, 2**64)]
+    rows += [tuple(EDGES[i] for i in rng.integers(len(EDGES), size=k)) for k in (2, 3, 4, 5, 6) for _ in range(40)]
+    got = seed_words(rows)
+    assert got.dtype == np.uint32
+    assert got.tolist() == [int(np.random.SeedSequence(list(row)).generate_state(1)[0]) for row in rows]
+    # a study's problem and rollout seeds, derived in one pass
+    cfg = default_config()
+    e = cfg.eval.seed
+    want = [np.random.SeedSequence(list(row)).generate_state(1)[0] for row in [(e, 11), (e, 12)]]
+    assert harness._derived_seeds(e, cfg.train.seeds)[:2] == tuple(int(w) for w in want)
+    for s in cfg.train.seeds + (2**33,):
+        assert harness.rollout_seed(cfg, s) == int(np.random.SeedSequence([e, 13, s]).generate_state(1)[0])
+
+
+PERMUTATION_SIZES = sorted({0, 1, 2, 3, 568, 3753} | {2**k + d for k in range(1, 13) for d in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 5])
+def test_permutations_equal_generator_permutations(seed):
+    for n in PERMUTATION_SIZES:
+        perms = permutations(seed, 2, n)
+        assert perms.dtype == np.int64 and perms.shape == (2, n) and not perms.flags.writeable
+        for epoch in range(2):
+            assert np.array_equal(perms[epoch], stream(seed, epoch).permutation(n)), (seed, n, epoch)
+
+
+def test_permutations_that_run_out_of_words_draw_a_longer_block(monkeypatch):
+    # the first block, of all epochs, is cut to one word, which no shuffle of
+    # three or more fits in: each epoch then reads a longer block of its own
+    longer = []
+
+    def cut_first_block(entropy, n):
+        if isinstance(entropy[1], np.ndarray):
+            return word_block(entropy, n)[:, :1]
+        longer.append((entropy, n))
+        return word_block(entropy, n)
+
+    monkeypatch.setattr(streams, "word_block", cut_first_block)
+    permutations.cache_clear()
+    try:
+        for n in (3, 17, 568):
+            perms = permutations(11, 3, n)
+            for epoch in range(3):
+                assert np.array_equal(perms[epoch], stream(11, epoch).permutation(n)), (n, epoch)
+    finally:
+        permutations.cache_clear()
+    assert [entropy for entropy, _ in longer] == [(11, epoch) for _ in range(3) for epoch in range(3)]
+
+
+@pytest.mark.parametrize("gkd_lambda", [0.0, 0.5, 1.0])
+def test_online_steps_read_the_first_draws_of_their_streams(monkeypatch, gkd_lambda):
+    # step s of train reads stream (seed, 5, s): its B source uniforms, then
+    # an (S, max_len) block for the S student-sourced records, the last,
+    # short batch included
+    cfg = TaskConfig(5, 2)
+    teacher = teacher_policy(TeacherSpec(), cfg)
+    corpus = generate_corpus(teacher, generate_problems(cfg, 11, seed=3), seed=4, max_len=8)
+    seen, real_step = [], training.gkd_step
+
+    def recording_step(policy, teacher, records, lam, beta, uniforms, max_len):
+        seen.append((len(records), uniforms.copy()))
+        return real_step(policy, teacher, records, lam, beta, uniforms, max_len=max_len)
+
+    monkeypatch.setattr(training, "gkd_step", recording_step)
+    spec = ObjectiveSpec("gkd", gkd_lambda=gkd_lambda)
+    train(TrainConfig(epochs=2, batch_size=4, seed=9), corpus, spec, TabularPolicy(cfg.vocab(), 1), teacher, max_len=8)
+    assert [size for size, _ in seen] == [4, 4, 3] * 2
+    students = []
+    for step, (size, uniforms) in enumerate(seen):
+        rng = stream(9, 5, step)
+        sources = rng.random(size)
+        n_students = int((sources < gkd_lambda).sum())
+        assert np.array_equal(uniforms[:size], sources)
+        block = uniforms[size : size + n_students * 8].reshape(n_students, 8)
+        assert np.array_equal(block, rng.random((n_students, 8)))
+        students.append(n_students)
+    if gkd_lambda in (0.0, 1.0):
+        assert sum(students) == gkd_lambda * 22
+    else:
+        assert 0 < sum(students) < 22
+
+
+def test_automaton_equals_the_scalar_tabulation():
+    for m in range(3, 14):
+        for L in range(1, 9):
+            for got, want in zip(task._automaton(m, L), reference_automaton(m, L), strict=True):
+                assert got.dtype == want.dtype == np.int64 and not got.flags.writeable
+                assert np.array_equal(got, want), (m, L)
