@@ -12,7 +12,6 @@ hash, and runners refuse to mix files with different hashes.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cache, reduce
@@ -22,6 +21,14 @@ from .objectives import ObjectiveSpec, WeightTransform
 from .task import TaskConfig, TeacherSpec
 from .training import TrainConfig
 from .vocab import OP_NAMES
+
+try:  # CPython's builtin SHA-256 loads no OpenSSL: _sha2 from 3.12, _sha256 before
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 _OP_BY_NAME = {name: op for op, name in OP_NAMES.items()}
 _BASE_ALIASES = {"kl": "forward-kl"}
@@ -327,4 +334,4 @@ def format_config(cfg: ExperimentConfig) -> str:
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    return hashlib.sha256(format_config(cfg).encode()).hexdigest()[:16]
+    return sha256(format_config(cfg).encode()).hexdigest()[:16]

@@ -28,9 +28,9 @@ from .metrics import (
     trace_quality,
 )
 from .objectives import ObjectiveSpec, TraceBatch, WeightTransform
-from .policy import FeedForwardPolicy, ParametricPolicy, TabularPolicy, rollouts, save_policy, stream
+from .policy import FeedForwardPolicy, ParametricPolicy, TabularPolicy, rollouts, save_policy
 from .policy import greedy_decode  # noqa: F401 -- bench/tracer.py wraps this name here
-from .streams import seed_words
+from .streams import normal_block, seed_words
 from .task import (
     TaskError,
     TraceCorpus,
@@ -73,14 +73,9 @@ def make_student(cfg: ExperimentConfig, seed: int):
     t = cfg.train
     if t.family == "tabular":
         return TabularPolicy(vocab, order=t.order)
-    return FeedForwardPolicy(
-        vocab,
-        order=t.order,
-        embed_dim=t.embed_dim,
-        hidden_dim=t.hidden_dim,
-        init_scale=t.init_scale,
-        rng=stream(seed, _INIT_TAG),
-    )
+    student = FeedForwardPolicy(vocab, order=t.order, embed_dim=t.embed_dim, hidden_dim=t.hidden_dim)
+    student.params = t.init_scale * normal_block((seed, _INIT_TAG), student.params.size)[0]
+    return student
 
 
 @functools.lru_cache(maxsize=4)
@@ -225,7 +220,8 @@ def _run_seed(args) -> list[CellResult]:
     """Every objective's cell at one seed: train them one by one, then score
     the drift curves of those that trained in one group. The drift study
     scores them all on the same teacher and base-student rollouts, the matrix
-    on the same teacher rollouts; a cell that aborted leaves the group."""
+    on the same teacher rollouts; a cell that aborted leaves the group. An
+    error while scoring ends the study, as a HarnessError naming the seed."""
     cfg, objectives, seed, out_dir, do_drift = args
     _, _, _, probs_drift, teacher = _shared_inputs
     trained = [_run_cell((cfg, label, spec, seed, out_dir)) for label, spec in objectives]
@@ -233,11 +229,14 @@ def _run_seed(args) -> list[CellResult]:
     if ok:
         policies = [policy for _, policy in ok]
         horizons, rseed, max_len = cfg.eval.horizons, rollout_seed(cfg, seed), cfg.corpus.max_len
-        if do_drift:
-            base = make_student(cfg, seed)
-            curves = prefix_drift_eval(base, policies, teacher, probs_drift, horizons, seed=rseed, max_len=max_len)
-        else:
-            curves = exaccerr(teacher, policies, probs_drift, horizons, seed=rseed, max_len=max_len)
+        try:
+            if do_drift:
+                base = make_student(cfg, seed)
+                curves = prefix_drift_eval(base, policies, teacher, probs_drift, horizons, seed=rseed, max_len=max_len)
+            else:
+                curves = exaccerr(teacher, policies, probs_drift, horizons, seed=rseed, max_len=max_len)
+        except Exception as exc:
+            raise HarnessError(f"drift scoring at seed {seed} failed: {type(exc).__name__}: {exc}") from exc
         for (cell, _), curve in zip(ok, curves):
             cell.exaccerr_curve = curve
     return [cell for cell, _ in trained]

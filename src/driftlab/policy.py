@@ -200,8 +200,6 @@ class FeedForwardPolicy(ParametricPolicy):
         embed_dim: int = 8,
         hidden_dim: int = 16,
         params: np.ndarray | None = None,
-        init_scale: float = 0.1,
-        rng: np.random.Generator | None = None,
     ):
         if order < 1:
             raise PolicyError("feedforward order must be >= 1")
@@ -220,8 +218,6 @@ class FeedForwardPolicy(ParametricPolicy):
             if params.shape != (n,):
                 raise PolicyError(f"feedforward params must have shape ({n},), got {params.shape}")
             self.params = params.copy()
-        elif rng is not None:
-            self.params = init_scale * rng.standard_normal(n)
         else:
             self.params = np.zeros(n, dtype=np.float64)
 

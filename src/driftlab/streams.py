@@ -8,6 +8,8 @@ code, and row i of a block equals, bit for bit, what ``stream(*entropy_i)``
 gives: ``random(n)`` for the uniforms, and its first n 32-bit words (the ones
 ``integers`` draws from) for the words. ``seed_words`` and ``permutations``
 replace ``SeedSequence.generate_state`` and ``Generator.permutation``.
+``normal_block`` makes standard normals of the uniforms by Box-Muller (Box and
+Muller, 1958), not by numpy's ziggurat, so its draws are not ``standard_normal``'s.
 
 The arithmetic follows numpy's published algorithms: ``SeedSequence``'s
 hash-mixing of the entropy into a pool of four uint32 words and its
@@ -51,6 +53,15 @@ def uniform_block(entropy, n: int) -> np.ndarray:
     takes its value from each column in order.
     """
     return (_outputs(entropy, n) >> 11) * (1.0 / 9007199254740992.0)
+
+
+def normal_block(entropy, n: int) -> np.ndarray:
+    """(N, n) standard normals: Box-Muller over each row's ``uniform_block`` of
+    2 ceil(n / 2) uniforms, pair j = (u[2j], u[2j + 1]) giving normals 2j and
+    2j + 1; log1p(-u) keeps u = 0 finite. ``entropy`` is as for ``uniform_block``."""
+    u = uniform_block(entropy, n + n % 2)
+    radius, angle = np.sqrt(-2.0 * np.log1p(-u[:, 0::2])), 2.0 * np.pi * u[:, 1::2]
+    return np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=2).reshape(len(u), -1)[:, :n]
 
 
 def word_block(entropy, n: int) -> np.ndarray:

@@ -28,6 +28,10 @@ from .streams import permutations, uniform_block
 from .task import TraceCorpus
 
 
+# the GKD steps whose draws one uniform_block holds: it bounds the block's memory
+_GKD_BLOCK_STEPS = 32
+
+
 class TrainError(ValueError):
     pass
 
@@ -162,7 +166,7 @@ def train(
     runs; it is built here otherwise. Each
     offline step gathers its records' rows from it and makes one
     ``batch_loss`` call; an online step makes one ``gkd_step``, on the first
-    uniforms of stream (seed, 5, step), drawn for a whole epoch at once.
+    uniforms of stream (seed, 5, step), drawn for up to 32 steps at once.
     """
     if len(corpus) == 0:
         raise TrainError("corpus is empty")
@@ -184,18 +188,19 @@ def train(
     history = RunHistory(epochs=cfg.epochs)
     step = 0
     for perm in permutations(cfg.seed, cfg.epochs, n):
-        if objective.base == "gkd":
-            # one row per step of the epoch: B source uniforms, then room for a (B, max_len) token block
-            draws = uniform_block((cfg.seed, 5, np.arange(step, step + n_batches)), cfg.batch_size * (1 + max_len))
-        for batch in _batches(n, cfg.batch_size, perm):
+        for k, batch in enumerate(_batches(n, cfg.batch_size, perm)):
             if objective.base == "gkd":
+                if k % _GKD_BLOCK_STEPS == 0:
+                    # one row per step: B source uniforms, then room for a (B, max_len) token block
+                    rows = np.arange(step, step + min(_GKD_BLOCK_STEPS, n_batches - k))
+                    draws = uniform_block((cfg.seed, 5, rows), cfg.batch_size * (1 + max_len))
                 result, _ = gkd_step(
                     policy,
                     teacher,
                     [records[i] for i in batch],
                     objective.gkd_lambda,
                     objective.gkd_beta,
-                    draws[step % n_batches],
+                    draws[k % _GKD_BLOCK_STEPS],
                     max_len=max_len,
                 )
             else:

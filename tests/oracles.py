@@ -19,7 +19,7 @@ import numpy as np
 
 from driftlab.metrics import ExAccErrCurve
 from driftlab.objectives import evaluate_objective, js_sequence_loss
-from driftlab.policy import GradientBuffer, PolicyError, RolloutState
+from driftlab.policy import FeedForwardPolicy, GradientBuffer, PolicyError, RolloutState
 from driftlab.task import (
     CorpusRecord,
     ProblemInstance,
@@ -540,6 +540,23 @@ def reference_problems(cfg, n, seed):
 
 def stream(*entropy):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(entropy))))
+
+
+def reference_normals(entropy, n):
+    """n standard normals of ``stream(*entropy)`` by Box-Muller: the uniforms
+    in pairs, the radius from the first of a pair and the angle from the second,
+    the cosine normal first."""
+    u = stream(*entropy).random(n + n % 2)
+    radius, angle = np.sqrt(-2.0 * np.log1p(-u[0::2])), 2.0 * np.pi * u[1::2]
+    out = np.empty(len(u))
+    out[0::2], out[1::2] = radius * np.cos(angle), radius * np.sin(angle)
+    return out[:n]
+
+
+def random_feedforward(vocab, order, embed_dim, hidden_dim, scale, rng):
+    """A feed-forward student with parameters ``scale * rng.standard_normal(n)``."""
+    n = FeedForwardPolicy(vocab, order, embed_dim, hidden_dim).params.size
+    return FeedForwardPolicy(vocab, order, embed_dim, hidden_dim, params=scale * rng.standard_normal(n))
 
 
 def reference_rollout(model, question, max_len, rng=None, uniforms=None):

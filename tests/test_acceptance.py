@@ -32,7 +32,7 @@ from driftlab.objectives import (
     sequence_weight,
     sft_loss,
 )
-from driftlab.policy import FeedForwardPolicy, TabularPolicy, finite_difference_check
+from driftlab.policy import TabularPolicy, finite_difference_check
 from driftlab.task import (
     TaskConfig,
     TeacherSpec,
@@ -42,7 +42,7 @@ from driftlab.task import (
     teacher_policy,
 )
 
-from oracles import hand_fixture_traces, micro_instance, oracle_curve
+from oracles import hand_fixture_traces, micro_instance, oracle_curve, random_feedforward
 
 
 def report(criterion: int, message: str) -> None:
@@ -92,7 +92,7 @@ def test_criterion_01_gradient_correctness():
     for name, spec in OBJECTIVE_MENU:
         for family, make, tol in (
             ("tabular", lambda: TabularPolicy(vocab, 1, 0.4 * rng_of(17).standard_normal(vocab.size**2)), 1e-6),
-            ("feedforward", lambda: FeedForwardPolicy(vocab, 2, 2, 3, init_scale=0.3, rng=rng_of(18)), 1e-4),
+            ("feedforward", lambda: random_feedforward(vocab, 2, 2, 3, 0.3, rng_of(18)), 1e-4),
         ):
             policy = make()
             weights = record_token_weights(policy, record, spec.transform)

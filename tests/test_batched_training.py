@@ -24,12 +24,12 @@ from driftlab.objectives import (
     js_sequence_loss,
     record_token_weights,
 )
-from driftlab.policy import FeedForwardPolicy, GradientBuffer, TabularPolicy, finite_difference_check
+from driftlab.policy import GradientBuffer, TabularPolicy, finite_difference_check
 from driftlab.task import TaskConfig, TeacherSpec, TraceCorpus, generate_corpus, generate_problems, teacher_policy
 from driftlab.training import TrainConfig, TrainError, train
 from driftlab.vocab import EOS
 
-from oracles import reference_gkd_step, reference_train, stream
+from oracles import random_feedforward, reference_gkd_step, reference_train, stream
 
 CFG = TaskConfig(modulus=3, chain_length=3)  # vocab size 8
 TEACHER = teacher_policy(TeacherSpec(0.1, 0.3), CFG)
@@ -68,7 +68,7 @@ def tabular(order, seed=1):
 
 
 def feedforward(seed=3):
-    return FeedForwardPolicy(CFG.vocab(), order=2, embed_dim=3, hidden_dim=4, init_scale=0.3, rng=stream(seed))
+    return random_feedforward(CFG.vocab(), 2, 3, 4, 0.3, stream(seed))
 
 
 def assert_rel_close(got, want, rel=1e-12):

@@ -2,12 +2,14 @@
 
 import csv
 import hashlib
+import importlib.util
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -176,6 +178,21 @@ def test_config_hash_golden_values():
     assert config_hash(parse_config(EVERY_OBJECTIVE_KEY)) == "87de03cade805ec5"
     assert config_hash(parse_config(EVERY_BASE)) == "78a8a82f84e08ec0"
     assert config_hash(parse_config(EVERY_TRANSFORM)) == "63f5c33165005236"
+
+
+def test_config_hash_is_the_sha256_of_the_canonical_text(monkeypatch):
+    # the builtin SHA-256 the config module takes gives hashlib's digest, on
+    # the default, the small and both benchmark configs
+    path = Path(__file__).parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    configs = [default_config(), parse_config(SMALL_CONFIG)]
+    configs += [parse_config(workloads.config_text(w, 1)) for w in workloads.WORKLOADS.values()]
+    assert len(configs) == 4
+    for cfg in configs:
+        assert config_hash(cfg) == hashlib.sha256(format_config(cfg).encode()).hexdigest()[:16]
 
 
 def test_every_field_round_trips():
@@ -664,11 +681,14 @@ def test_importing_the_harness_loads_no_process_pool():
     assert run.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("family, command", [("tabular", "drift"), ("tabular", "matrix"), ("feedforward", "matrix")])
-def test_only_a_feedforward_study_imports_numpy_random(tmp_path, family, command):
-    # a tabular study's draws, the online steps' included, all come from
-    # driftlab.streams; a feed-forward student's initialization still draws
-    # from numpy.random, which shows that the check sees the import
+@pytest.mark.parametrize(
+    "family, command", [("tabular", "drift"), ("tabular", "matrix"), ("feedforward", "matrix"), ("feedforward", "drift")]
+)
+def test_no_study_imports_numpy_random_or_openssl(tmp_path, family, command):
+    # every draw of a study, the online steps' and a feed-forward student's
+    # initialization included, comes from driftlab.streams, and the config hash
+    # takes CPython's builtin SHA-256: numpy.random and OpenSSL's _hashlib (which
+    # numpy.random brings in through secrets and hmac) stay out of the process
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     text = SMALL_CONFIG.replace("family = tabular", f"family = {family}") + "[objective.gkd]\nbase = gkd\n"
     cfg_path, out = write_config(tmp_path, text), str(tmp_path / "results")
@@ -678,11 +698,11 @@ def test_only_a_feedforward_study_imports_numpy_random(tmp_path, family, command
         "from driftlab.cli import main",
         f"assert main(['gen-corpus', '--config', {cfg_path!r}, '--out', {out!r}]) == 0",
         f"assert main([{command!r}, '--config', {cfg_path!r}, '--out', {out!r}, '--jobs', '1']) == 0",
-        "print('numpy.random' in sys.modules)",
+        "print(sorted({'numpy.random', '_hashlib', 'hmac', 'secrets'} & set(sys.modules)))",
     ])
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == str(family == "feedforward")
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("error", [IndexError, KeyError])
@@ -708,6 +728,28 @@ def test_a_failing_cell_is_named_and_exits_3(tmp_path, monkeypatch, capsys, erro
     assert f"cell sigmoid_t1 at seed 1 failed: {error.__name__}" in err
     assert "forced failure for the harness test" in err and "Traceback" not in err
     assert not os.path.exists(os.path.join(out, "runs.csv"))
+
+
+@pytest.mark.parametrize("command, scorer, written", [("drift", "prefix_drift_eval", "drift_runs.csv"),
+                                                      ("matrix", "exaccerr", "runs.csv")])
+def test_a_failing_scoring_group_is_named_and_exits_3(tmp_path, monkeypatch, capsys, command, scorer, written):
+    # an error while scoring a seed's trained cells ends the study with the
+    # seed named, and no traceback
+    import driftlab.harness as harness
+
+    def failing_scorer(*args, **kwargs):
+        raise IndexError("forced failure for the harness test")
+
+    cfg_path = write_config(tmp_path)
+    out = str(tmp_path / "results")
+    assert main(["gen-corpus", "--config", cfg_path, "--out", out]) == EXIT_OK
+    monkeypatch.setattr(harness, scorer, failing_scorer)
+    capsys.readouterr()
+    assert main([command, "--config", cfg_path, "--out", out, "--jobs", "1"]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "drift scoring at seed 0 failed: IndexError: forced failure for the harness test" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(os.path.join(out, written))
 
 
 def test_parallel_matrix_matches_serial(tmp_path):

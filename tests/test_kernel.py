@@ -30,6 +30,7 @@ from driftlab.training import OptimizerState, TrainConfig, _apply_update
 from driftlab.vocab import ADD, BOS, EOS, TokenSequence
 
 from oracles import (
+    random_feedforward,
     random_prefixes,
     reference_js_loss,
     reference_kl_loss,
@@ -61,9 +62,7 @@ def rng_of(seed):
 STUDENTS = {
     "tabular-1": lambda: TabularPolicy(CFG.vocab(), 1, 0.5 * rng_of(1).standard_normal(8**2)),
     "tabular-2": lambda: TabularPolicy(CFG.vocab(), 2, 0.5 * rng_of(2).standard_normal(8**3)),
-    "feedforward": lambda: FeedForwardPolicy(
-        CFG.vocab(), order=2, embed_dim=2, hidden_dim=3, init_scale=0.3, rng=rng_of(3)
-    ),
+    "feedforward": lambda: random_feedforward(CFG.vocab(), 2, 2, 3, 0.3, rng_of(3)),
 }
 
 

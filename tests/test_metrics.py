@@ -20,7 +20,7 @@ from driftlab.metrics import (
     repeated_4gram_fraction,
     trace_quality,
 )
-from driftlab.policy import FeedForwardPolicy, TabularPolicy
+from driftlab.policy import TabularPolicy
 from driftlab.task import TaskConfig, TeacherSpec, generate_problems, teacher_policy
 from driftlab.vocab import EOS, TokenSequence
 
@@ -28,6 +28,7 @@ from oracles import (
     PrefixTablePolicy,
     micro_instance,
     oracle_curve,
+    random_feedforward,
     reference_aggregate_curve,
     reference_rollout_divergences,
 )
@@ -210,7 +211,7 @@ def test_exaccerr_exact_of_package_models_matches_enumeration_oracle(family):
     if family == "tabular":
         student = TabularPolicy(cfg.vocab(), 1, rng.standard_normal(V * V))
     else:
-        student = FeedForwardPolicy(cfg.vocab(), order=2, embed_dim=3, hidden_dim=4, init_scale=0.5, rng=rng)
+        student = random_feedforward(cfg.vocab(), 2, 3, 4, 0.5, rng)
     question = generate_problems(cfg, 1, seed=5)[0].question
     curve = exaccerr_exact(teacher, student, question, (1, 2), max_len=2)
     expected = oracle_curve(question, teacher, student, (1, 2), max_len=2)

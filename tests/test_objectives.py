@@ -23,7 +23,6 @@ from driftlab.objectives import (
     token_delta,
 )
 from driftlab.policy import (
-    FeedForwardPolicy,
     ParametricPolicy,
     TabularPolicy,
     finite_difference_check,
@@ -31,6 +30,8 @@ from driftlab.policy import (
 )
 from driftlab.task import TaskConfig, TeacherSpec, generate_corpus, generate_problems, teacher_policy
 from driftlab.vocab import BOS
+
+from oracles import random_feedforward
 
 CFG = TaskConfig(modulus=3, chain_length=2)  # vocab size 8
 TEACHER = teacher_policy(TeacherSpec(0.1, 0.3), CFG)
@@ -57,7 +58,7 @@ def random_tabular(seed=0, scale=0.5):
 
 
 def random_ff(seed=0):
-    return FeedForwardPolicy(CFG.vocab(), order=2, embed_dim=2, hidden_dim=3, init_scale=0.3, rng=rng_of(seed))
+    return random_feedforward(CFG.vocab(), 2, 2, 3, 0.3, rng_of(seed))
 
 
 class TeacherCopy(ParametricPolicy):

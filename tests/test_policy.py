@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from driftlab.policy import (
-    FeedForwardPolicy,
     GradientBuffer,
     NonDeterministicLossError,
     PolicyError,
@@ -23,7 +22,7 @@ from driftlab.policy import (
 )
 from driftlab.vocab import BOS, EOS, TokenSequence, Vocabulary
 
-from oracles import accumulate_weighted_grad_logp
+from oracles import accumulate_weighted_grad_logp, random_feedforward
 
 VOCAB = Vocabulary(3)  # size 8
 CTX = TokenSequence((BOS, VOCAB.value_token(1)), "question")
@@ -34,8 +33,7 @@ def rng_of(seed):
 
 
 def random_ff(seed=0, order=2, embed_dim=3, hidden_dim=4):
-    return FeedForwardPolicy(VOCAB, order=order, embed_dim=embed_dim, hidden_dim=hidden_dim,
-                             init_scale=0.3, rng=rng_of(seed))
+    return random_feedforward(VOCAB, order, embed_dim, hidden_dim, 0.3, rng_of(seed))
 
 
 def test_zero_init_tabular_is_uniform():

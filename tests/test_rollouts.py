@@ -25,6 +25,7 @@ from driftlab.vocab import BOS, EOS, MUL, TokenSequence
 
 from oracles import (
     micro_instance,
+    random_feedforward,
     random_prefixes,
     reference_accuracy,
     reference_corpus,
@@ -63,7 +64,7 @@ MODELS = {
     "teacher-noiseless": lambda: teacher_policy(TeacherSpec(0.0, 0.3), CFG),
     "tabular-1": lambda: TabularPolicy(CFG.vocab(), 1, 0.8 * rng_of(1).standard_normal(V**2)),
     "tabular-2": lambda: TabularPolicy(CFG.vocab(), 2, 0.8 * rng_of(2).standard_normal(V**3)),
-    "feedforward": lambda: FeedForwardPolicy(CFG.vocab(), order=2, embed_dim=3, hidden_dim=5, init_scale=0.5, rng=rng_of(3)),
+    "feedforward": lambda: random_feedforward(CFG.vocab(), 2, 3, 5, 0.5, rng_of(3)),
 }
 
 
@@ -274,8 +275,7 @@ def test_grouped_curves_equal_per_student_curves(family):
     if family == "tabular":
         others = [MODELS["tabular-2"](), TabularPolicy(CFG.vocab(), 2, 0.5 * rng_of(7).standard_normal(V**3))]
     else:
-        others = [MODELS["feedforward"](), FeedForwardPolicy(CFG.vocab(), order=3, embed_dim=2, hidden_dim=4,
-                                                             init_scale=0.5, rng=rng_of(8))]
+        others = [MODELS["feedforward"](), random_feedforward(CFG.vocab(), 3, 2, 4, 0.5, rng_of(8))]
     problems = PROBLEMS + [PROBLEMS[0]]
     horizons = (1, 2, 4, 8)
 

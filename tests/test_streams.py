@@ -9,20 +9,21 @@ stream, a rejected bounded draw included. ``seed_words`` must equal
 ``SeedSequence.generate_state(1)``, ``permutations`` each epoch's
 ``Generator.permutation``, and the online steps of ``train`` the first draws
 of their streams, so that no run needs ``numpy.random`` for them.
+``normal_block`` must equal a Box-Muller transform of each stream's uniforms.
 """
 
 import numpy as np
 import pytest
 
 from driftlab import harness, streams, task, training
-from driftlab.config import default_config
+from driftlab.config import default_config, parse_config
 from driftlab.objectives import ObjectiveSpec
 from driftlab.policy import TabularPolicy, stream
-from driftlab.streams import permutations, seed_words, uniform_block, word_block
+from driftlab.streams import normal_block, permutations, seed_words, uniform_block, word_block
 from driftlab.task import TaskConfig, TeacherSpec, generate_corpus, generate_problem, generate_problems, teacher_policy
 from driftlab.training import TrainConfig, train
 from driftlab.vocab import ADD, MUL
-from oracles import reference_automaton
+from oracles import reference_automaton, reference_normals
 
 # word values at the edges of SeedSequence's int-to-words split, and the tags
 # of every stream layout: problems (seed, i), corpus (seed, r), drift
@@ -115,6 +116,33 @@ def test_negative_entropy_raises_as_seed_sequence_does(columns):
     with pytest.raises(ValueError) as got:
         uniform_block(columns, 3)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 1036])
+@pytest.mark.parametrize("columns", [[np.arange(5), 14], [2**64 - 1, np.arange(3), 0]], ids=["init", "edge"])
+def test_normal_block_is_box_muller_over_the_stream(columns, n):
+    block = normal_block(columns, n)
+    rows = len(block)
+    assert block.shape == (rows, n) and block.dtype == np.float64
+    tuples = list(zip(*[c.tolist() if isinstance(c, np.ndarray) else [c] * rows for c in columns]))
+    for row, entropy in zip(block, tuples, strict=True):
+        assert np.array_equal(row, reference_normals(entropy, n)), entropy
+
+
+def test_normal_block_moments():
+    # mean 0 and standard deviation 1, each within 4 standard errors
+    draws = normal_block((2026, np.arange(100)), 1000).ravel()
+    assert draws.size == 10**5 and np.isfinite(draws).all()
+    assert abs(draws.mean()) < 4 / np.sqrt(draws.size)
+    assert abs(draws.std() - 1.0) < 4 / np.sqrt(2 * draws.size)
+
+
+def test_feedforward_init_draws_from_its_stream():
+    # the study's initial feed-forward student: init_scale times the normals of stream (seed, 14)
+    cfg = parse_config("[train]\nfamily = feedforward\ninit_scale = 0.25\n")
+    for seed in (0, 3):
+        params = harness.make_student(cfg, seed).params
+        assert np.array_equal(params, 0.25 * reference_normals((seed, 14), params.size))
 
 
 @pytest.mark.parametrize("ops", [(ADD,), (MUL,), (ADD, MUL), (MUL, ADD)])
@@ -235,6 +263,31 @@ def test_online_steps_read_the_first_draws_of_their_streams(monkeypatch, gkd_lam
         assert sum(students) == gkd_lambda * 22
     else:
         assert 0 < sum(students) < 22
+
+
+def test_online_steps_draw_at_most_32_steps_per_block(monkeypatch):
+    # an epoch of 70 steps draws its rows in blocks of 32, 32 and 6 steps, and
+    # every step's row is the one that one block over all steps holds
+    cfg = TaskConfig(5, 2)
+    teacher = teacher_policy(TeacherSpec(), cfg)
+    corpus = generate_corpus(teacher, generate_problems(cfg, 70, seed=3), seed=4, max_len=6)
+    seen, blocks = [], []
+    real_step, real_block = training.gkd_step, training.uniform_block
+
+    def recording_step(policy, teacher, records, lam, beta, uniforms, max_len):
+        seen.append(uniforms.copy())
+        return real_step(policy, teacher, records, lam, beta, uniforms, max_len=max_len)
+
+    def recording_block(entropy, n):
+        blocks.append(len(entropy[2]))
+        return real_block(entropy, n)
+
+    monkeypatch.setattr(training, "gkd_step", recording_step)
+    monkeypatch.setattr(training, "uniform_block", recording_block)
+    spec = ObjectiveSpec("gkd", gkd_lambda=0.5)
+    train(TrainConfig(epochs=2, batch_size=1, seed=9), corpus, spec, TabularPolicy(cfg.vocab(), 1), teacher, max_len=6)
+    assert blocks == [32, 32, 6] * 2
+    assert np.array_equal(np.array(seen), real_block((9, 5, np.arange(140)), 1 + 6))
 
 
 def test_automaton_equals_the_scalar_tabulation():

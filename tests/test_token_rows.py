@@ -14,7 +14,7 @@ per-prefix ones (``tests/test_kernel.py`` checks the lockstep targets).
 import numpy as np
 import pytest
 
-from driftlab.policy import FeedForwardPolicy, PolicyError, TabularPolicy, rollouts, stacked_windows
+from driftlab.policy import PolicyError, TabularPolicy, rollouts, stacked_windows
 from driftlab.streams import uniform_block
 from driftlab.task import (
     TaskConfig,
@@ -28,7 +28,7 @@ from driftlab.task import (
 )
 from driftlab.vocab import BOS, EOS, MUL, TokenSequence, VocabularyError
 
-from oracles import random_prefixes, reference_read_corpus
+from oracles import random_feedforward, random_prefixes, reference_read_corpus
 
 CFG = TaskConfig(modulus=5, chain_length=3)
 V = CFG.vocab().size
@@ -64,7 +64,7 @@ def _models():
     return [
         teacher_policy(TeacherSpec(0.3, 0.5), CFG),
         TabularPolicy(CFG.vocab(), 2, 0.8 * rng.standard_normal(V**3)),
-        FeedForwardPolicy(CFG.vocab(), order=2, embed_dim=3, hidden_dim=4, init_scale=0.5, rng=rng),
+        random_feedforward(CFG.vocab(), 2, 3, 4, 0.5, rng),
     ]
 
 
