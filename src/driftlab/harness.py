@@ -15,11 +15,11 @@ from __future__ import annotations
 import functools
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, config_hash
+from .config import ConfigError, ExperimentConfig, config_hash, sha256
 from .metrics import (
     ExAccErrCurve,
     exaccerr,
@@ -136,6 +136,7 @@ def run_gen_corpus(cfg: ExperimentConfig, out_dir, overwrite: bool = False) -> d
         "retention_rate": stats.retention_rate,
         "n_truncated": sum(1 for r in raw.records if r.truncated),
         "corpus_file": CORPUS_FILE,
+        "corpus_sha256": _file_sha256(corpus_path),
     }
     with open(os.path.join(out_dir, MANIFEST_FILE), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -143,7 +144,19 @@ def run_gen_corpus(cfg: ExperimentConfig, out_dir, overwrite: bool = False) -> d
     return manifest
 
 
+def _file_sha256(path) -> str:
+    """SHA-256 of a file's bytes, read in fixed-size blocks."""
+    digest = sha256()
+    with open(path, "rb") as fh:
+        for block in iter(functools.partial(fh.read, 1 << 16), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
 def load_corpus_checked(cfg: ExperimentConfig, out_dir) -> TraceCorpus:
+    """The corpus of ``out_dir``, checked against the config hash in its
+    header, line by line as it is read, and against the SHA-256 its manifest
+    records, in that order."""
     corpus_path = os.path.join(out_dir, CORPUS_FILE)
     if not os.path.exists(corpus_path):
         raise HarnessError(f"no corpus at {corpus_path}; run gen-corpus first")
@@ -155,9 +168,23 @@ def load_corpus_checked(cfg: ExperimentConfig, out_dir) -> TraceCorpus:
             f"corpus hash mismatch: file says {first!r}, config gives {expected!r}; regenerate the corpus"
         )
     try:
-        return read_corpus(corpus_path, cfg.task.vocab())
+        corpus = read_corpus(corpus_path, cfg.task.vocab())
     except TaskError as exc:
         raise HarnessError(f"malformed corpus: {exc}") from None
+    manifest_path = os.path.join(out_dir, MANIFEST_FILE)
+    try:
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+    except (OSError, ValueError) as exc:  # a missing file included
+        raise HarnessError(f"cannot read manifest {manifest_path} to check {corpus_path}: {exc}") from None
+    want = manifest.get("corpus_sha256") if isinstance(manifest, dict) else None
+    if want is None:
+        raise HarnessError(f"manifest {manifest_path} has no corpus_sha256 for {corpus_path}; regenerate the corpus")
+    if _file_sha256(corpus_path) != want:
+        raise HarnessError(
+            f"corpus {corpus_path} does not match the corpus_sha256 in {manifest_path}; regenerate the corpus"
+        )
+    return corpus
 
 
 @dataclass
@@ -255,7 +282,6 @@ class MatrixResult:
     cells: list[CellResult]
     dataset: str
     out_dir: str
-    files: list[str] = field(default_factory=list)
 
     def by_label(self) -> dict[str, list[CellResult]]:
         out: dict[str, list[CellResult]] = {}
@@ -357,7 +383,6 @@ def run_matrix(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> MatrixResult:
         run_lines.append(f"{c.label},{c.seed},{c.status},{c.abort_step if c.status != 'ok' else ''},{acc}")
     write_lines(os.path.join(out_dir, "runs.csv"), run_lines)
 
-    res.files = ["accuracy.csv", "exaccerr.csv", "trace_quality.csv", "summary.csv", "runs.csv"]
     return res
 
 
@@ -384,7 +409,6 @@ def run_drift(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> MatrixResult:
         for j, h in enumerate(c.exaccerr_curve.horizons):
             run_lines.append(f"{c.label},{c.seed},{h},{float(c.exaccerr_curve.values[j])!r}")
     write_lines(os.path.join(out_dir, "drift_runs.csv"), run_lines)
-    res.files = ["drift.csv", "drift_runs.csv"]
     return res
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .policy import GradientBuffer, TraceScores, flat_tokens, rollouts, sample_sequence, score_traces, stacked_windows
+from .policy import GradientBuffer, _log_softmax, flat_tokens, rollouts, sample_sequence, stacked_windows
 from .task import CorpusRecord, TraceCorpus
 from .vocab import TokenSequence
 
@@ -243,12 +243,6 @@ def _record_sums(terms: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return np.cumsum(padded, axis=1)[np.arange(lengths.size), lengths]
 
 
-def _scores(policy, batch: TraceBatch) -> TraceScores:
-    if batch.windows is None:
-        raise ObjectiveError("the batch has no context windows: build it with the student")
-    return score_traces(policy, batch.windows, batch.row_records)
-
-
 def _teacher_rows(teacher, batch: TraceBatch) -> np.ndarray:
     """(N, V) teacher distributions at the batch's positions."""
     if teacher is None:
@@ -282,8 +276,10 @@ def batch_loss(policy, batch: TraceBatch, spec: ObjectiveSpec, teacher=None, wei
     added in batch order; the gradient is the records' gradients added in
     batch order (reduced per record for tabular students).
     """
-    scores = _scores(policy, batch)
-    logp, n = scores.logp, batch.tokens.size
+    if batch.windows is None:
+        raise ObjectiveError("the batch has no context windows: build it with the student")
+    logits, cache = policy.forward(batch.windows)
+    logp, n = _log_softmax(logits), batch.tokens.size
     if spec.base == "gkd":
         w = np.ones(n)
         terms, dlogits = _js_terms(_teacher_rows(teacher, batch), logp, spec.gkd_beta)
@@ -298,7 +294,7 @@ def batch_loss(policy, batch: TraceBatch, spec: ObjectiveSpec, teacher=None, wei
             values, dlogits = _kl_terms(_teacher_rows(teacher, batch), logp, _KL_DIRECTIONS[spec.base])
             terms, dlogits = w * values, w[:, None] * dlogits
     buf = GradientBuffer.for_policy(policy)
-    scores.backward(dlogits, buf)
+    policy.backward(cache, dlogits, buf, batch.row_records)
     return LossResult(loss=_running_sum(_record_sums(terms, batch.offsets)), grad=buf, token_weights=w)
 
 
@@ -312,7 +308,7 @@ def record_token_weights(policy, record: CorpusRecord, transform: WeightTransfor
     if transform.kind == "constant-one":
         return np.ones(len(record.trace))
     batch = _record_batch(policy, record)
-    return _token_weights(_scores(policy, batch).logp, batch, transform)
+    return _token_weights(_log_softmax(policy.forward(batch.windows)[0]), batch, transform)
 
 
 def sft_loss_frozen(policy, record: CorpusRecord, weights: np.ndarray) -> LossResult:

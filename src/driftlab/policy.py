@@ -16,7 +16,6 @@ probability, so they stay finite. All arithmetic is float64.
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import chain
 
@@ -93,16 +92,6 @@ class ParametricPolicy:
     vocab: Vocabulary
     params: np.ndarray
 
-    def _context_window(self, context) -> np.ndarray:
-        """The (1, k) window of a single context; built directly, as decoding
-        calls this once per token."""
-        toks = list(context)
-        if not toks:
-            raise PolicyError("context must be non-empty (sequences start at BOS)")
-        check_tokens(toks, self.vocab.size)
-        window = toks[-self.order :]
-        return np.array([[BOS] * (self.order - len(window)) + window], dtype=np.int64)
-
     def forward(self, windows: np.ndarray):
         """(T, V) logits for a stack of windows, and the cache ``backward`` needs."""
         raise NotImplementedError
@@ -116,7 +105,7 @@ class ParametricPolicy:
         raise NotImplementedError
 
     def logits(self, context) -> np.ndarray:
-        return self.forward(self._context_window(context))[0][0]
+        return self.forward(_question_windows(self, [context]))[0][0]
 
     def next_token_distribution(self, context) -> np.ndarray:
         return _softmax(self.logits(context))
@@ -126,7 +115,7 @@ class ParametricPolicy:
 
     def accumulate_logit_grad(self, context, dlogits: np.ndarray, buf: GradientBuffer) -> None:
         """Backpropagate a d(loss)/d(logits) vector for one context into ``buf``."""
-        _, cache = self.forward(self._context_window(context))
+        _, cache = self.forward(_question_windows(self, [context]))
         self.backward(cache, np.asarray(dlogits)[None, :], buf)
 
     def rollout_state(self, questions) -> "RolloutState":
@@ -159,7 +148,7 @@ class TabularPolicy(ParametricPolicy):
         self._place = V ** np.arange(order - 1, -1, -1, dtype=np.int64)
 
     def context_index(self, context) -> int:
-        return int(self._context_window(context)[0].dot(self._place))
+        return int(_question_windows(self, [context])[0].dot(self._place))
 
     def rollout_state(self, questions) -> "RolloutState":
         return _TableState(self, questions)
@@ -263,26 +252,6 @@ class FeedForwardPolicy(ParametricPolicy):
         )
 
 
-@dataclass
-class TraceScores:
-    """Student log-distributions at every prefix of one teacher-forced trace.
-
-    ``logp`` is (T, V); ``backward(dlogits, buf)`` adds the parameter gradient
-    of (T, V) d(loss)/d(logits) rows into ``buf``.
-    """
-
-    logp: np.ndarray
-    backward: Callable[[np.ndarray, GradientBuffer], None]
-
-
-def score_traces(policy: ParametricPolicy, windows: np.ndarray, row_records=None) -> TraceScores:
-    """One forward over the (N, k) context windows of every teacher-forced
-    prefix of B (question, trace) pairs, their rows stacked pair by pair; the
-    backward gets ``row_records``."""
-    logits, cache = policy.forward(windows)
-    return TraceScores(_log_softmax(logits), lambda dlogits, buf: policy.backward(cache, dlogits, buf, row_records))
-
-
 def stacked_windows(order: int, vocab_size: int, questions, traces) -> np.ndarray:
     """(N, k) context windows of every teacher-forced prefix of B (question,
     trace) pairs, stacked pair by pair: row t of a pair holds the last k tokens
@@ -338,13 +307,9 @@ class RolloutState:
 
 
 def _question_windows(policy: ParametricPolicy, questions) -> np.ndarray:
-    """The (P, k) windows of P questions: the last k tokens of each, left-padded with BOS."""
-    bos = (BOS,) * policy.order
-    tokens, lengths = flat_tokens(chain.from_iterable((bos, question) for question in questions))
-    if lengths.size and lengths[1::2].min() < 1:
-        raise PolicyError("context must be non-empty (sequences start at BOS)")
-    check_tokens(tokens, policy.vocab.size)
-    return tokens[(np.cumsum(lengths)[1::2] + np.arange(-policy.order, 0)[:, None]).T]
+    """The (P, k) windows of P questions: the last k tokens of each, left-padded
+    with BOS, read as the first prefix of each question given a one-token trace."""
+    return stacked_windows(policy.order, policy.vocab.size, questions, [(EOS,)] * len(questions))
 
 
 class _WindowState(RolloutState):
@@ -440,17 +405,14 @@ def stream(*entropy) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(entropy))))
 
 
-def rollouts(model, questions, max_len: int, streams=None, uniforms=None, divergence=None) -> Rollouts:
+def rollouts(model, questions, max_len: int, uniforms=None, divergence=None) -> Rollouts:
     """Roll out every question together, until EOS or ``max_len`` tokens.
 
     Each step makes one (P, V) array of next-token distributions for the live
     rows and picks one token per row: the argmax (ties to the lowest index)
-    when neither ``uniforms`` nor ``streams`` is given, otherwise an
-    inverse-CDF draw of one uniform per emitted token. Row i's token t draws
+    without ``uniforms``, otherwise an inverse-CDF draw. Row i's token t draws
     ``uniforms[i, t]`` from a (P, max_len) array, such as a ``uniform_block``
-    of one stream per row; or, given ``streams``, the next ``random()`` of row
-    i's generator ``streams[i]``, none after EOS, so that a generator shared
-    with other draws stays in step.
+    of one stream per row; a row's uniforms past its EOS go unused.
 
     Given ``divergence=(teacher, students)``, a teacher and a sequence of C
     students, each step also writes KL(teacher || student c) at every live
@@ -466,8 +428,8 @@ def rollouts(model, questions, max_len: int, streams=None, uniforms=None, diverg
     if max_len < 1:
         raise PolicyError("max_len must be >= 1")
     P = len(questions)
-    if uniforms is not None and (streams is not None or np.shape(uniforms) != (P, max_len)):
-        raise PolicyError(f"uniforms must be a ({P}, {max_len}) array, and come without streams")
+    if uniforms is not None and np.shape(uniforms) != (P, max_len):
+        raise PolicyError(f"uniforms must be a ({P}, {max_len}) array")
     state = model.rollout_state(questions)
     tokens = np.zeros((P, max_len), dtype=np.int64)
     probs = np.zeros((P, max_len))
@@ -497,15 +459,14 @@ def rollouts(model, questions, max_len: int, streams=None, uniforms=None, diverg
                 if id(s) not in logs:
                     logs[id(s)] = s.log_distributions(live)
                 divergences[c, live, t] = kl_divergences(p, logs[id(s)])
-        if streams is None and uniforms is None:
+        if uniforms is None:
             toks = dists.argmax(axis=1)
         else:
-            u = uniforms[live, t] if uniforms is not None else np.array([streams[i].random() for i in live.tolist()])
             # the inverse CDF: the first token whose cumulative sum exceeds u,
             # and the last token for a u at or past the rounded total
             cdf = dists.cumsum(axis=1)
             cdf[:, -1] = np.inf
-            toks = (cdf > u[:, None]).argmax(axis=1)
+            toks = (cdf > uniforms[live, t][:, None]).argmax(axis=1)
         tokens[live, t] = toks
         probs[live, t] = dists[np.arange(live.size), toks]
         going = toks != EOS
@@ -519,8 +480,17 @@ def rollouts(model, questions, max_len: int, streams=None, uniforms=None, diverg
 
 def sample_sequence(policy, question: TokenSequence, rng: np.random.Generator, max_len: int) -> TokenSequence:
     """Autoregressively sample until EOS or ``max_len`` tokens: the one-row
-    case of ``rollouts``, drawing one uniform per token from ``rng``."""
-    return rollouts(policy, [question], max_len, [rng]).traces[0]
+    case of ``rollouts``. It takes one ``rng.random()`` per emitted token and
+    none after EOS, so that a generator shared with other draws stays in step:
+    the rollout reads ``max_len`` uniforms, and ``rng`` is then put back (also
+    when the rollout raises) and advanced by the trace's length."""
+    state = rng.bit_generator.state
+    try:  # a max_len below 1 draws no uniforms and meets rollouts' own check
+        trace = rollouts(policy, [question], max_len, uniforms=rng.random((1, max(max_len, 0)))).traces[0]
+    finally:
+        rng.bit_generator.state = state
+    rng.random(len(trace))
+    return trace
 
 
 def greedy_decode(policy, question: TokenSequence, max_len: int) -> TokenSequence:

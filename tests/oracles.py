@@ -559,6 +559,19 @@ def random_feedforward(vocab, order, embed_dim, hidden_dim, scale, rng):
     return FeedForwardPolicy(vocab, order, embed_dim, hidden_dim, params=scale * rng.standard_normal(n))
 
 
+def reference_window(context, order, vocab_size):
+    """The (1, k) window of one context, built as a list: its last ``order``
+    tokens, left-padded with BOS, after the checks every window builder makes."""
+    toks = list(context)
+    if not toks:
+        raise PolicyError("context must be non-empty (sequences start at BOS)")
+    bad = next((t for t in toks if not 0 <= t < vocab_size), None)
+    if bad is not None:
+        raise PolicyError(f"context token {bad} outside vocabulary of size {vocab_size}")
+    window = toks[-order:]
+    return np.array([[BOS] * (order - len(window)) + window], dtype=np.int64)
+
+
 def reference_rollout(model, question, max_len, rng=None, uniforms=None):
     """One rollout, one ``next_token_distribution`` call per token: the argmax
     without ``rng`` or ``uniforms``, else an inverse-CDF draw of one

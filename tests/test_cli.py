@@ -336,6 +336,7 @@ def test_gen_corpus_and_manifest(tmp_path):
         n_lines = sum(1 for line in fh if line.strip() and not line.startswith("#"))
     assert manifest["n_retained"] == n_lines
     assert 0.0 < manifest["retention_rate"] <= 1.0
+    assert manifest["corpus_sha256"] == file_hashes(out, ["corpus.txt"])["corpus.txt"]
     # rerunning without --overwrite fails; with it, bytes are identical
     assert main(["gen-corpus", "--config", cfg_path, "--out", out]) == EXIT_RUNTIME
     before = file_hashes(out, ["corpus.txt"])
@@ -448,7 +449,7 @@ GOLDEN_DRIFT_STUDY = {
     "history_sft_s1.csv": "b9c4c5f2d8339cb362179a65be2658bc798636682440d161c734d400ead30be1",
     "history_sigmoid_t1_s0.csv": "73179a8bc432c11542d302fa0f4c2b0d0dc73ba48d784b7d4b8380405483bfb0",
     "history_sigmoid_t1_s1.csv": "f242666a8865307afee918e2289ce908e6371b096d54835c5aeab253841cf85f",
-    "manifest.json": "0486ca0d576cb5275ed3034bb0f635f08f647f951589cccf8a9837b2328f3f56",
+    "manifest.json": "4986610caef8b7fe3c391906fbd1d4073b9ecdc01e7d4110025e2e8f996015b2",
     "policy_sft_s0.txt": "3bc4b4aa25863ae6ca06d441a814088ff633be4ef29de4679e1fe6fc31d2ad35",
     "policy_sft_s1.txt": "8557e21ad6dcce1758b3c2bcdd32a4c272ba99a2d68f67fdb6c41d382967ee99",
     "policy_sigmoid_t1_s0.txt": "32e86dd25bfeac46c754789581f262a12681a5e160230e38876209408e1011a1",
@@ -482,7 +483,7 @@ GOLDEN_GKD_DRIFT_STUDY = {
     "drift_runs.csv": "4d0ef6f6cee1954aa7e635470cce91d9a8d81aca7a42f8824ca236771257d65f",
     "history_gkd_s0.csv": "afdbc6be9aea201f0beaf8de02a92b2326630d10aae8df6425775e595983f225",
     "history_gkd_s1.csv": "6ec40f4b0eec6b2c5478b29c1964a7757b3d6c6527bedd29ca9a8874ddc6475e",
-    "manifest.json": "edabc29703bf92daab9edb01f76c4e526235a71eeadb7fb681d9d1bab163d86b",
+    "manifest.json": "117d82a2ef5cd0f0fb91b41f421b121e245b3f3d13db93b1406f7097bd48871f",
     "policy_gkd_s0.txt": "0f7a88f91f6f84de7403de9f808e687e05c870195cd23936f283bbe8dd207b48",
     "policy_gkd_s1.txt": "015291db85eb3895ecfe0274692fe8a3171240b86e0bc22b1ea5de71fd2b6de5",
 }
@@ -571,6 +572,40 @@ def test_malformed_corpus_line_fails_before_training(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert f"{path} line 4: " in err and CORPUS_ERRORS[case] in err
     assert not [f for f in os.listdir(out) if f.startswith(("history_", "policy_"))]
+
+
+@pytest.mark.parametrize("case", ["trace_token", "no_digest", "no_manifest"])
+def test_tampered_corpus_fails_before_training(tmp_path, capsys, case):
+    # an in-vocabulary trace token changed passes every line check: only the
+    # corpus digest in the manifest catches it, and a corpus without one is refused
+    cfg_path = write_config(tmp_path)
+    out = str(tmp_path / "results")
+    assert main(["gen-corpus", "--config", cfg_path, "--out", out]) == EXIT_OK
+    corpus_path, manifest_path = os.path.join(out, "corpus.txt"), os.path.join(out, "manifest.json")
+    if case == "trace_token":
+        with open(corpus_path) as fh:
+            lines = fh.read().splitlines()
+        q, t, lp, flag = lines[1].split("\t")
+        vocab, trace = Vocabulary(5), [int(tok) for tok in t.split()]
+        i = next(i for i, tok in enumerate(trace) if vocab.is_value(tok))
+        trace[i] = vocab.value_token((vocab.residue(trace[i]) + 1) % 5)
+        lines[1] = "\t".join([q, " ".join(map(str, trace)), lp, flag])
+        with open(corpus_path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+    elif case == "no_digest":
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        del manifest["corpus_sha256"]
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+    else:
+        os.remove(manifest_path)
+    before = sorted(os.listdir(out))
+    capsys.readouterr()
+    assert main(["drift", "--config", cfg_path, "--out", out]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert corpus_path in err and manifest_path in err and "Traceback" not in err
+    assert sorted(os.listdir(out)) == before
 
 
 def test_report_merges_outputs(tmp_path, capsys):

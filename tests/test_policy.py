@@ -10,6 +10,7 @@ from driftlab.policy import (
     NonDeterministicLossError,
     PolicyError,
     TabularPolicy,
+    _log_softmax,
     _WindowState,
     finite_difference_check,
     greedy_decode,
@@ -17,12 +18,11 @@ from driftlab.policy import (
     rollouts,
     sample_sequence,
     save_policy,
-    score_traces,
     stacked_windows,
 )
 from driftlab.vocab import BOS, EOS, TokenSequence, Vocabulary
 
-from oracles import accumulate_weighted_grad_logp, random_feedforward
+from oracles import accumulate_weighted_grad_logp, random_feedforward, reference_window
 
 VOCAB = Vocabulary(3)  # size 8
 CTX = TokenSequence((BOS, VOCAB.value_token(1)), "question")
@@ -74,20 +74,22 @@ def test_out_of_vocabulary_context_rejected():
 def test_rollout_windows_equal_per_question_context_windows(order):
     # contexts shorter than, as long as and longer than the order, with and
     # without a leading BOS, a bare BOS and a TokenSequence, built as one
-    # padded array
+    # padded array; each one-row call reads the same window
     rng = rng_of(order)
     questions = [[BOS] + rng.integers(0, VOCAB.size, size=n).tolist() for n in (0, 1, 2, 4, 7, 0, 3)]
     questions += [rng.integers(1, VOCAB.size, size=n).tolist() for n in (1, 2, 3, 5, 6)] + [CTX]
+    want = np.vstack([reference_window(q, order, VOCAB.size) for q in questions])
     # a feed-forward state keeps the windows, a tabular one their context indices
     policy = random_ff(order=order)
     state = policy.rollout_state(questions)
-    want = np.vstack([policy._context_window(q) for q in questions])
     assert state.windows.dtype == want.dtype and np.array_equal(state.windows, want)
     assert policy.rollout_state([]).windows.shape == (0, order)
+    for q, window in zip(questions, want):
+        assert np.array_equal(policy.logits(q), policy.forward(window[None, :])[0][0])
     policy = TabularPolicy(VOCAB, order)
     state = policy.rollout_state(questions)
-    want = np.array([policy.context_index(q) for q in questions], dtype=np.int64)
-    assert state.idx.dtype == want.dtype and np.array_equal(state.idx, want)
+    assert state.idx.dtype == want.dtype and np.array_equal(state.idx, want.dot(policy._place))
+    assert [policy.context_index(q) for q in questions] == want.dot(policy._place).tolist()
     assert policy.rollout_state([]).idx.shape == (0,)
 
 
@@ -105,7 +107,7 @@ def test_table_state_equals_window_state(order):
     contexts = [list(q) for q in questions]
     everyone = np.arange(len(questions))
     for _ in range(3 * order + 2):
-        want = np.vstack([policy._context_window(c) for c in contexts])
+        want = np.vstack([reference_window(c, order, VOCAB.size) for c in contexts])
         assert np.array_equal(windows.windows, want)
         assert np.array_equal(table.idx, want.dot(policy._place))
         for got, ref in ((table.distributions(everyone), windows.distributions(everyone)),
@@ -122,20 +124,23 @@ def test_table_state_equals_window_state(order):
 
 
 def test_rollout_windows_reject_what_context_windows_reject():
+    # the P-row state and the one-row calls raise the reference's message
     for policy in (TabularPolicy(VOCAB, 2), random_ff(order=2)):
         for questions in ([[BOS, 3], []], [[BOS, 3], [BOS, VOCAB.size + 2, -1]], [[BOS, -1]]):
             bad = next(q for q in questions if not q or not all(0 <= t < VOCAB.size for t in q))
             with pytest.raises(PolicyError) as want:
-                policy._context_window(bad)
-            with pytest.raises(PolicyError) as got:
-                policy.rollout_state(questions)
-            assert str(got.value) == str(want.value)
+                reference_window(bad, policy.order, VOCAB.size)
+            for call in (lambda: policy.rollout_state(questions), lambda: policy.next_token_distribution(bad)):
+                with pytest.raises(PolicyError) as got:
+                    call()
+                assert str(got.value) == str(want.value)
 
 
 def trace_log_prob(policy, question, trace):
     """Summed log-probability of ``trace`` (EOS included) after ``question``,
-    from one teacher-forced ``score_traces`` call."""
-    logp = score_traces(policy, stacked_windows(policy.order, policy.vocab.size, [question], [trace])).logp
+    from one teacher-forced ``forward`` call."""
+    windows = stacked_windows(policy.order, policy.vocab.size, [question], [trace])
+    logp = _log_softmax(policy.forward(windows)[0])
     return float(logp[np.arange(len(trace)), list(trace)].sum())
 
 
@@ -212,7 +217,7 @@ def test_first_token_frequencies_match_uniform():
     question = TokenSequence((BOS,), "question")
     # one lockstep call: row i draws the i-th uniform of the shared stream, as
     # the i-th of n one-row sample_sequence calls would
-    first = rollouts(pol, [question] * n, 1, [rng] * n).tokens[:, 0]
+    first = rollouts(pol, [question] * n, 1, uniforms=rng.random((n, 1))).tokens[:, 0]
     counts = np.bincount(first, minlength=vocab.size)
     p = 1.0 / vocab.size
     se = math.sqrt(p * (1 - p) / n)

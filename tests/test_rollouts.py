@@ -107,11 +107,9 @@ def test_greedy_lockstep_matches_reference(name, max_len):
 @pytest.mark.parametrize("max_len", (1, 3, 14))
 def test_sampled_lockstep_matches_reference(name, max_len):
     model = MODELS[name]()
-    # each row's own uniforms, or its own generator drawn from token by token
-    uniforms = uniforms_of(41, len(QUESTIONS), max_len)
-    for draws in ({"uniforms": uniforms}, {"streams": [stream(41, i) for i in range(len(QUESTIONS))]}):
-        got = rollouts(model, QUESTIONS, max_len, **draws)
-        assert_rows_match(got, model, QUESTIONS, max_len, lambda i: stream(41, i), exact_probs=name != "feedforward")
+    # each row's uniforms: the first max_len draws of its own stream
+    got = rollouts(model, QUESTIONS, max_len, uniforms=uniforms_of(41, len(QUESTIONS), max_len))
+    assert_rows_match(got, model, QUESTIONS, max_len, lambda i: stream(41, i), exact_probs=name != "feedforward")
     if max_len == 14 and name.startswith("teacher"):
         assert len({len(trace) for trace in got.traces}) > 1  # rows end at different steps
     # the one-row case shares its stream: one draw per token, none after EOS
@@ -122,16 +120,32 @@ def test_sampled_lockstep_matches_reference(name, max_len):
     assert rng.random() == ref.random()
 
 
+def test_sampling_keeps_a_buffered_32_bit_word():
+    # a generator that drew one 32-bit integer holds the other half of that
+    # 64-bit output for its next 32-bit draw; sampling takes whole doubles, so
+    # after it the next 32-bit draws are those of the per-token reference
+    model = MODELS["teacher"]()
+    rng, ref = rng_of(6), rng_of(6)
+    for g in (rng, ref):
+        g.integers(0, 2**32, dtype=np.uint32)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    for question in QUESTIONS:
+        trace = sample_sequence(model, question, rng, 14)
+        assert list(trace.tokens) == reference_rollout(model, question, 14, ref)[0]
+    # a question the rollout rejects draws nothing
+    with pytest.raises(PolicyError):
+        sample_sequence(model, TokenSequence(QUESTIONS[0].tokens + (V + 3,), "full"), rng, 14)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    got, want = (g.integers(0, 2**32, size=3, dtype=np.uint32) for g in (rng, ref))
+    assert np.array_equal(got, want)
+
+
 def test_uniforms_are_one_per_row_and_token():
     model, P = MODELS["tabular-1"](), len(QUESTIONS)
     uniforms = uniforms_of(41, P, 5)
-    for draws in (
-        {"uniforms": uniforms[1:]},
-        {"uniforms": uniforms[:, :4]},
-        {"uniforms": uniforms, "streams": [stream(41, i) for i in range(P)]},
-    ):
+    for bad in (uniforms[1:], uniforms[:, :4], uniforms[0]):
         with pytest.raises(PolicyError, match=f"uniforms must be a \\({P}, 5\\) array"):
-            rollouts(model, QUESTIONS, 5, **draws)
+            rollouts(model, QUESTIONS, 5, uniforms=bad)
 
 
 def test_duplicate_questions_keep_their_own_streams():
@@ -173,6 +187,8 @@ def test_each_question_checked_against_the_vocabulary(name):
         model.next_token_distribution(list(bad))
     with pytest.raises(PolicyError, match="max_len must be >= 1"):
         rollouts(model, QUESTIONS, 0)
+    with pytest.raises(PolicyError, match="max_len must be >= 1"):
+        sample_sequence(model, QUESTIONS[0], rng_of(0), -1)
 
 
 @pytest.mark.parametrize("epsilon", (0.0, 0.1))
