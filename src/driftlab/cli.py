@@ -95,9 +95,7 @@ def _cmd_train(cfg, args) -> int:
     corpus = load_corpus_checked(cfg, args.out)
     teacher = teacher_policy(cfg.teacher, cfg.task)
     init = make_student(cfg, seed)
-    policy, history = train(
-        cfg.train.train_config(seed), corpus, spec, init, teacher=teacher, max_len=cfg.corpus.max_len
-    )
+    policy, history = train(cfg.train, corpus, spec, init, teacher=teacher, max_len=cfg.corpus.max_len, seed=seed)
     save_cell(cfg, args.out, label, seed, policy, history)
     print(f"trained {label} seed {seed}: final loss {history.steps[-1].loss:.6f}")
     return EXIT_OK
@@ -131,7 +129,10 @@ def main(argv=None) -> int:
             print(run_report(args.out), end="")
             return EXIT_OK
         cfg = load_config(args.config)
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise HarnessError(f"cannot use output directory {args.out}: {exc}") from None
         if args.command == "gen-corpus":
             manifest = run_gen_corpus(cfg, args.out, overwrite=args.overwrite)
             print(
@@ -159,7 +160,7 @@ def main(argv=None) -> int:
     except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (HarnessError, TrainAbortError, RuntimeError, ValueError) as exc:
+    except (HarnessError, TrainAbortError, RuntimeError, ValueError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -54,17 +54,7 @@ class CorpusSettings:
 
 
 @dataclass(frozen=True)
-class TrainSettings:
-    learning_rate: float = 0.1
-    epochs: int = 6
-    batch_size: int = 16
-    warmup_fraction: float = 0.05
-    clip_norm: float = 1.0
-    optimizer: str = "sgd"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    weight_decay: float = 0.0
+class TrainSettings(TrainConfig):
     family: str = "tabular"
     order: int = 1
     embed_dim: int = 8
@@ -81,11 +71,7 @@ class TrainSettings:
             raise ConfigError(f"seeds must not repeat, got {','.join(map(str, self.seeds))}")
         if min(self.order, self.embed_dim, self.hidden_dim) < 1:
             raise ConfigError("order, embed_dim and hidden_dim must be >= 1")
-        self.train_config(self.seeds[0])  # TrainConfig checks the optimizer settings
-
-    def train_config(self, seed: int) -> TrainConfig:
-        shared = {f.name: getattr(self, f.name) for f in fields(TrainConfig) if f.name != "seed"}
-        return TrainConfig(seed=seed, **shared)
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -308,8 +294,11 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse_config(fh.read())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
 
 
 def _format_section(section: str, keys, objects: dict) -> str:

@@ -103,11 +103,8 @@ def write_lines(path, lines) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def output_header(cfg: ExperimentConfig, with_epochs: bool = True) -> str:
-    h = f"# config_hash={config_hash(cfg)}"
-    if with_epochs:
-        h += f" epochs={cfg.train.epochs}"
-    return h
+def output_header(cfg: ExperimentConfig) -> str:
+    return f"# config_hash={config_hash(cfg)} epochs={cfg.train.epochs}"
 
 
 def run_gen_corpus(cfg: ExperimentConfig, out_dir, overwrite: bool = False) -> dict:
@@ -228,10 +225,10 @@ def _run_cell(args) -> tuple[CellResult, ParametricPolicy | None]:
     Any other error ends the study, as a HarnessError naming the cell."""
     cfg, label, spec, seed, out_dir = args
     corpus, arrays, probs_eval, _, teacher = _shared_inputs
-    tc = cfg.train.train_config(seed)
     try:
+        student = make_student(cfg, seed)
         policy, history = train(
-            tc, corpus, spec, make_student(cfg, seed), teacher=teacher, max_len=cfg.corpus.max_len, arrays=arrays
+            cfg.train, corpus, spec, student, teacher=teacher, max_len=cfg.corpus.max_len, arrays=arrays, seed=seed
         )
         cell = CellResult(label=label, seed=seed, history=history)
         cell.accuracy, cell.quality = evaluate_policy(cfg, policy, probs_eval)

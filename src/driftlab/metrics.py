@@ -10,7 +10,7 @@ rollouts (the distribution inference visits). For a horizon l,
     value(l)  = 100 * (E_self(l) - E_ref(l)) / E_ref(l), averaged per problem
 
 Rollouts shorter than a horizon contribute up to their length. Problems whose
-reference accumulation sits below a small floor are skipped for that horizon
+reference accumulation sits below ``KL_FLOOR`` are skipped for that horizon
 (the curve records that the floor fired); with analytic policies the reference
 term can be exactly zero, which never happens with real models.
 
@@ -32,7 +32,7 @@ import numpy as np
 from .policy import kl_divergences, rollouts
 from .policy import greedy_decode, sample_sequence  # noqa: F401 -- bench/tracer.py wraps these names here
 from .streams import uniform_block
-from .task import ProblemInstance, answer_token
+from .task import ProblemInstance, answer_index, answer_token
 from .vocab import ANSWER_MARK, EOS, TokenSequence
 
 KL_FLOOR = 1e-9
@@ -86,14 +86,14 @@ def _checked_horizons(horizons) -> tuple[int, ...]:
     return horizons
 
 
-def _aggregate_curve(per_problem_ref, per_problem_self, horizons, floor) -> ExAccErrCurve:
+def _aggregate_curve(per_problem_ref, per_problem_self, horizons) -> ExAccErrCurve:
     """Mean over problems of 100 * (E_self - E_ref) / E_ref at each horizon,
-    skipping problems whose E_ref lies below ``floor``. The ratios are added
+    skipping problems whose E_ref lies below ``KL_FLOOR``. The ratios are added
     problem by problem from 0.0, as a running sum would."""
     horizons = tuple(horizons)
     e_ref = np.asarray(per_problem_ref, dtype=np.float64).reshape(-1, len(horizons))
     e_self = np.asarray(per_problem_self, dtype=np.float64).reshape(-1, len(horizons))
-    skipped = e_ref < floor
+    skipped = e_ref < KL_FLOOR
     ratios = np.zeros_like(e_ref)
     np.divide(100.0 * (e_self - e_ref), e_ref, out=ratios, where=~skipped)
     acc = np.cumsum(np.vstack([np.zeros(len(horizons)), ratios]), axis=0)[-1]
@@ -103,7 +103,7 @@ def _aggregate_curve(per_problem_ref, per_problem_self, horizons, floor) -> ExAc
 
 
 def _drift_curves(
-    teacher, students, source, problems, horizons, seed: int, max_len: int, floor: float
+    teacher, students, source, problems, horizons, seed: int, max_len: int
 ) -> ExAccErrCurve | list[ExAccErrCurve]:
     """Mean excess of each student's drift on generated rollouts over its drift
     on teacher rollouts, one rollout of each per problem: one curve per student
@@ -119,7 +119,7 @@ def _drift_curves(
     either way.
     """
     if not isinstance(students, (list, tuple)):
-        return _drift_curves(teacher, [students], source, problems, horizons, seed, max_len, floor)[0]
+        return _drift_curves(teacher, [students], source, problems, horizons, seed, max_len)[0]
     horizons = _checked_horizons(horizons)
     questions = [problem.question for problem in problems]
     n = min(max_len, max(horizons))
@@ -135,7 +135,7 @@ def _drift_curves(
         selfs = [accumulated(student, [student], 1)[0] for student in students]
     else:
         selfs = accumulated(source, students, 1)
-    return [_aggregate_curve(ref, own, horizons, floor) for ref, own in zip(refs, selfs)]
+    return [_aggregate_curve(ref, own, horizons) for ref, own in zip(refs, selfs)]
 
 
 def exaccerr(
@@ -145,7 +145,6 @@ def exaccerr(
     horizons,
     seed: int,
     max_len: int = 24,
-    floor: float = KL_FLOOR,
 ) -> ExAccErrCurve | list[ExAccErrCurve]:
     """Sampled drift curve: one teacher rollout and one student rollout per problem.
 
@@ -154,7 +153,7 @@ def exaccerr(
     Given a list of students, gives a list of their curves, all scored on one
     set of teacher rollouts.
     """
-    return _drift_curves(teacher, student, None, problems, horizons, seed, max_len, floor)
+    return _drift_curves(teacher, student, None, problems, horizons, seed, max_len)
 
 
 def prefix_drift_eval(
@@ -165,7 +164,6 @@ def prefix_drift_eval(
     horizons,
     seed: int,
     max_len: int = 24,
-    floor: float = KL_FLOOR,
 ) -> ExAccErrCurve | list[ExAccErrCurve]:
     """Drift curve with generated prefixes drawn from a fixed prefix source.
 
@@ -178,7 +176,7 @@ def prefix_drift_eval(
     horizons = tuple(horizons)
     if max(horizons, default=1) > max_len:
         raise ValueError("horizons must stay within the rollout length cap")
-    return _drift_curves(teacher, trained_policy, prefix_source_policy, problems, horizons, seed, max_len, floor)
+    return _drift_curves(teacher, trained_policy, prefix_source_policy, problems, horizons, seed, max_len)
 
 
 def _rollout_tree(source, teacher, student, question: TokenSequence, max_len: int):
@@ -220,12 +218,11 @@ def exaccerr_exact(
     question: TokenSequence,
     horizons,
     max_len: int = 8,
-    floor: float = KL_FLOOR,
 ) -> ExAccErrCurve:
     """Expectation-exact drift curve for one question via full tree enumeration.
 
     Every (teacher rollout, student rollout) pair contributes its probability-
-    weighted ratio; pairs whose reference accumulation is below the floor are
+    weighted ratio; pairs whose reference accumulation is below ``KL_FLOOR`` are
     dropped and the remaining mass renormalized.
     """
     horizons = _checked_horizons(horizons)
@@ -235,7 +232,7 @@ def exaccerr_exact(
     s_probs, s_divs = _rollout_tree(student, teacher, student, question, max_len)
     e_ref, e_self = _horizon_sums(t_divs, horizons), _horizon_sums(s_divs, horizons)
     # the sum over pairs of tp * sp * (e_self / e_ref - 1) splits into one sum per tree
-    kept = e_ref >= floor
+    kept = e_ref >= KL_FLOOR
     t_mass = np.where(kept, t_probs[:, None], 0.0)
     mass = s_probs.sum() * t_mass.sum(axis=0)
     num = 100.0 * (s_probs @ e_self * (t_mass / np.where(kept, e_ref, 1.0)).sum(axis=0) - mass)
@@ -268,10 +265,9 @@ def trace_quality(traces) -> TraceQualityReport:
         rep4.append(repeated_4gram_fraction(trace))
         if toks.count(ANSWER_MARK) >= 2:
             multi_answer += 1
-        if ANSWER_MARK in toks:
-            idx = toks.index(ANSWER_MARK)
-            if idx + 1 < len(toks) and len(toks) - (idx + 2) >= 1:
-                post_answer += 1
+        i = answer_index(toks)
+        if i is not None and i + 1 < len(toks):
+            post_answer += 1
     n = len(traces)
     return TraceQualityReport(
         mean_length=float(np.mean(lengths)),

@@ -70,9 +70,6 @@ class GradientBuffer:
     def for_policy(cls, policy: "ParametricPolicy") -> "GradientBuffer":
         return cls(np.zeros_like(policy.params))
 
-    def add(self, other: "GradientBuffer", scale: float = 1.0) -> None:
-        self.values += scale * other.values
-
     def check_finite(self) -> None:
         if not np.all(np.isfinite(self.values)):
             raise PolicyError("gradient buffer contains non-finite entries")

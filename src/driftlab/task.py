@@ -371,14 +371,16 @@ class FilterStats:
         return self.n_retained / self.n_input if self.n_input else 0.0
 
 
+def answer_index(tokens) -> int | None:
+    """Index of the token after the first answer marker, or None if no token follows one."""
+    i = tokens.index(ANSWER_MARK) + 1 if ANSWER_MARK in tokens else 0
+    return i if 0 < i < len(tokens) else None
+
+
 def answer_token(trace: TokenSequence) -> int | None:
     """First token after the first answer marker, or None if absent."""
-    toks = trace.tokens
-    if ANSWER_MARK in toks:
-        idx = toks.index(ANSWER_MARK)
-        if idx + 1 < len(toks):
-            return toks[idx + 1]
-    return None
+    i = answer_index(trace.tokens)
+    return None if i is None else trace.tokens[i]
 
 
 def generate_corpus(

@@ -47,11 +47,10 @@ class TrainAbortError(RuntimeError):
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.1
-    epochs: int = 3
+    epochs: int = 6
     batch_size: int = 16
     warmup_fraction: float = 0.05
     clip_norm: float = 1.0
-    seed: int = 0
     optimizer: str = "sgd"
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
@@ -97,7 +96,6 @@ class StepRecord:
 @dataclass
 class RunHistory:
     steps: list[StepRecord] = field(default_factory=list)
-    epochs: int = 0
 
     def losses(self) -> np.ndarray:
         return np.array([s.loss for s in self.steps])
@@ -158,6 +156,8 @@ def train(
     teacher=None,
     max_len: int = 24,
     arrays: TraceBatch | None = None,
+    *,
+    seed: int,
 ) -> tuple[ParametricPolicy, RunHistory]:
     """Train a copy of ``init_policy`` on the corpus; returns (snapshot, history).
 
@@ -166,7 +166,7 @@ def train(
     runs; it is built here otherwise. Each
     offline step gathers its records' rows from it and makes one
     ``batch_loss`` call; an online step makes one ``gkd_step``, on the first
-    uniforms of stream (seed, 5, step), drawn for up to 32 steps at once.
+    uniforms of stream (``seed``, 5, step), drawn for up to 32 steps at once.
     """
     if len(corpus) == 0:
         raise TrainError("corpus is empty")
@@ -185,15 +185,15 @@ def train(
     n_batches = (n + cfg.batch_size - 1) // cfg.batch_size
     total_steps = cfg.epochs * n_batches
     state = OptimizerState.for_policy(policy)
-    history = RunHistory(epochs=cfg.epochs)
+    history = RunHistory()
     step = 0
-    for perm in permutations(cfg.seed, cfg.epochs, n):
+    for perm in permutations(seed, cfg.epochs, n):
         for k, batch in enumerate(_batches(n, cfg.batch_size, perm)):
             if objective.base == "gkd":
                 if k % _GKD_BLOCK_STEPS == 0:
                     # one row per step: B source uniforms, then room for a (B, max_len) token block
                     rows = np.arange(step, step + min(_GKD_BLOCK_STEPS, n_batches - k))
-                    draws = uniform_block((cfg.seed, 5, rows), cfg.batch_size * (1 + max_len))
+                    draws = uniform_block((seed, 5, rows), cfg.batch_size * (1 + max_len))
                 result, _ = gkd_step(
                     policy,
                     teacher,

@@ -18,7 +18,6 @@ MUL = 4
 N_SPECIAL = 5
 VALUE_BASE = 5
 
-OP_TOKENS = (ADD, MUL)
 OP_NAMES = {ADD: "ADD", MUL: "MUL"}
 
 SEQ_KINDS = ("question", "trace", "full")
@@ -42,14 +41,6 @@ class Vocabulary:
     def size(self) -> int:
         return self.modulus + N_SPECIAL
 
-    @property
-    def value_tokens(self) -> range:
-        return range(VALUE_BASE, VALUE_BASE + self.modulus)
-
-    @property
-    def op_tokens(self) -> tuple[int, int]:
-        return OP_TOKENS
-
     def value_token(self, residue: int) -> int:
         if not 0 <= residue < self.modulus:
             raise VocabularyError(f"residue {residue} outside [0, {self.modulus})")
@@ -62,9 +53,6 @@ class Vocabulary:
 
     def is_value(self, token: int) -> bool:
         return VALUE_BASE <= token < VALUE_BASE + self.modulus
-
-    def contains(self, token: int) -> bool:
-        return 0 <= token < self.size
 
 
 @dataclass(frozen=True)
@@ -105,11 +93,6 @@ class TokenSequence:
 
     def __iter__(self):
         return iter(self.tokens)
-
-    def check(self, vocab) -> None:
-        for t in self.tokens:
-            if not vocab.contains(t):
-                raise VocabularyError(f"token {t} outside vocabulary of size {vocab.size}")
 
     @property
     def ends_with_eos(self) -> bool:

@@ -56,9 +56,6 @@ class SimpleVocab:
     def size(self) -> int:
         return self.n_tokens
 
-    def contains(self, token: int) -> bool:
-        return 0 <= token < self.n_tokens
-
 
 class PrefixTablePolicy:
     """Hand-built policy: full next-token tables keyed by the trace prefix.
@@ -718,12 +715,12 @@ def reference_gkd_step(policy, teacher, records, gkd_lambda, gkd_beta, rng, max_
             supervision = TokenSequence(tuple(tokens), "trace")
         loss, grad = js_sequence_loss(policy, teacher, record.question, supervision, gkd_beta)
         total += loss
-        buf.add(grad)
+        buf.values += grad.values
         n_tokens += len(supervision)
     return total, buf, np.ones(n_tokens)
 
 
-def reference_train(cfg, corpus, objective, init_policy, teacher=None, max_len=24):
+def reference_train(cfg, corpus, objective, init_policy, teacher=None, max_len=24, *, seed):
     """``driftlab.training.train`` scoring each record of a batch on its own:
     one ``evaluate_objective`` call per record (or one JS loss per record for
     the online base), the step's loss and gradient summed record by record."""
@@ -732,10 +729,10 @@ def reference_train(cfg, corpus, objective, init_policy, teacher=None, max_len=2
     n = len(records)
     total_steps = cfg.epochs * ((n + cfg.batch_size - 1) // cfg.batch_size)
     state = OptimizerState.for_policy(policy)
-    history = RunHistory(epochs=cfg.epochs)
+    history = RunHistory()
     step = 0
     for epoch in range(cfg.epochs):
-        perm = stream(cfg.seed, epoch).permutation(n)
+        perm = stream(seed, epoch).permutation(n)
         for batch in _batches(n, cfg.batch_size, perm):
             grad = GradientBuffer(np.zeros_like(policy.params))
             loss = 0.0
@@ -743,15 +740,15 @@ def reference_train(cfg, corpus, objective, init_policy, teacher=None, max_len=2
             if objective.base == "gkd":
                 loss, step_grad, w = reference_gkd_step(
                     policy, teacher, [records[i] for i in batch], objective.gkd_lambda, objective.gkd_beta,
-                    stream(cfg.seed, 5, step), max_len,
+                    stream(seed, 5, step), max_len,
                 )
-                grad.add(step_grad)
+                grad.values += step_grad.values
                 weights.append(w)
             else:
                 for i in batch:
                     result = evaluate_objective(policy, records[i], objective, teacher)
                     loss += result.loss
-                    grad.add(result.grad)
+                    grad.values += result.grad.values
                     weights.append(result.token_weights)
             scale = 1.0 / len(batch)
             loss *= scale

@@ -88,10 +88,10 @@ def test_corpus_has_the_batch_shapes_under_test():
 @pytest.mark.parametrize("spec", SPECS, ids=spec_id)
 @pytest.mark.parametrize("batch_size", (1, 4))
 def test_tabular_train_is_byte_identical_to_per_record_loop(order, spec, batch_size):
-    cfg = TrainConfig(learning_rate=0.3, epochs=2, batch_size=batch_size, seed=7, clip_norm=2.0)
+    cfg = TrainConfig(learning_rate=0.3, epochs=2, batch_size=batch_size, clip_norm=2.0)
     init = tabular(order)
-    got, got_history = train(cfg, CORPUS, spec, init, teacher=TEACHER, max_len=6)
-    want, want_history = reference_train(cfg, CORPUS, spec, init, teacher=TEACHER, max_len=6)
+    got, got_history = train(cfg, CORPUS, spec, init, teacher=TEACHER, max_len=6, seed=7)
+    want, want_history = reference_train(cfg, CORPUS, spec, init, teacher=TEACHER, max_len=6, seed=7)
     assert np.array_equal(got.params, want.params)
     assert got_history.csv_rows() == want_history.csv_rows()
     assert got_history.steps == want_history.steps  # the weight range too
@@ -99,18 +99,18 @@ def test_tabular_train_is_byte_identical_to_per_record_loop(order, spec, batch_s
 
 @pytest.mark.parametrize("spec", SPECS[::2], ids=spec_id)
 def test_tabular_adam_train_is_byte_identical_to_per_record_loop(spec):
-    cfg = TrainConfig(learning_rate=0.05, epochs=1, batch_size=4, seed=2, optimizer="adam")
-    got, got_history = train(cfg, CORPUS, spec, tabular(2, seed=4), teacher=TEACHER, max_len=6)
-    want, want_history = reference_train(cfg, CORPUS, spec, tabular(2, seed=4), teacher=TEACHER, max_len=6)
+    cfg = TrainConfig(learning_rate=0.05, epochs=1, batch_size=4, optimizer="adam")
+    got, got_history = train(cfg, CORPUS, spec, tabular(2, seed=4), teacher=TEACHER, max_len=6, seed=2)
+    want, want_history = reference_train(cfg, CORPUS, spec, tabular(2, seed=4), teacher=TEACHER, max_len=6, seed=2)
     assert np.array_equal(got.params, want.params)
     assert got_history.steps == want_history.steps
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=spec_id)
 def test_feedforward_train_matches_per_record_loop(spec):
-    cfg = TrainConfig(learning_rate=0.01, epochs=2, batch_size=4, seed=7, optimizer="adam")
-    got, got_history = train(cfg, CORPUS, spec, feedforward(), teacher=TEACHER, max_len=6)
-    want, want_history = reference_train(cfg, CORPUS, spec, feedforward(), teacher=TEACHER, max_len=6)
+    cfg = TrainConfig(learning_rate=0.01, epochs=2, batch_size=4, optimizer="adam")
+    got, got_history = train(cfg, CORPUS, spec, feedforward(), teacher=TEACHER, max_len=6, seed=7)
+    want, want_history = reference_train(cfg, CORPUS, spec, feedforward(), teacher=TEACHER, max_len=6, seed=7)
     assert_rel_close(got.params, want.params)
     for field in ("loss", "grad_norm_pre", "mean_weight", "weight_min", "weight_max"):
         got_values = [getattr(s, field) for s in got_history.steps]
@@ -119,13 +119,13 @@ def test_feedforward_train_matches_per_record_loop(spec):
 
 def test_shared_arrays_give_the_same_run_as_arrays_built_in_train():
     spec = ObjectiveSpec("symmetric-kl", WeightTransform("sequence-sigmoid"))
-    cfg = TrainConfig(learning_rate=0.3, epochs=1, batch_size=4, seed=5)
+    cfg = TrainConfig(learning_rate=0.3, epochs=1, batch_size=4)
     arrays = TraceBatch.of_corpus(CORPUS, tabular(2), TEACHER)
-    shared, _ = train(cfg, CORPUS, spec, tabular(2), teacher=TEACHER, arrays=arrays)
-    own, _ = train(cfg, CORPUS, spec, tabular(2), teacher=TEACHER)
+    shared, _ = train(cfg, CORPUS, spec, tabular(2), teacher=TEACHER, arrays=arrays, seed=5)
+    own, _ = train(cfg, CORPUS, spec, tabular(2), teacher=TEACHER, seed=5)
     assert np.array_equal(shared.params, own.params)
     with pytest.raises(ValueError):
-        train(cfg, CORPUS, spec, tabular(1), teacher=TEACHER, arrays=arrays)  # windows of another order
+        train(cfg, CORPUS, spec, tabular(1), teacher=TEACHER, arrays=arrays, seed=5)  # windows of another order
 
 
 @pytest.mark.parametrize("make", (lambda: tabular(2), feedforward), ids=("tabular", "feedforward"))
@@ -140,7 +140,7 @@ def test_batch_kernel_is_per_record_results_summed_in_order(make):
         for record in records:
             one = evaluate_objective(policy, record, spec, TEACHER)
             loss += one.loss
-            grad.add(one.grad)
+            grad.values += one.grad.values
         assert_rel_close(got.loss, loss, rel)
         assert_rel_close(got.grad.values, grad.values, rel)
         assert np.array_equal(
@@ -152,7 +152,7 @@ def test_batch_kernel_is_per_record_results_summed_in_order(make):
     for record, (_, supervision) in zip(records, used):
         one_loss, one_grad = js_sequence_loss(policy, TEACHER, record.question, supervision, 0.3)
         loss += one_loss
-        grad.add(one_grad)
+        grad.values += one_grad.values
     assert_rel_close(result.loss, loss, rel)
     assert_rel_close(result.grad.values, grad.values, rel)
 
@@ -247,8 +247,8 @@ def test_batches_need_the_students_windows_and_the_teachers_targets():
     with pytest.raises(ObjectiveError, match="no teacher targets"):
         batch_loss(tabular(2), arrays.take(np.arange(3)), spec, TEACHER)
     with pytest.raises(TrainError, match="built with the teacher"):
-        train(cfg, CORPUS, spec, tabular(2), teacher=TEACHER, arrays=arrays)
-    train(cfg, CORPUS, ObjectiveSpec("sft"), tabular(2), arrays=arrays)  # SFT reads no targets
+        train(cfg, CORPUS, spec, tabular(2), teacher=TEACHER, arrays=arrays, seed=0)
+    train(cfg, CORPUS, ObjectiveSpec("sft"), tabular(2), arrays=arrays, seed=0)  # SFT reads no targets
 
 
 SMALL_STUDY = """

@@ -264,6 +264,55 @@ def test_invalid_value_exits_2_before_writing(tmp_path, capsys, old, new):
     assert not (out / "corpus.txt").exists()
 
 
+def test_train_section_reports_its_own_fields_before_the_optimizer_settings():
+    # TrainSettings checks the student and seeds, then TrainConfig's settings
+    text = SMALL_CONFIG.replace("family = tabular", "family = x").replace("learning_rate = 0.2", "learning_rate = -1")
+    with pytest.raises(ConfigError, match=r"^\[train\] unknown student family 'x'$"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("kind", ("directory", "latin-1"))
+def test_unreadable_config_exits_2_naming_the_file(tmp_path, capsys, kind):
+    if kind == "directory":
+        path = str(tmp_path)
+    else:
+        path = str(tmp_path / "latin1.cfg")
+        Path(path).write_bytes(SMALL_CONFIG.replace("[eval]", "# caf\xe9\n[eval]").encode("latin-1"))
+    out = tmp_path / "results"
+    assert main(["gen-corpus", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: cannot read config {path}: " in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_output_path_that_is_a_file_exits_3_naming_it(tmp_path, capsys):
+    cfg_path = write_config(tmp_path)
+    out = tmp_path / "results"
+    out.write_text("not a directory\n")
+    for command in ("gen-corpus", "drift", "matrix", "ablate-weights"):
+        assert main([command, "--config", cfg_path, "--out", str(out)]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert f"cannot use output directory {out}: " in err and "Traceback" not in err
+    assert out.read_text() == "not a directory\n"
+
+
+def test_a_directory_where_a_file_belongs_exits_3_naming_it(tmp_path, capsys):
+    # a snapshot path, and the corpus a regeneration writes
+    cfg_path = write_config(tmp_path)
+    out = str(tmp_path / "results")
+    assert main(["gen-corpus", "--config", cfg_path, "--out", out]) == EXIT_OK
+    os.remove(os.path.join(out, "corpus.txt"))
+    for path, argv in (
+        (tmp_path, ["eval", "--config", cfg_path, "--out", out, "--policy", str(tmp_path)]),
+        (os.path.join(out, "corpus.txt"), ["gen-corpus", "--config", cfg_path, "--out", out, "--overwrite"]),
+    ):
+        os.makedirs(path, exist_ok=True)
+        capsys.readouterr()
+        assert main(argv) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "runtime error: " in err and f"'{path}'" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "old, new",
     [
@@ -649,7 +698,7 @@ def test_matrix_records_aborts_and_continues(tmp_path, monkeypatch):
     real_train = harness.train
 
     def flaky_train(cfg, corpus, objective, init_policy, **kwargs):
-        if objective.transform.kind == "sigmoid" and cfg.seed == 1:
+        if objective.transform.kind == "sigmoid" and kwargs["seed"] == 1:
             raise TrainAbortError(13, "forced abort for the harness test")
         return real_train(cfg, corpus, objective, init_policy, **kwargs)
 
@@ -687,7 +736,7 @@ def test_drift_study_records_aborts_and_scores_the_other_cells(tmp_path, monkeyp
     real_train = harness.train
 
     def flaky_train(cfg, corpus, objective, init_policy, **kwargs):
-        if objective.transform.kind == "sigmoid" and cfg.seed == 1:
+        if objective.transform.kind == "sigmoid" and kwargs["seed"] == 1:
             raise TrainAbortError(13, "forced abort for the harness test")
         return real_train(cfg, corpus, objective, init_policy, **kwargs)
 
@@ -749,7 +798,7 @@ def test_a_failing_cell_is_named_and_exits_3(tmp_path, monkeypatch, capsys, erro
     real_train = harness.train
 
     def failing_train(cfg, corpus, objective, init_policy, **kwargs):
-        if objective.transform.kind == "sigmoid" and cfg.seed == 1:
+        if objective.transform.kind == "sigmoid" and kwargs["seed"] == 1:
             raise error("forced failure for the harness test")
         return real_train(cfg, corpus, objective, init_policy, **kwargs)
 

@@ -137,7 +137,7 @@ def test_aggregate_curve_equals_running_sum():
     for n in (0, 1, 7, 300):
         e_ref, e_self = rng.exponential(size=(n, 4)), rng.exponential(size=(n, 4))
         e_ref[rng.random((n, 4)) < 0.2] = 0.0
-        got = _aggregate_curve(e_ref, list(e_self), horizons, 1e-9)
+        got = _aggregate_curve(e_ref, list(e_self), horizons)
         want = reference_aggregate_curve(list(e_ref), list(e_self), horizons, 1e-9)
         assert np.array_equal(got.values, want.values) and got.floor_used == want.floor_used
         assert want.floor_used or n < 7  # the floor fires in every larger set

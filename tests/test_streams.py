@@ -248,7 +248,7 @@ def test_online_steps_read_the_first_draws_of_their_streams(monkeypatch, gkd_lam
 
     monkeypatch.setattr(training, "gkd_step", recording_step)
     spec = ObjectiveSpec("gkd", gkd_lambda=gkd_lambda)
-    train(TrainConfig(epochs=2, batch_size=4, seed=9), corpus, spec, TabularPolicy(cfg.vocab(), 1), teacher, max_len=8)
+    train(TrainConfig(epochs=2, batch_size=4), corpus, spec, TabularPolicy(cfg.vocab(), 1), teacher, max_len=8, seed=9)
     assert [size for size, _ in seen] == [4, 4, 3] * 2
     students = []
     for step, (size, uniforms) in enumerate(seen):
@@ -285,7 +285,7 @@ def test_online_steps_draw_at_most_32_steps_per_block(monkeypatch):
     monkeypatch.setattr(training, "gkd_step", recording_step)
     monkeypatch.setattr(training, "uniform_block", recording_block)
     spec = ObjectiveSpec("gkd", gkd_lambda=0.5)
-    train(TrainConfig(epochs=2, batch_size=1, seed=9), corpus, spec, TabularPolicy(cfg.vocab(), 1), teacher, max_len=6)
+    train(TrainConfig(epochs=2, batch_size=1), corpus, spec, TabularPolicy(cfg.vocab(), 1), teacher, max_len=6, seed=9)
     assert blocks == [32, 32, 6] * 2
     assert np.array_equal(np.array(seen), real_block((9, 5, np.arange(140)), 1 + 6))
 

@@ -15,6 +15,7 @@ from driftlab.task import (
     EmptyCorpusError,
     TaskConfig,
     TeacherSpec,
+    answer_index,
     answer_token,
     chain_step,
     filter_teacher_correct,
@@ -370,3 +371,6 @@ def test_answer_token_extraction():
     assert answer_token(TokenSequence((5, ANSWER_MARK, 6, EOS), "trace")) == 6
     assert answer_token(TokenSequence((5, 6, EOS), "trace")) is None
     assert answer_token(TokenSequence((5, ANSWER_MARK), "trace")) is None
+    # the one marker search behind answer_token and trace quality's post-answer count
+    assert answer_index((5, ANSWER_MARK, 6, ANSWER_MARK, 7)) == 2
+    assert answer_index((ANSWER_MARK,)) is None and answer_index((5, 6)) is None and answer_index(()) is None

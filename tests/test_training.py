@@ -112,7 +112,7 @@ def test_zero_learning_rate_keeps_params():
     corpus = make_corpus(8)
     init = TabularPolicy(CFG.vocab(), 1)
     cfg = TrainConfig(learning_rate=1e-300, epochs=1, batch_size=4, warmup_fraction=0.0)
-    policy, _ = train(cfg, corpus, ObjectiveSpec("sft"), init)
+    policy, _ = train(cfg, corpus, ObjectiveSpec("sft"), init, seed=0)
     assert np.allclose(policy.params, init.params, atol=1e-290)
 
 
@@ -122,7 +122,7 @@ def test_single_record_likelihood_increases():
     record = corpus.records[0]
     init = TabularPolicy(CFG.vocab(), 1)
     cfg = TrainConfig(learning_rate=0.5, epochs=40, batch_size=1, warmup_fraction=0.0, clip_norm=10.0)
-    policy, history = train(cfg, corpus, ObjectiveSpec("sft"), init)
+    policy, history = train(cfg, corpus, ObjectiveSpec("sft"), init, seed=0)
     losses = history.losses()
     # negative log-likelihood of the only record falls monotonically to saturation
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
@@ -133,7 +133,7 @@ def test_single_record_likelihood_increases():
 def test_epoch_mean_loss_non_increasing_small_lr():
     corpus = make_corpus(16, seed=9)
     cfg = TrainConfig(learning_rate=0.02, epochs=5, batch_size=len(corpus.records), warmup_fraction=0.0)
-    _, history = train(cfg, corpus, ObjectiveSpec("sft"), TabularPolicy(CFG.vocab(), 1))
+    _, history = train(cfg, corpus, ObjectiveSpec("sft"), TabularPolicy(CFG.vocab(), 1), seed=0)
     losses = history.losses()
     increases = sum(1 for a, b in zip(losses, losses[1:]) if b > a + 1e-12)
     assert increases <= max(1, int(0.01 * len(losses)))
@@ -142,9 +142,9 @@ def test_epoch_mean_loss_non_increasing_small_lr():
 def test_training_determinism_bitwise():
     corpus = make_corpus(20, seed=13)
     spec = ObjectiveSpec("sft", WeightTransform("sigmoid", tau=1.0))
-    cfg = TrainConfig(learning_rate=0.1, epochs=2, batch_size=8, seed=3)
-    p1, h1 = train(cfg, corpus, spec, TabularPolicy(CFG.vocab(), 1))
-    p2, h2 = train(cfg, corpus, spec, TabularPolicy(CFG.vocab(), 1))
+    cfg = TrainConfig(learning_rate=0.1, epochs=2, batch_size=8)
+    p1, h1 = train(cfg, corpus, spec, TabularPolicy(CFG.vocab(), 1), seed=3)
+    p2, h2 = train(cfg, corpus, spec, TabularPolicy(CFG.vocab(), 1), seed=3)
     assert np.array_equal(p1.params, p2.params)  # bit-identical
     assert [s.loss for s in h1.steps] == [s.loss for s in h2.steps]
 
@@ -152,7 +152,7 @@ def test_training_determinism_bitwise():
 def test_post_clip_norm_respected_in_history():
     corpus = make_corpus(20, seed=17)
     cfg = TrainConfig(learning_rate=0.2, epochs=1, batch_size=4, clip_norm=0.5)
-    _, history = train(cfg, corpus, ObjectiveSpec("sft"), TabularPolicy(CFG.vocab(), 1))
+    _, history = train(cfg, corpus, ObjectiveSpec("sft"), TabularPolicy(CFG.vocab(), 1), seed=0)
     for step in history.steps:
         assert step.grad_norm_post <= cfg.clip_norm + 1e-9
 
@@ -163,33 +163,33 @@ def test_nonfinite_loss_aborts_with_step_index():
     bad.params[:] = np.inf  # simulated numerical divergence
     cfg = TrainConfig(learning_rate=0.1, epochs=1, batch_size=2)
     with np.errstate(invalid="ignore"), pytest.raises(TrainAbortError) as err:
-        train(cfg, corpus, ObjectiveSpec("sft"), bad)
+        train(cfg, corpus, ObjectiveSpec("sft"), bad, seed=0)
     assert err.value.step == 0
 
 
 def test_gkd_trains_deterministically():
     corpus = make_corpus(12, seed=23)
     spec = ObjectiveSpec("gkd", gkd_lambda=0.5, gkd_beta=0.5)
-    cfg = TrainConfig(learning_rate=0.1, epochs=1, batch_size=4, seed=11)
-    p1, _ = train(cfg, corpus, spec, TabularPolicy(CFG.vocab(), 1), teacher=TEACHER, max_len=16)
-    p2, _ = train(cfg, corpus, spec, TabularPolicy(CFG.vocab(), 1), teacher=TEACHER, max_len=16)
+    cfg = TrainConfig(learning_rate=0.1, epochs=1, batch_size=4)
+    p1, _ = train(cfg, corpus, spec, TabularPolicy(CFG.vocab(), 1), teacher=TEACHER, max_len=16, seed=11)
+    p2, _ = train(cfg, corpus, spec, TabularPolicy(CFG.vocab(), 1), teacher=TEACHER, max_len=16, seed=11)
     assert np.array_equal(p1.params, p2.params)
 
 
 def test_weight_decay_skips_tabular_logits():
     corpus = make_corpus(8, seed=37)
     spec = ObjectiveSpec("sft")
-    base = TrainConfig(learning_rate=0.1, epochs=1, batch_size=4, seed=2)
-    decayed = TrainConfig(learning_rate=0.1, epochs=1, batch_size=4, seed=2, weight_decay=0.1)
-    p0, _ = train(base, corpus, spec, TabularPolicy(CFG.vocab(), 1))
-    p1, _ = train(decayed, corpus, spec, TabularPolicy(CFG.vocab(), 1))
+    base = TrainConfig(learning_rate=0.1, epochs=1, batch_size=4)
+    decayed = TrainConfig(learning_rate=0.1, epochs=1, batch_size=4, weight_decay=0.1)
+    p0, _ = train(base, corpus, spec, TabularPolicy(CFG.vocab(), 1), seed=2)
+    p1, _ = train(decayed, corpus, spec, TabularPolicy(CFG.vocab(), 1), seed=2)
     assert np.array_equal(p0.params, p1.params)  # decay never touches logit tables
 
 
 def test_history_csv_schema():
     corpus = make_corpus(6, seed=29)
     cfg = TrainConfig(epochs=1, batch_size=3)
-    _, history = train(cfg, corpus, ObjectiveSpec("sft"), TabularPolicy(CFG.vocab(), 1))
+    _, history = train(cfg, corpus, ObjectiveSpec("sft"), TabularPolicy(CFG.vocab(), 1), seed=0)
     rows = history.csv_rows()
     assert rows[0] == "step,lr,loss,grad_norm_pre,grad_norm_post,mean_weight,weight_min,weight_max"
     assert len(rows) == len(history.steps) + 1
