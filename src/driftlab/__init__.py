@@ -8,7 +8,6 @@ behavior drifts from the training distribution.
 from .vocab import ADD, ANSWER_MARK, BOS, EOS, MUL, TokenSequence, Vocabulary
 from .policy import (
     FeedForwardPolicy,
-    GradientBuffer,
     TabularPolicy,
     finite_difference_check,
     greedy_decode,

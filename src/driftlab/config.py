@@ -18,6 +18,7 @@ from functools import cache, reduce
 from typing import get_type_hints
 
 from .objectives import ObjectiveSpec, WeightTransform
+from .policy import POLICY_FAMILIES
 from .task import TaskConfig, TeacherSpec
 from .training import TrainConfig
 from .vocab import OP_NAMES
@@ -63,7 +64,7 @@ class TrainSettings(TrainConfig):
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
 
     def __post_init__(self) -> None:
-        if self.family not in ("tabular", "feedforward"):
+        if self.family not in POLICY_FAMILIES:
             raise ConfigError(f"unknown student family {self.family!r}")
         if not self.seeds:
             raise ConfigError("at least one training seed is required")

@@ -28,7 +28,7 @@ from .metrics import (
     trace_quality,
 )
 from .objectives import ObjectiveSpec, TraceBatch, WeightTransform
-from .policy import FeedForwardPolicy, ParametricPolicy, TabularPolicy, rollouts, save_policy
+from .policy import POLICY_FAMILIES, FeedForwardPolicy, ParametricPolicy, rollouts, save_policy, undecodable_line
 from .policy import greedy_decode  # noqa: F401 -- bench/tracer.py wraps this name here
 from .streams import normal_block, seed_words
 from .task import (
@@ -69,12 +69,11 @@ class HarnessError(RuntimeError):
 
 def make_student(cfg: ExperimentConfig, seed: int):
     """Initial student for one training seed; shared by every objective at that seed."""
-    vocab = cfg.task.vocab()
     t = cfg.train
-    if t.family == "tabular":
-        return TabularPolicy(vocab, order=t.order)
-    student = FeedForwardPolicy(vocab, order=t.order, embed_dim=t.embed_dim, hidden_dim=t.hidden_dim)
-    student.params = t.init_scale * normal_block((seed, _INIT_TAG), student.params.size)[0]
+    family = POLICY_FAMILIES[t.family]
+    student = family(cfg.task.vocab(), *(getattr(t, key) for key in family.SHAPE))
+    if isinstance(student, FeedForwardPolicy):  # a tabular student starts uniform, at zero logits
+        student.params = t.init_scale * normal_block((seed, _INIT_TAG), student.params.size)[0]
     return student
 
 
@@ -157,8 +156,11 @@ def load_corpus_checked(cfg: ExperimentConfig, out_dir) -> TraceCorpus:
     corpus_path = os.path.join(out_dir, CORPUS_FILE)
     if not os.path.exists(corpus_path):
         raise HarnessError(f"no corpus at {corpus_path}; run gen-corpus first")
-    with open(corpus_path) as fh:
-        first = fh.readline().strip()
+    try:
+        with open(corpus_path, encoding="utf-8") as fh:
+            first = fh.readline().strip()
+    except UnicodeDecodeError:
+        raise HarnessError(f"malformed corpus: {corpus_path} line {undecodable_line(corpus_path)}: not UTF-8 text") from None
     expected = f"# config_hash={config_hash(cfg)}"
     if first != expected:
         raise HarnessError(

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .policy import GradientBuffer, _log_softmax, flat_tokens, rollouts, sample_sequence, stacked_windows
+from .policy import _log_softmax, flat_tokens, rollouts, sample_sequence, stacked_windows
 from .task import CorpusRecord, TraceCorpus
 from .vocab import TokenSequence
 
@@ -103,7 +103,7 @@ class ObjectiveSpec:
 @dataclass
 class LossResult:
     loss: float
-    grad: GradientBuffer
+    grad: np.ndarray
     token_weights: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
@@ -293,9 +293,9 @@ def batch_loss(policy, batch: TraceBatch, spec: ObjectiveSpec, teacher=None, wei
         else:
             values, dlogits = _kl_terms(_teacher_rows(teacher, batch), logp, _KL_DIRECTIONS[spec.base])
             terms, dlogits = w * values, w[:, None] * dlogits
-    buf = GradientBuffer.for_policy(policy)
-    policy.backward(cache, dlogits, buf, batch.row_records)
-    return LossResult(loss=_running_sum(_record_sums(terms, batch.offsets)), grad=buf, token_weights=w)
+    grad = np.zeros_like(policy.params)
+    policy.backward(cache, dlogits, grad, batch.row_records)
+    return LossResult(loss=_running_sum(_record_sums(terms, batch.offsets)), grad=grad, token_weights=w)
 
 
 def _record_batch(policy, record: CorpusRecord, teacher=None) -> TraceBatch:

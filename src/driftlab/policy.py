@@ -23,9 +23,6 @@ import numpy as np
 
 from .vocab import BOS, EOS, TokenSequence, Vocabulary
 
-FAMILY_TABULAR = "tabular"
-FAMILY_FEEDFORWARD = "feedforward"
-
 SNAPSHOT_MAGIC = "driftlab-policy v1"
 
 
@@ -60,41 +57,43 @@ def check_tokens(tokens, vocab_size: int) -> None:
         raise PolicyError(f"context token {bad} outside vocabulary of size {vocab_size}")
 
 
-@dataclass
-class GradientBuffer:
-    """Flat gradient accumulator shaped like a policy's parameter vector."""
-
-    values: np.ndarray
-
-    @classmethod
-    def for_policy(cls, policy: "ParametricPolicy") -> "GradientBuffer":
-        return cls(np.zeros_like(policy.params))
-
-    def check_finite(self) -> None:
-        if not np.all(np.isfinite(self.values)):
-            raise PolicyError("gradient buffer contains non-finite entries")
-
-
 class ParametricPolicy:
     """Shared machinery for trainable softmax policies.
 
-    A family implements ``forward(windows)``, which maps a (T, k) array of
-    context windows to (T, V) logits plus a cache, and ``backward(cache,
-    dlogits, buf)``. Scoring a whole teacher-forced trace and scoring a single
-    context are the T-row and the one-row case of the same two calls.
+    A family declares ``family``, ``SHAPE`` (the names of its size arguments
+    after the vocabulary, in constructor and snapshot-header order) and
+    implements ``forward(windows)``, which maps a (T, k) array of context
+    windows to (T, V) logits plus a cache, and ``backward(cache, dlogits,
+    grad)``. Scoring a whole teacher-forced trace and scoring a single context
+    are the T-row and the one-row case of the same two calls. A gradient is a
+    float64 array shaped like ``params``.
     """
 
     family: str
-    order: int
-    vocab: Vocabulary
-    params: np.ndarray
+    SHAPE: tuple[str, ...]
+
+    def __init__(self, vocab: Vocabulary, order: int):
+        if order < 1:
+            raise PolicyError(f"{self.family} order must be >= 1")
+        self.vocab, self.order = vocab, order
+
+    def _init_params(self, n: int, params: np.ndarray | None) -> None:
+        """A float64 copy of ``params`` as the (n,) parameter vector, or zeros without it."""
+        params = np.zeros(n) if params is None else np.array(params, dtype=np.float64)
+        if params.shape != (n,):
+            raise PolicyError(f"{self.family} params must have shape ({n},), got {params.shape}")
+        self.params = params
+
+    def clone(self) -> "ParametricPolicy":
+        """The same family and sizes, with a copy of the parameters."""
+        return type(self)(self.vocab, *(getattr(self, key) for key in self.SHAPE), params=self.params)
 
     def forward(self, windows: np.ndarray):
         """(T, V) logits for a stack of windows, and the cache ``backward`` needs."""
         raise NotImplementedError
 
-    def backward(self, cache, dlogits: np.ndarray, buf: GradientBuffer, row_records=None) -> None:
-        """Add the parameter gradient of (T, V) d(loss)/d(logits) rows into ``buf``.
+    def backward(self, cache, dlogits: np.ndarray, grad: np.ndarray, row_records=None) -> None:
+        """Add the parameter gradient of (T, V) d(loss)/d(logits) rows into ``grad``.
 
         ``row_records`` gives each row's record when the rows stack several
         records in order; a family may use it to reduce per record first.
@@ -110,38 +109,26 @@ class ParametricPolicy:
     def log_next_token_distribution(self, context) -> np.ndarray:
         return _log_softmax(self.logits(context))
 
-    def accumulate_logit_grad(self, context, dlogits: np.ndarray, buf: GradientBuffer) -> None:
-        """Backpropagate a d(loss)/d(logits) vector for one context into ``buf``."""
+    def accumulate_logit_grad(self, context, dlogits: np.ndarray, grad: np.ndarray) -> None:
+        """Backpropagate a d(loss)/d(logits) vector for one context into ``grad``."""
         _, cache = self.forward(_question_windows(self, [context]))
-        self.backward(cache, np.asarray(dlogits)[None, :], buf)
+        self.backward(cache, np.asarray(dlogits)[None, :], grad)
 
     def rollout_state(self, questions) -> "RolloutState":
         return _WindowState(self, questions)
-
-    def clone(self) -> "ParametricPolicy":
-        raise NotImplementedError
 
 
 class TabularPolicy(ParametricPolicy):
     """Order-k table of logits: one row of size V per context index."""
 
-    family = FAMILY_TABULAR
+    family = "tabular"
+    SHAPE = ("order",)
 
     def __init__(self, vocab: Vocabulary, order: int = 1, params: np.ndarray | None = None):
-        if order < 1:
-            raise PolicyError("tabular order must be >= 1")
-        self.vocab = vocab
-        self.order = order
+        super().__init__(vocab, order)
         V = vocab.size
         self.n_contexts = V**order
-        n = self.n_contexts * V
-        if params is None:
-            self.params = np.zeros(n, dtype=np.float64)
-        else:
-            params = np.asarray(params, dtype=np.float64)
-            if params.shape != (n,):
-                raise PolicyError(f"tabular params must have shape ({n},), got {params.shape}")
-            self.params = params.copy()
+        self._init_params(self.n_contexts * V, params)
         self._place = V ** np.arange(order - 1, -1, -1, dtype=np.int64)
 
     def context_index(self, context) -> int:
@@ -154,7 +141,7 @@ class TabularPolicy(ParametricPolicy):
         rows = windows.dot(self._place)
         return self.params.reshape(self.n_contexts, -1).take(rows, axis=0), rows
 
-    def backward(self, rows, dlogits, buf: GradientBuffer, row_records=None) -> None:
+    def backward(self, rows, dlogits, grad, row_records=None) -> None:
         if row_records is not None:
             # one partial sum per (record, context) in row order, then the
             # partials added record by record: the rounding of one buffer per record
@@ -162,10 +149,7 @@ class TabularPolicy(ParametricPolicy):
             partials = np.zeros((pairs.size, dlogits.shape[1]))
             np.add.at(partials, pair_of_row, dlogits)
             rows, dlogits = pairs % self.n_contexts, partials
-        np.add.at(buf.values.reshape(self.n_contexts, -1), rows, dlogits)
-
-    def clone(self) -> "TabularPolicy":
-        return TabularPolicy(self.vocab, self.order, self.params)
+        np.add.at(grad.reshape(self.n_contexts, -1), rows, dlogits)
 
 
 class FeedForwardPolicy(ParametricPolicy):
@@ -177,7 +161,8 @@ class FeedForwardPolicy(ParametricPolicy):
     in-place updates of ``params`` reach the forward pass without a copy.
     """
 
-    family = FAMILY_FEEDFORWARD
+    family = "feedforward"
+    SHAPE = ("order", "embed_dim", "hidden_dim")
 
     def __init__(
         self,
@@ -187,25 +172,15 @@ class FeedForwardPolicy(ParametricPolicy):
         hidden_dim: int = 16,
         params: np.ndarray | None = None,
     ):
-        if order < 1:
-            raise PolicyError("feedforward order must be >= 1")
-        self.vocab = vocab
-        self.order = order
-        self.embed_dim = embed_dim
-        self.hidden_dim = hidden_dim
+        super().__init__(vocab, order)
+        self.embed_dim, self.hidden_dim = embed_dim, hidden_dim
         V, d, H = vocab.size, embed_dim, hidden_dim
         self._slices, n = [], 0
         for shape in ((V, d), (H, order * d), (H,), (V, H), (V,)):
             size = int(np.prod(shape))
             self._slices.append((n, n + size, shape))
             n += size
-        if params is not None:
-            params = np.asarray(params, dtype=np.float64)
-            if params.shape != (n,):
-                raise PolicyError(f"feedforward params must have shape ({n},), got {params.shape}")
-            self.params = params.copy()
-        else:
-            self.params = np.zeros(n, dtype=np.float64)
+        self._init_params(n, params)
 
     @property
     def params(self) -> np.ndarray:
@@ -226,12 +201,12 @@ class FeedForwardPolicy(ParametricPolicy):
         H = np.tanh(X @ W1.T + b1)
         return H @ W2.T + b2, (windows, X, H)
 
-    def backward(self, cache, dlogits, buf: GradientBuffer, row_records=None) -> None:
+    def backward(self, cache, dlogits, grad, row_records=None) -> None:
         # every row in one product, whatever records they belong to: the sums
         # round differently from a per-record reduction, in the last digits
         windows, X, H = cache
         E, W1, _, W2, _ = self._views
-        gE, gW1, gb1, gW2, gb2 = self._unflatten(buf.values)
+        gE, gW1, gb1, gW2, gb2 = self._unflatten(grad)
         gW2 += dlogits.T @ H
         gb2 += dlogits.sum(axis=0)
         dpre = (dlogits @ W2) * (1.0 - H * H)
@@ -239,14 +214,9 @@ class FeedForwardPolicy(ParametricPolicy):
         gb1 += dpre.sum(axis=0)
         np.add.at(gE, windows, (dpre @ W1).reshape(windows.shape + (self.embed_dim,)))
 
-    def clone(self) -> "FeedForwardPolicy":
-        return FeedForwardPolicy(
-            self.vocab,
-            self.order,
-            self.embed_dim,
-            self.hidden_dim,
-            params=self.params,
-        )
+
+# each family by the name its snapshots and configs give
+POLICY_FAMILIES = {family.family: family for family in (TabularPolicy, FeedForwardPolicy)}
 
 
 def stacked_windows(order: int, vocab_size: int, questions, traces) -> np.ndarray:
@@ -499,7 +469,7 @@ def greedy_decode(policy, question: TokenSequence, max_len: int) -> TokenSequenc
 def finite_difference_check(policy, loss_evaluator, h: float = 1e-5) -> float:
     """Max relative error between the evaluator's gradient and central differences.
 
-    ``loss_evaluator(policy) -> (loss, GradientBuffer)`` must be deterministic;
+    ``loss_evaluator(policy) -> (loss, gradient array)`` must be deterministic;
     this is verified by evaluating twice. Each parameter is perturbed by +-h.
     """
     if h <= 0:
@@ -518,10 +488,21 @@ def finite_difference_check(policy, loss_evaluator, h: float = 1e-5) -> float:
         work.params[i] = base[i] - h
         down, _ = loss_evaluator(work)
         fd = (up - down) / (2.0 * h)
-        err = abs(grad.values[i] - fd) / (abs(fd) + 1e-12)
+        err = abs(grad[i] - fd) / (abs(fd) + 1e-12)
         worst = max(worst, err)
     work.params[:] = base
     return worst
+
+
+def undecodable_line(path) -> int | None:
+    """The number of the first line of a file that is not UTF-8 text."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return lineno
+    return None
 
 
 def save_policy(policy: ParametricPolicy, path) -> None:
@@ -529,14 +510,9 @@ def save_policy(policy: ParametricPolicy, path) -> None:
 
     Parameters are serialized with ``repr`` so the round-trip is bit-exact.
     """
-    lines = [SNAPSHOT_MAGIC]
-    lines.append(f"family={policy.family}")
-    lines.append(f"modulus={policy.vocab.modulus}")
+    lines = [SNAPSHOT_MAGIC, f"family={policy.family}", f"modulus={policy.vocab.modulus}"]
     lines.append(f"vocab_size={policy.vocab.size}")
-    lines.append(f"order={policy.order}")
-    if policy.family == FAMILY_FEEDFORWARD:
-        lines.append(f"embed_dim={policy.embed_dim}")
-        lines.append(f"hidden_dim={policy.hidden_dim}")
+    lines += [f"{key}={getattr(policy, key)}" for key in policy.SHAPE]
     lines.append(f"n_params={policy.params.size}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -544,8 +520,11 @@ def save_policy(policy: ParametricPolicy, path) -> None:
 
 
 def load_policy(path) -> ParametricPolicy:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError:
+        raise PolicyError(f"snapshot {path} line {undecodable_line(path)}: not UTF-8 text") from None
     if not lines or lines[0] != SNAPSHOT_MAGIC:
         raise PolicyError(f"not a policy snapshot: {path}")
     header: dict[str, str] = {}
@@ -582,15 +561,7 @@ def load_policy(path) -> ParametricPolicy:
     vocab = Vocabulary(header_int("modulus"))
     if vocab.size != header_int("vocab_size"):
         raise PolicyError("snapshot vocab_size inconsistent with modulus")
-    family = header.get("family")
-    if family == FAMILY_TABULAR:
-        return TabularPolicy(vocab, header_int("order"), params)
-    if family == FAMILY_FEEDFORWARD:
-        return FeedForwardPolicy(
-            vocab,
-            header_int("order"),
-            header_int("embed_dim"),
-            header_int("hidden_dim"),
-            params=params,
-        )
-    raise PolicyError(f"unknown policy family {family!r}")
+    family = POLICY_FAMILIES.get(header.get("family"))
+    if family is None:
+        raise PolicyError(f"unknown policy family {header.get('family')!r}")
+    return family(vocab, *(header_int(key) for key in family.SHAPE), params=params)

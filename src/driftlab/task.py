@@ -21,7 +21,7 @@ from itertools import islice
 
 import numpy as np
 
-from .policy import RolloutState, check_tokens, flat_pairs, flat_tokens, rollouts, stream
+from .policy import RolloutState, check_tokens, flat_pairs, flat_tokens, rollouts, stream, undecodable_line
 from .streams import uniform_block, word_block
 from .vocab import ADD, ANSWER_MARK, BOS, EOS, MUL, N_SPECIAL, VALUE_BASE, TokenSequence, Vocabulary
 
@@ -459,23 +459,26 @@ def read_corpus(path, vocab: Vocabulary | None = None) -> TraceCorpus:
     number and, from ``_line_error``, what is wrong with it.
     """
     linenos, questions, traces, logps, flags, unparsed = [], [], [], [], [], None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            try:
-                q, t, lp, flag = line.split("\t")
-                question, trace = list(map(int, q.split())), list(map(int, t.split()))
-                lp = np.array(lp.split(), dtype=np.float64)
-            except ValueError:  # not four fields, or a word that does not parse
-                unparsed = lineno
-                break
-            linenos.append(lineno)
-            questions.append(question)
-            traces.append(trace)
-            logps.append(lp)
-            flags.append(flag)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line or line.startswith("#"):
+                    continue
+                try:
+                    q, t, lp, flag = line.split("\t")
+                    question, trace = list(map(int, q.split())), list(map(int, t.split()))
+                    lp = np.array(lp.split(), dtype=np.float64)
+                except ValueError:  # not four fields, or a word that does not parse
+                    unparsed = lineno
+                    break
+                linenos.append(lineno)
+                questions.append(question)
+                traces.append(trace)
+                logps.append(lp)
+                flags.append(flag)
+    except UnicodeDecodeError:
+        raise TaskError(f"{path} line {undecodable_line(path)}: not UTF-8 text") from None
     q_tokens, q_lengths = _int64_rows(questions)
     t_tokens, t_lengths = _int64_rows(traces)
     flat_logps = np.concatenate([np.zeros(0), *logps])
@@ -517,7 +520,7 @@ def _line_error(path, lineno: int, vocab: Vocabulary | None) -> str:
     ``read_corpus`` made on that line alone, in this order: its fields, its
     tokens, its log-probabilities, its flag, its trace's EOS, empty fields,
     then tokens outside int64."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         line = next(islice(fh, lineno - 1, None)).rstrip("\n")
     fields = line.split("\t")
     if len(fields) != 4:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .objectives import ObjectiveSpec, TraceBatch, batch_loss, gkd_step
 from .objectives import evaluate_objective  # noqa: F401 -- bench/tracer.py wraps this name here
-from .policy import FAMILY_TABULAR, GradientBuffer, ParametricPolicy
+from .policy import ParametricPolicy, PolicyError, TabularPolicy
 from .streams import permutations, uniform_block
 from .task import TraceCorpus
 
@@ -106,14 +106,15 @@ class RunHistory:
         return [",".join(names)] + [",".join(repr(getattr(s, name)) for name in names) for s in self.steps]
 
 
-def clip_global_norm(grad: GradientBuffer, clip_norm: float) -> float:
-    """Scale the gradient to at most ``clip_norm`` in L2; returns the pre-clip norm."""
+def clip_global_norm(grad: np.ndarray, clip_norm: float) -> float:
+    """Scale the gradient to at most ``clip_norm`` in L2, in place; returns the pre-clip norm."""
     if clip_norm <= 0:
         raise TrainError("clip_norm must be positive")
-    grad.check_finite()
-    norm = float(np.linalg.norm(grad.values))
+    if not np.all(np.isfinite(grad)):
+        raise PolicyError("gradient buffer contains non-finite entries")
+    norm = float(np.linalg.norm(grad))
     if norm > clip_norm:
-        grad.values *= clip_norm / norm
+        grad *= clip_norm / norm
     return norm
 
 
@@ -128,18 +129,18 @@ def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> float:
     return cfg.learning_rate * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
-def _apply_update(policy: ParametricPolicy, grad: GradientBuffer, lr: float, cfg: TrainConfig, state: OptimizerState) -> None:
+def _apply_update(policy: ParametricPolicy, grad: np.ndarray, lr: float, cfg: TrainConfig, state: OptimizerState) -> None:
     state.step += 1
     if cfg.optimizer == "sgd":
-        policy.params -= lr * grad.values
+        policy.params -= lr * grad
     else:
         b1, b2 = cfg.adam_beta1, cfg.adam_beta2
-        state.m = b1 * state.m + (1.0 - b1) * grad.values
-        state.v = b2 * state.v + (1.0 - b2) * grad.values**2
+        state.m = b1 * state.m + (1.0 - b1) * grad
+        state.v = b2 * state.v + (1.0 - b2) * grad**2
         m_hat = state.m / (1.0 - b1**state.step)
         v_hat = state.v / (1.0 - b2**state.step)
         policy.params -= lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
-    if cfg.weight_decay > 0.0 and policy.family != FAMILY_TABULAR:
+    if cfg.weight_decay > 0.0 and not isinstance(policy, TabularPolicy):
         policy.params -= lr * cfg.weight_decay * policy.params
 
 
@@ -208,7 +209,7 @@ def train(
             grad, weights = result.grad, result.token_weights
             scale = 1.0 / len(batch)
             loss = result.loss * scale
-            grad.values *= scale
+            grad *= scale
             if not np.isfinite(loss):
                 raise TrainAbortError(step, f"non-finite loss at step {step}")
             pre_norm = clip_global_norm(grad, cfg.clip_norm)

@@ -46,14 +46,6 @@ class Vocabulary:
             raise VocabularyError(f"residue {residue} outside [0, {self.modulus})")
         return VALUE_BASE + residue
 
-    def residue(self, token: int) -> int:
-        if not self.is_value(token):
-            raise VocabularyError(f"token {token} is not a value token")
-        return token - VALUE_BASE
-
-    def is_value(self, token: int) -> bool:
-        return VALUE_BASE <= token < VALUE_BASE + self.modulus
-
 
 @dataclass(frozen=True)
 class TokenSequence:

@@ -19,7 +19,7 @@ import numpy as np
 
 from driftlab.metrics import ExAccErrCurve
 from driftlab.objectives import evaluate_objective, js_sequence_loss
-from driftlab.policy import FeedForwardPolicy, GradientBuffer, PolicyError, RolloutState
+from driftlab.policy import FeedForwardPolicy, PolicyError, RolloutState
 from driftlab.task import (
     CorpusRecord,
     ProblemInstance,
@@ -272,7 +272,7 @@ def reference_token_weights(policy, record, transform):
 
 def reference_sft_loss(policy, record, weights):
     """Weighted negative log-likelihood, one prefix at a time."""
-    buf = GradientBuffer(np.zeros_like(policy.params))
+    buf = np.zeros_like(policy.params)
     ctx = list(record.question.tokens)
     loss = 0.0
     for t, tok in enumerate(record.trace.tokens):
@@ -305,7 +305,7 @@ def reference_kl_terms(p, q_log, direction):
 
 def reference_kl_loss(policy, record, teacher, direction, weights):
     """Token-weighted divergence, one teacher and one student call per prefix."""
-    buf = GradientBuffer(np.zeros_like(policy.params))
+    buf = np.zeros_like(policy.params)
     ctx = list(record.question.tokens)
     loss = 0.0
     for t, tok in enumerate(record.trace.tokens):
@@ -320,7 +320,7 @@ def reference_kl_loss(policy, record, teacher, direction, weights):
 
 def reference_js_loss(policy, teacher, question, supervision, beta):
     """Generalized JS sequence loss, one position at a time."""
-    buf = GradientBuffer(np.zeros_like(policy.params))
+    buf = np.zeros_like(policy.params)
     ctx = list(question.tokens)
     loss = 0.0
     for tok in supervision.tokens:
@@ -704,7 +704,7 @@ def reference_gkd_step(policy, teacher, records, gkd_lambda, gkd_beta, rng, max_
     one (S, max_len) block of token uniforms for the S student-sourced records
     in record order; then per record its rollout (an inverse-CDF draw of one
     row of the block per token) or teacher trace, and its JS loss."""
-    buf = GradientBuffer(np.zeros_like(policy.params))
+    buf = np.zeros_like(policy.params)
     total, n_tokens = 0.0, 0
     on_policy = [rng.random() < gkd_lambda for _ in records]
     rows = iter(rng.random((sum(on_policy), max_len)))
@@ -715,7 +715,7 @@ def reference_gkd_step(policy, teacher, records, gkd_lambda, gkd_beta, rng, max_
             supervision = TokenSequence(tuple(tokens), "trace")
         loss, grad = js_sequence_loss(policy, teacher, record.question, supervision, gkd_beta)
         total += loss
-        buf.values += grad.values
+        buf += grad
         n_tokens += len(supervision)
     return total, buf, np.ones(n_tokens)
 
@@ -734,7 +734,7 @@ def reference_train(cfg, corpus, objective, init_policy, teacher=None, max_len=2
     for epoch in range(cfg.epochs):
         perm = stream(seed, epoch).permutation(n)
         for batch in _batches(n, cfg.batch_size, perm):
-            grad = GradientBuffer(np.zeros_like(policy.params))
+            grad = np.zeros_like(policy.params)
             loss = 0.0
             weights = []
             if objective.base == "gkd":
@@ -742,17 +742,17 @@ def reference_train(cfg, corpus, objective, init_policy, teacher=None, max_len=2
                     policy, teacher, [records[i] for i in batch], objective.gkd_lambda, objective.gkd_beta,
                     stream(seed, 5, step), max_len,
                 )
-                grad.values += step_grad.values
+                grad += step_grad
                 weights.append(w)
             else:
                 for i in batch:
                     result = evaluate_objective(policy, records[i], objective, teacher)
                     loss += result.loss
-                    grad.values += result.grad.values
+                    grad += result.grad
                     weights.append(result.token_weights)
             scale = 1.0 / len(batch)
             loss *= scale
-            grad.values *= scale
+            grad *= scale
             if not np.isfinite(loss):
                 raise TrainAbortError(step, f"non-finite loss at step {step}")
             pre_norm = clip_global_norm(grad, cfg.clip_norm)

@@ -138,7 +138,7 @@ def test_criterion_03_constant_one_reduces_to_plain_sft():
             oracle[row * V : (row + 1) * V] += probs
             oracle[row * V + tok] -= 1.0
             ctx.append(tok)
-        worst = max(worst, float(np.max(np.abs(res.grad.values - oracle))))
+        worst = max(worst, float(np.max(np.abs(res.grad - oracle))))
     assert worst < 1e-12
     report(3, f"constant-one gradients equal plain supervision on 100 records (max |diff| {worst:.2e})")
 

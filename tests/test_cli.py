@@ -28,9 +28,9 @@ from driftlab.config import (
 )
 from driftlab.harness import run_matrix
 from driftlab.objectives import ObjectiveSpec, WeightTransform
-from driftlab.policy import TabularPolicy, save_policy
+from driftlab.policy import POLICY_FAMILIES, save_policy
 from driftlab.task import TaskConfig, TeacherSpec, read_corpus
-from driftlab.vocab import MUL, Vocabulary
+from driftlab.vocab import MUL, VALUE_BASE, Vocabulary
 
 SMALL_CONFIG = """
 [task]
@@ -635,9 +635,9 @@ def test_tampered_corpus_fails_before_training(tmp_path, capsys, case):
         with open(corpus_path) as fh:
             lines = fh.read().splitlines()
         q, t, lp, flag = lines[1].split("\t")
-        vocab, trace = Vocabulary(5), [int(tok) for tok in t.split()]
-        i = next(i for i, tok in enumerate(trace) if vocab.is_value(tok))
-        trace[i] = vocab.value_token((vocab.residue(trace[i]) + 1) % 5)
+        trace = [int(tok) for tok in t.split()]
+        i = next(i for i, tok in enumerate(trace) if VALUE_BASE <= tok < VALUE_BASE + 5)
+        trace[i] = VALUE_BASE + (trace[i] - VALUE_BASE + 1) % 5
         lines[1] = "\t".join([q, " ".join(map(str, trace)), lp, flag])
         with open(corpus_path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -655,6 +655,57 @@ def test_tampered_corpus_fails_before_training(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert corpus_path in err and manifest_path in err and "Traceback" not in err
     assert sorted(os.listdir(out)) == before
+
+
+@pytest.mark.parametrize("case", ["snapshot", "corpus_line", "corpus_header"])
+def test_a_file_that_is_not_utf8_exits_3_naming_it(tmp_path, capsys, case):
+    # bytes that do not decode are a malformed file like any other: the error
+    # names the file and its line, and nothing is trained or written
+    cfg_path = write_config(tmp_path)
+    out = str(tmp_path / "results")
+    assert main(["gen-corpus", "--config", cfg_path, "--out", out]) == EXIT_OK
+    path = Path(out, "corpus.txt")
+    data = path.read_bytes()
+    if case == "snapshot":
+        path = tmp_path / "policy.txt"
+        data, line, command = b"\xff\xfe", 1, ["eval", "--policy", str(path)]
+    elif case == "corpus_line":  # a byte appended after the last record's newline
+        data, line, command = data + b"\xff", data.count(b"\n") + 1, ["matrix"]
+    else:  # the first hash digit of the "# config_hash=" line
+        i = data.index(b"=") + 1
+        data, line, command = data[:i] + b"\xff" + data[i + 1 :], 1, ["train", "--objective", "sft"]
+    path.write_bytes(data)
+    before = sorted(os.listdir(out))
+    capsys.readouterr()
+    assert main([command[0], "--config", cfg_path, "--out", out, *command[1:]]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert f"{path} line {line}: not UTF-8 text" in err and "Traceback" not in err
+    assert sorted(os.listdir(out)) == before
+
+
+@pytest.mark.parametrize("family", ["tabular", "feedforward"])
+def test_train_reproduces_a_matrix_cell(tmp_path, capsys, family):
+    # one cell trained alone, from copies of the corpus and manifest, writes
+    # the snapshot and history bytes the matrix wrote for it, and evaluating
+    # that snapshot gives the accuracy the matrix reported
+    text = SMALL_CONFIG.replace("seeds = 0,1", "seeds = 0").replace("family = tabular", f"family = {family}")
+    cfg_path = write_config(tmp_path, text)
+    study, alone = tmp_path / "study", tmp_path / "alone"
+    assert main(["gen-corpus", "--config", cfg_path, "--out", str(study)]) == EXIT_OK
+    assert main(["matrix", "--config", cfg_path, "--out", str(study)]) == EXIT_OK
+    alone.mkdir()
+    for name in ("corpus.txt", "manifest.json"):
+        shutil.copy(study / name, alone / name)
+    rows = (line.split(",") for line in (study / "accuracy.csv").read_text().splitlines()[2:])
+    accuracy = {label: value for label, _, value in rows}
+    for label in ("sft", "sigmoid_t1"):
+        assert main(["train", "--config", cfg_path, "--out", str(alone), "--objective", label, "--seed", "0"]) == EXIT_OK
+        for name in (f"policy_{label}_s0.txt", f"history_{label}_s0.csv"):
+            assert (alone / name).read_bytes() == (study / name).read_bytes()
+        policy = str(alone / f"policy_{label}_s0.txt")
+        assert main(["eval", "--config", cfg_path, "--out", str(alone), "--policy", policy]) == EXIT_OK
+        row = (alone / f"eval_policy_{label}_s0.csv").read_text().splitlines()[2].split(",")
+        assert row[1] == accuracy[label]
 
 
 def test_report_merges_outputs(tmp_path, capsys):
@@ -847,9 +898,9 @@ def test_parallel_matrix_matches_serial(tmp_path):
     assert file_hashes(out1, names) == file_hashes(out2, names)
 
 
-def _snapshot(tmp_path, modulus=5, drop=None, edit=None, mutate=None):
+def _snapshot(tmp_path, modulus=5, drop=None, edit=None, mutate=None, family="tabular"):
     path = str(tmp_path / "policy.txt")
-    save_policy(TabularPolicy(Vocabulary(modulus), 1), path)
+    save_policy(POLICY_FAMILIES[family](Vocabulary(modulus), 1), path)
     with open(path) as fh:
         lines = fh.read().splitlines()
     if drop is not None:
@@ -870,6 +921,9 @@ def _snapshot(tmp_path, modulus=5, drop=None, edit=None, mutate=None):
         ({"drop": "modulus"}, "no modulus= header line"),
         ({"drop": "n_params"}, "no n_params= header line"),
         ({"edit": ("order", "one")}, "order='one' is not an integer"),
+        ({"family": "feedforward", "drop": "embed_dim"}, "no embed_dim= header line"),
+        ({"family": "feedforward", "drop": "hidden_dim"}, "no hidden_dim= header line"),
+        ({"edit": ("family", "cnn")}, "unknown policy family 'cnn'"),
     ],
 )
 def test_eval_broken_snapshot_header(tmp_path, capsys, kwargs, message):

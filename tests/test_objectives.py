@@ -80,7 +80,7 @@ class TeacherCopy(ParametricPolicy):
             return np.log(np.reshape(dists, (-1, self.vocab.size))), None
 
     def backward(self, cache, dlogits, buf, row_records=None):
-        buf.values += np.abs(dlogits).sum(axis=0)
+        buf += np.abs(dlogits).sum(axis=0)
 
 
 def test_token_delta_examples():
@@ -168,7 +168,7 @@ def test_constant_one_reproduces_plain_sft_gradient():
             oracle[row * V : (row + 1) * V] += probs
             oracle[row * V + tok] -= 1.0
             ctx.append(tok)
-        assert np.max(np.abs(res.grad.values - oracle)) < 1e-12
+        assert np.max(np.abs(res.grad - oracle)) < 1e-12
         assert abs(res.loss - loss) < 1e-10
         assert np.all(res.token_weights == 1.0)
 
@@ -200,7 +200,7 @@ def test_stop_gradient_contract():
     transform = WeightTransform("sigmoid", tau=1.0)
     live = sft_loss(pol, record, transform)
     frozen = sft_loss_frozen(pol, record, record_token_weights(pol, record, transform))
-    assert np.array_equal(live.grad.values, frozen.grad.values)
+    assert np.array_equal(live.grad, frozen.grad)
     other = pol.clone()
     other.params += 0.2 * rng_of(5).standard_normal(other.params.size)
     w_other = record_token_weights(other, record, transform)
@@ -216,7 +216,7 @@ def test_kl_zero_when_student_equals_teacher():
         for base in ("forward-kl", "reverse-kl", "symmetric-kl"):
             res = evaluate_objective(mimic, record, ObjectiveSpec(base), teacher)
             assert abs(res.loss) < 1e-12
-            assert np.max(np.abs(res.grad.values)) < 1e-12
+            assert np.max(np.abs(res.grad)) < 1e-12
 
 
 def test_forward_kl_value_matches_direct_summation():
@@ -247,7 +247,7 @@ def test_symmetric_is_mean_of_directions():
         r = evaluate_objective(pol, record, ObjectiveSpec("reverse-kl"), TEACHER)
         s = evaluate_objective(pol, record, ObjectiveSpec("symmetric-kl"), TEACHER)
         assert abs(s.loss - 0.5 * (f.loss + r.loss)) < 1e-12
-        assert np.max(np.abs(s.grad.values - 0.5 * (f.grad.values + r.grad.values))) < 1e-12
+        assert np.max(np.abs(s.grad - 0.5 * (f.grad + r.grad))) < 1e-12
 
 
 def test_kl_gradients_match_finite_differences():
@@ -273,9 +273,9 @@ def test_gkd_lambda_zero_beta_one_is_forward_kl():
     for record in corpus:
         res = evaluate_objective(pol, record, ObjectiveSpec("forward-kl"), TEACHER)
         expected += res.loss
-        grad += res.grad.values
+        grad += res.grad
     assert abs(result.loss - expected) < 1e-10
-    assert np.max(np.abs(result.grad.values - grad)) < 1e-10
+    assert np.max(np.abs(result.grad - grad)) < 1e-10
 
 
 def test_gkd_zero_when_matched():
@@ -286,7 +286,7 @@ def test_gkd_zero_when_matched():
         uniforms = step_uniforms(3, len(corpus), 8)
         result, _ = gkd_step(TeacherCopy(teacher), teacher, corpus.records, lam, beta, uniforms, max_len=8)
         assert abs(result.loss) < 1e-12
-        assert np.max(result.grad.values) < 1e-12
+        assert np.max(result.grad) < 1e-12
 
 
 def test_gkd_student_rollout_replays_with_same_seed():
@@ -296,7 +296,7 @@ def test_gkd_student_rollout_replays_with_same_seed():
     uniforms = step_uniforms(seed, len(records), max_len)
     result, used = gkd_step(pol, TEACHER, records, lam, 0.5, uniforms, max_len=max_len)
     rerun, rerun_used = gkd_step(pol, TEACHER, records, lam, 0.5, uniforms.copy(), max_len=max_len)
-    assert rerun.loss == result.loss and np.array_equal(rerun.grad.values, result.grad.values)
+    assert rerun.loss == result.loss and np.array_equal(rerun.grad, result.grad)
     assert [(src, seq.tokens) for src, seq in rerun_used] == [(src, seq.tokens) for src, seq in used]
     # replay: all B source uniforms in one call, then one (S, max_len) block of
     # token uniforms for the S student-sourced records, each rolled out alone

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from driftlab.policy import (
-    GradientBuffer,
+    POLICY_FAMILIES,
+    FeedForwardPolicy,
     NonDeterministicLossError,
     PolicyError,
     TabularPolicy,
@@ -226,22 +227,22 @@ def test_first_token_frequencies_match_uniform():
 
 def test_weighted_grad_logp_zero_weight_noop():
     pol = TabularPolicy(VOCAB, 1)
-    buf = GradientBuffer.for_policy(pol)
+    buf = np.zeros_like(pol.params)
     accumulate_weighted_grad_logp(pol, CTX, 5, 0.0, buf)
-    assert not buf.values.any()
+    assert not buf.any()
 
 
 def test_weighted_grad_logp_uniform_closed_form():
     pol = TabularPolicy(VOCAB, 1)
-    buf = GradientBuffer.for_policy(pol)
+    buf = np.zeros_like(pol.params)
     accumulate_weighted_grad_logp(pol, CTX, 5, 1.0, buf)
     V = VOCAB.size
     row = pol.context_index(CTX)
-    block = buf.values[row * V : (row + 1) * V]
+    block = buf[row * V : (row + 1) * V]
     expected = -np.full(V, 1.0 / V)
     expected[5] += 1.0
     assert np.allclose(block, expected, atol=1e-15)
-    rest = np.delete(buf.values.reshape(-1, V), row, axis=0)
+    rest = np.delete(buf.reshape(-1, V), row, axis=0)
     assert not rest.any()
 
 
@@ -250,10 +251,10 @@ def test_weighted_grad_logp_feedforward_matches_finite_differences():
     token = 6
 
     def evaluator(p):
-        buf = GradientBuffer.for_policy(p)
+        buf = np.zeros_like(p.params)
         accumulate_weighted_grad_logp(p, CTX, token, 1.0, buf)
         # loss convention: fd checks d(loss)/d(params), so negate log-prob
-        buf.values *= -1.0
+        buf *= -1.0
         return -float(p.log_next_token_distribution(CTX)[token]), buf
 
     assert finite_difference_check(pol, evaluator, h=1e-5) < 1e-4
@@ -263,7 +264,7 @@ def test_finite_difference_constant_loss():
     pol = TabularPolicy(VOCAB, 1)
 
     def evaluator(p):
-        return 1.5, GradientBuffer.for_policy(p)
+        return 1.5, np.zeros_like(p.params)
 
     assert finite_difference_check(pol, evaluator, h=1e-5) == 0.0
 
@@ -274,7 +275,7 @@ def test_finite_difference_detects_nondeterminism():
 
     def evaluator(p):
         state["n"] += 1
-        return float(state["n"]), GradientBuffer.for_policy(p)
+        return float(state["n"]), np.zeros_like(p.params)
 
     with pytest.raises(NonDeterministicLossError):
         finite_difference_check(pol, evaluator)
@@ -299,3 +300,51 @@ def test_snapshot_round_trip_bit_exact(tmp_path, make):
     assert back.order == pol.order
     assert back.vocab.size == pol.vocab.size
     assert np.array_equal(back.params, pol.params)  # bit-exact
+
+
+@pytest.mark.parametrize("make, header", [
+    (lambda: TabularPolicy(VOCAB, 2), ["family=tabular", "modulus=3", "vocab_size=8", "order=2", "n_params=512"]),
+    (lambda: random_ff(33), ["family=feedforward", "modulus=3", "vocab_size=8", "order=2", "embed_dim=3",
+                             "hidden_dim=4", "n_params=92"]),
+])
+def test_snapshot_header_lines(tmp_path, make, header):
+    # the magic line, the family and vocabulary, the family's SHAPE keys in
+    # order, then n_params: the header every written snapshot carries
+    pol = make()
+    path = tmp_path / "policy.txt"
+    save_policy(pol, path)
+    lines = path.read_text().splitlines()
+    assert lines[: len(header) + 1] == ["driftlab-policy v1"] + header
+    assert list(POLICY_FAMILIES[pol.family].SHAPE) == [line.split("=")[0] for line in header[3:-1]]
+
+
+@pytest.mark.parametrize("family, sizes, order_error, params_error", [
+    (TabularPolicy, {}, "tabular order must be >= 1", "tabular params must have shape (64,), got (65,)"),
+    (FeedForwardPolicy, {"embed_dim": 3, "hidden_dim": 4}, "feedforward order must be >= 1",
+     "feedforward params must have shape (80,), got (65,)"),
+])
+def test_both_families_reject_a_bad_order_and_bad_params_alike(family, sizes, order_error, params_error):
+    with pytest.raises(PolicyError) as exc:
+        family(VOCAB, 0, **sizes)
+    assert str(exc.value) == order_error
+    with pytest.raises(PolicyError) as exc:
+        family(VOCAB, 1, **sizes, params=np.zeros(65))
+    assert str(exc.value) == params_error
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TabularPolicy(VOCAB, 2, rng_of(34).standard_normal(VOCAB.size**2 * VOCAB.size)),
+    lambda: random_ff(35),
+])
+def test_clone_has_equal_and_independent_params(make):
+    pol = make()
+    before = pol.logits(CTX).copy()
+    twin = pol.clone()
+    assert type(twin) is type(pol) and twin.vocab == pol.vocab
+    assert all(getattr(twin, key) == getattr(pol, key) for key in pol.SHAPE)
+    assert np.array_equal(twin.params, pol.params) and not np.shares_memory(twin.params, pol.params)
+    # an in-place update of the clone reaches its forward and leaves the original alone
+    twin.params += 0.5
+    assert np.array_equal(twin.logits(CTX), twin.clone().logits(CTX))
+    assert not np.array_equal(twin.logits(CTX), before)
+    assert np.array_equal(pol.logits(CTX), before)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from driftlab.objectives import ObjectiveSpec, WeightTransform, sft_loss
-from driftlab.policy import GradientBuffer, TabularPolicy
+from driftlab.policy import TabularPolicy
 from driftlab.task import TaskConfig, TeacherSpec, generate_corpus, generate_problems, teacher_policy
 from driftlab.training import (
     OptimizerState,
@@ -35,31 +35,31 @@ def rng_of(seed):
 
 
 def test_clip_noop_on_zero_gradient():
-    buf = GradientBuffer(np.zeros(5))
+    buf = np.zeros(5)
     assert clip_global_norm(buf, 1.0) == 0.0
-    assert not buf.values.any()
+    assert not buf.any()
 
 
 def test_clip_scales_to_bound():
-    buf = GradientBuffer(np.array([2.0, 0.0]))
+    buf = np.array([2.0, 0.0])
     pre = clip_global_norm(buf, 1.0)
     assert pre == 2.0
-    assert np.isclose(np.linalg.norm(buf.values), 1.0, atol=1e-15)
+    assert np.isclose(np.linalg.norm(buf), 1.0, atol=1e-15)
 
 
 def test_clip_random_gradients():
     # oracle: direct norm computation
     for seed in range(5):
         g = rng_of(seed).standard_normal(40)
-        buf = GradientBuffer(g.copy())
+        buf = g.copy()
         pre = clip_global_norm(buf, 1.0)
         assert abs(pre - np.linalg.norm(g)) < 1e-12
-        assert abs(np.linalg.norm(buf.values) - min(pre, 1.0)) < 1e-12
+        assert abs(np.linalg.norm(buf) - min(pre, 1.0)) < 1e-12
 
 
 def test_clip_rejects_nonfinite():
     with pytest.raises(Exception):
-        clip_global_norm(GradientBuffer(np.array([np.nan])), 1.0)
+        clip_global_norm(np.array([np.nan]), 1.0)
 
 
 def test_lr_schedule_boundaries():
@@ -104,7 +104,7 @@ def test_adam_matches_hand_recurrence():
         theta = theta - 0.05 * m_hat / (np.sqrt(v_hat) + 1e-8)
 
     for g in grads:
-        _apply_update(pol, GradientBuffer(g.copy()), 0.05, cfg, state)
+        _apply_update(pol, g.copy(), 0.05, cfg, state)
     assert np.allclose(pol.params, theta, atol=1e-15)
 
 

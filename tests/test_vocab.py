@@ -21,7 +21,7 @@ def test_layout_and_size():
     assert len(reserved) == 3 and all(t < vocab.size for t in reserved)
     assert not (reserved & {ADD, MUL})
     assert [vocab.value_token(r) for r in range(7)] == list(range(5, 12))
-    assert vocab.value_token(0) == 5 and vocab.residue(11) == 6
+    assert vocab.value_token(0) == 5
 
 
 def test_modulus_floor():
@@ -33,8 +33,6 @@ def test_value_token_range_checked():
     vocab = Vocabulary(5)
     with pytest.raises(VocabularyError):
         vocab.value_token(5)
-    with pytest.raises(VocabularyError):
-        vocab.residue(ADD)
 
 
 def test_trace_eos_must_terminate():
