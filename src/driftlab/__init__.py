@@ -24,7 +24,6 @@ from .task import (
     TraceCorpus,
     filter_teacher_correct,
     generate_corpus,
-    generate_problem,
     generate_problems,
     teacher_policy,
 )

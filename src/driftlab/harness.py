@@ -164,7 +164,7 @@ def load_corpus_checked(cfg: ExperimentConfig, out_dir) -> TraceCorpus:
     expected = f"# config_hash={config_hash(cfg)}"
     if first != expected:
         raise HarnessError(
-            f"corpus hash mismatch: file says {first!r}, config gives {expected!r}; regenerate the corpus"
+            f"corpus hash mismatch: {corpus_path} says {first!r}, config gives {expected!r}; regenerate the corpus"
         )
     try:
         corpus = read_corpus(corpus_path, cfg.task.vocab())

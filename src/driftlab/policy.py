@@ -367,11 +367,6 @@ class Rollouts:
         return TokenSequence.from_rows([row[:n] for row, n in rows], "trace")
 
 
-def stream(*entropy) -> np.random.Generator:
-    """The PCG64 generator of the seed sequence of ``entropy``."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(entropy))))
-
-
 def rollouts(model, questions, max_len: int, uniforms=None, divergence=None) -> Rollouts:
     """Roll out every question together, until EOS or ``max_len`` tokens.
 
@@ -445,12 +440,13 @@ def rollouts(model, questions, max_len: int, uniforms=None, divergence=None) -> 
     return Rollouts(tokens, probs, divergences)
 
 
-def sample_sequence(policy, question: TokenSequence, rng: np.random.Generator, max_len: int) -> TokenSequence:
+def sample_sequence(policy, question: TokenSequence, rng, max_len: int) -> TokenSequence:
     """Autoregressively sample until EOS or ``max_len`` tokens: the one-row
     case of ``rollouts``. It takes one ``rng.random()`` per emitted token and
     none after EOS, so that a generator shared with other draws stays in step:
     the rollout reads ``max_len`` uniforms, and ``rng`` is then put back (also
-    when the rollout raises) and advanced by the trace's length."""
+    when the rollout raises) and advanced by the trace's length. ``rng`` is
+    the caller's numpy ``Generator``, the one such argument in the package."""
     state = rng.bit_generator.state
     try:  # a max_len below 1 draws no uniforms and meets rollouts' own check
         trace = rollouts(policy, [question], max_len, uniforms=rng.random((1, max(max_len, 0)))).traces[0]

@@ -1,27 +1,30 @@
 """The first draws of many seeded streams at once.
 
-Every random draw in driftlab comes from ``policy.stream(*entropy)``, the
-PCG64 generator of numpy's ``SeedSequence`` of the entropy words. Bulk callers
-need the first n draws of one such stream per row: ``uniform_block`` and
-``word_block`` compute them for N entropy tuples in one pass of numpy array
-code, and row i of a block equals, bit for bit, what ``stream(*entropy_i)``
-gives: ``random(n)`` for the uniforms, and its first n 32-bit words (the ones
-``integers`` draws from) for the words. ``seed_words`` and ``permutations``
-replace ``SeedSequence.generate_state`` and ``Generator.permutation``.
-``normal_block`` makes standard normals of the uniforms by Box-Muller (Box and
-Muller, 1958), not by numpy's ziggurat, so its draws are not ``standard_normal``'s.
+A stream is numpy's ``Generator(PCG64(SeedSequence(entropy)))`` for a tuple of
+non-negative ints; ``tests/oracles.stream`` builds it with numpy, as the
+reference every block here is checked against. Bulk callers need the first n
+draws of one such stream per row: ``uniform_block`` and ``word_block`` compute
+them for N entropy tuples in one pass of numpy array code, and row i of a block
+equals, bit for bit, what ``stream(*entropy_i)`` gives: ``random(n)`` for the
+uniforms, and its first n 32-bit words (the ones ``integers`` draws from) for
+the words. ``integers_block``, ``seed_words`` and ``permutations`` replace
+``Generator.integers``, ``SeedSequence.generate_state`` and
+``Generator.permutation``. ``normal_block`` makes standard normals of the
+uniforms by Box-Muller (Box and Muller, 1958), not by numpy's ziggurat, so its
+draws are not ``standard_normal``'s. Every random draw of the package is made here.
 
 The arithmetic follows numpy's published algorithms: ``SeedSequence``'s
 hash-mixing of the entropy into a pool of four uint32 words and its
 ``generate_state``; PCG64's seeding and its 128-bit linear congruential step,
 with the XSL-RR output function (O'Neill, "PCG: A Family of Simple Fast
 Space-Efficient Statistically Good Algorithms for Random Number Generation",
-2014); and ``random()``'s 53-bit conversion. The 128-bit state is kept as
-(hi, lo) pairs of uint64 arrays, and the state before every draw comes from one
-jump-ahead by precomputed multiplier powers, so a block costs a fixed number of
-array operations whatever its width. Every constant is a Python int masked to
-the width it is used at, and all wrapping arithmetic is on arrays, which wrap
-silently where numpy scalars would warn.
+2014); ``random()``'s 53-bit conversion; and ``integers``' bounded draw
+(Lemire, "Fast Random Integer Generation in an Interval", 2019). The 128-bit
+state is kept as (hi, lo) pairs of uint64 arrays, and the state before every
+draw comes from one jump-ahead by precomputed multiplier powers, so a block
+costs a fixed number of array operations whatever its width. Every constant is
+a Python int masked to the width it is used at, and all wrapping arithmetic is
+on arrays, which wrap silently where numpy scalars would warn.
 """
 
 from __future__ import annotations
@@ -73,6 +76,28 @@ def word_block(entropy, n: int) -> np.ndarray:
     return words.reshape(out.shape[0], 2 * out.shape[1])[:, :n]
 
 
+def integers_block(entropy, bounds) -> np.ndarray:
+    """(N, len(bounds)) int64: row i is ``stream(*entropy_i).integers(b)`` for
+    each b of ``bounds`` in turn, 1 <= b <= 2^32; ``entropy`` is as for
+    ``uniform_block``. numpy draws ``integers(b)`` by Lemire's method: the high
+    half of w * b for the stream's next 32-bit word w, unless the low half falls
+    below 2^32 mod b, where it rejects w and reads the next word; ``integers(1)``
+    is 0 and reads no word. All rows draw from one ``word_block`` of a word per
+    draw, and a row that meets a rejected word reads a longer block of its stream."""
+    cols = [j for j, b in enumerate(bounds) if b > 1]
+    reads = np.array([bounds[j] for j in cols], dtype=np.uint64)
+    scaled = word_block(entropy, len(cols)).astype(np.uint64) * reads
+    draws = np.zeros((len(scaled), len(bounds)), dtype=np.int64)
+    draws[:, cols] = scaled >> 32
+    width = 2 * len(cols) + 16
+    for i in np.flatnonzero(((scaled & _M32) < (1 << 32) % reads).any(axis=1)).tolist():
+        row = tuple(int(col[i]) if isinstance(col, np.ndarray) else col for col in entropy)
+        while (row_draws := _bounded(word_block(row, width)[0].tolist(), reads.tolist())) is None:
+            width *= 2
+        draws[i, cols] = row_draws
+    return draws
+
+
 def seed_words(rows) -> np.ndarray:
     """(N,) uint32: item i is ``SeedSequence(rows[i]).generate_state(1)[0]``,
     for N tuples of non-negative ints, of any lengths, mixed in one pass."""
@@ -113,6 +138,20 @@ def _shuffled(words: list[int], n: int) -> list[int] | None:
             return None
         perm[i], perm[j] = perm[j], perm[i]
     return perm
+
+
+def _bounded(words: list[int], bounds: list[int]) -> list[int] | None:
+    """One Lemire draw below each bound from the 32-bit ``words`` in turn, a
+    rejected word passed over, as numpy does; None if the words run out."""
+    draws, words = [], iter(words)
+    for b in bounds:
+        for word in words:
+            if (word * b) & _M32 >= (1 << 32) % b:
+                break
+        else:
+            return None
+        draws.append(word * b >> 32)
+    return draws
 
 
 def _outputs(entropy, n: int) -> np.ndarray:

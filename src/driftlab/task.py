@@ -21,8 +21,8 @@ from itertools import islice
 
 import numpy as np
 
-from .policy import RolloutState, check_tokens, flat_pairs, flat_tokens, rollouts, stream, undecodable_line
-from .streams import uniform_block, word_block
+from .policy import RolloutState, check_tokens, flat_pairs, flat_tokens, rollouts, undecodable_line
+from .streams import integers_block, uniform_block
 from .vocab import ADD, ANSWER_MARK, BOS, EOS, MUL, N_SPECIAL, VALUE_BASE, TokenSequence, Vocabulary
 
 
@@ -32,6 +32,9 @@ class TaskError(ValueError):
 
 class EmptyCorpusError(RuntimeError):
     """Filtering removed every record; training cannot proceed."""
+
+
+MAX_TEACHER_ENTRIES = 2**27  # of the teacher's largest table, 1 GiB of int64
 
 
 @dataclass(frozen=True)
@@ -47,6 +50,13 @@ class TaskConfig:
             raise TaskError("chain_length must be >= 1")
         if not self.ops or any(op not in (ADD, MUL) for op in self.ops):
             raise TaskError("ops must be a non-empty subset of {ADD, MUL}")
+        m, L = self.modulus, self.chain_length
+        entries = (2 + m * (L + 2)) * (N_SPECIAL + m) ** 2  # the cells of ``_automaton``'s emit table
+        if entries > MAX_TEACHER_ENTRIES:
+            raise TaskError(
+                f"modulus = {m} and chain_length = {L} need a teacher table of {entries} entries, "
+                f"more than {MAX_TEACHER_ENTRIES}"
+            )
 
     @property
     def question_len(self) -> int:
@@ -56,12 +66,15 @@ class TaskConfig:
         return Vocabulary(self.modulus)
 
 
-def chain_step(value: int, op: int, operand: int, modulus: int) -> int:
-    if op == ADD:
-        return (value + operand) % modulus
-    if op == MUL:
-        return (value * operand) % modulus
-    raise TaskError(f"unknown operator token {op}")
+def chain_step(value, op, operand, modulus: int):
+    """One chain step, ``(value + operand)`` for ADD or ``(value * operand)``
+    for MUL, mod ``modulus``: elementwise over arrays, an int for scalars."""
+    op = np.asarray(op)
+    unknown = op[(op != ADD) & (op != MUL)]
+    if unknown.size:
+        raise TaskError(f"unknown operator token {unknown.flat[0]}")
+    step = np.where(op == ADD, value + operand, value * operand) % modulus
+    return step if step.ndim else int(step)
 
 
 @dataclass(frozen=True)
@@ -71,71 +84,17 @@ class ProblemInstance:
     gold_trace: TokenSequence
 
 
-def generate_problem(cfg: TaskConfig, rng: np.random.Generator) -> ProblemInstance:
-    """Uniformly sample start value, operators, and operands; derive the gold trace."""
-    vocab = cfg.vocab()
-    m, L = cfg.modulus, cfg.chain_length
-    # three calls draw what 2L + 1 scalar calls would: PCG64 hands out the
-    # same 32-bit words to an array draw as to the same number of single ones
-    v0 = int(rng.integers(m))
-    ops = [int(cfg.ops[i]) for i in rng.integers(len(cfg.ops), size=L).tolist()]
-    operands = rng.integers(m, size=L).tolist()
-    question = [BOS, vocab.value_token(v0)]
-    values = []
-    v = v0
-    for op, a in zip(ops, operands):
-        question.extend([op, vocab.value_token(a)])
-        v = chain_step(v, op, a, m)
-        values.append(v)
-    answer = vocab.value_token(values[-1])
-    trace = [vocab.value_token(u) for u in values] + [ANSWER_MARK, answer, EOS]
-    return ProblemInstance(
-        question=TokenSequence(tuple(question), "question"),
-        gold_answer=answer,
-        gold_trace=TokenSequence(tuple(trace), "trace"),
-    )
-
-
 def generate_problems(cfg: TaskConfig, n: int, seed: int) -> list[ProblemInstance]:
     """n problems with per-index derived streams, so any slice is reproducible:
-    problem i is ``generate_problem(cfg, stream(seed, i))``. All n are drawn
-    together from the first words of their streams; a problem whose words
-    would take the bounded draw's rejection branch (about one draw in 2^32 / m)
-    is drawn again by ``generate_problem`` from its stream."""
-    problems, rejected = _problems_of_words(cfg, word_block((seed, np.arange(n)), len(_word_bounds(cfg))))
-    for i in np.flatnonzero(rejected).tolist():
-        problems[i] = generate_problem(cfg, stream(seed, i))
-    return problems
-
-
-def _word_bounds(cfg: TaskConfig) -> list[int]:
-    """The bound of the draw each stream word makes in ``generate_problem``:
-    the start value, one operator per step (none when there is one operator
-    to pick, as ``integers(1)`` reads no word), then one operand per step."""
-    k, L = len(cfg.ops), cfg.chain_length
-    return [cfg.modulus] + [k] * (L if k > 1 else 0) + [cfg.modulus] * L
-
-
-def _problems_of_words(cfg: TaskConfig, words: np.ndarray) -> tuple[list[ProblemInstance], np.ndarray]:
-    """The problems ``generate_problem`` draws from each row of 32-bit stream
-    words, when no draw is rejected, and the rows where one is.
-
-    A word w draws ``integers(b)`` as numpy does (Lemire's method): the high
-    half of w * b, unless the low half falls below 2^32 mod b, where numpy
-    rejects w and reads the next word."""
+    problem i draws its start value, then its L operators, then its L operands,
+    each by one ``integers`` call of stream (seed, i), and derives its gold trace."""
     m, L = cfg.modulus, cfg.chain_length
-    bounds = _word_bounds(cfg)
-    scaled = words.astype(np.uint64) * np.array(bounds, dtype=np.uint64)
-    rejected = ((scaled & 0xFFFFFFFF) < np.array([(1 << 32) % b for b in bounds], dtype=np.uint64)).any(axis=1)
-    draws = (scaled >> 32).astype(np.int64)
-    n = len(draws)
-    v0, operands = draws[:, 0], draws[:, len(bounds) - L :]
-    op_index = draws[:, 1 : L + 1] if len(cfg.ops) > 1 else np.zeros((n, L), dtype=np.int64)
-    ops = np.asarray(cfg.ops, dtype=np.int64)[op_index]
+    draws = integers_block((seed, np.arange(n)), [m] + [len(cfg.ops)] * L + [m] * L)
+    v0, ops, operands = draws[:, 0], np.asarray(cfg.ops, dtype=np.int64)[draws[:, 1 : L + 1]], draws[:, L + 1 :]
     values = np.empty((n, L), dtype=np.int64)
     v = v0
     for j in range(L):
-        v = np.where(ops[:, j] == ADD, v + operands[:, j], v * operands[:, j]) % m
+        v = chain_step(v, ops[:, j], operands[:, j], m)
         values[:, j] = v
     questions = np.empty((n, cfg.question_len), dtype=np.int64)
     questions[:, 0], questions[:, 1] = BOS, VALUE_BASE + v0
@@ -144,7 +103,7 @@ def _problems_of_words(cfg: TaskConfig, words: np.ndarray) -> tuple[list[Problem
     traces = np.hstack([VALUE_BASE + values, np.full((n, 1), ANSWER_MARK), answers, np.full((n, 1), EOS)])
     questions = TokenSequence.from_rows(questions.tolist(), "question")
     golds = TokenSequence.from_rows(traces.tolist(), "trace")
-    return [ProblemInstance(q, t.tokens[-2], t) for q, t in zip(questions, golds)], rejected
+    return [ProblemInstance(q, t.tokens[-2], t) for q, t in zip(questions, golds)]
 
 
 @dataclass(frozen=True)

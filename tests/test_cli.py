@@ -264,6 +264,17 @@ def test_invalid_value_exits_2_before_writing(tmp_path, capsys, old, new):
     assert not (out / "corpus.txt").exists()
 
 
+def test_task_too_large_for_the_teacher_exits_2_before_writing(tmp_path, capsys):
+    # the teacher's emit table would hold (2 + 2000 * 4) * 2005^2 int64
+    # entries, hundreds of GiB: the config is rejected before any allocation
+    cfg_path = write_config(tmp_path, SMALL_CONFIG.replace("modulus = 5", "modulus = 2000"))
+    out = tmp_path / "results"
+    assert main(["gen-corpus", "--config", cfg_path, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "[task] modulus = 2000 and chain_length = 2 need a teacher table of " in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_train_section_reports_its_own_fields_before_the_optimizer_settings():
     # TrainSettings checks the student and seeds, then TrainConfig's settings
     text = SMALL_CONFIG.replace("family = tabular", "family = x").replace("learning_rate = 0.2", "learning_rate = -1")
@@ -407,12 +418,15 @@ def test_matrix_requires_corpus(tmp_path):
     assert main(["matrix", "--config", cfg_path, "--out", str(tmp_path / "empty")]) == EXIT_RUNTIME
 
 
-def test_matrix_hash_mismatch_rejected(tmp_path):
+def test_matrix_hash_mismatch_rejected(tmp_path, capsys):
     cfg_path = write_config(tmp_path)
     out = str(tmp_path / "results")
     assert main(["gen-corpus", "--config", cfg_path, "--out", out]) == EXIT_OK
     edited = write_config(tmp_path, SMALL_CONFIG.replace("learning_rate = 0.2", "learning_rate = 0.3"), "edited.cfg")
+    capsys.readouterr()
     assert main(["matrix", "--config", edited, "--out", out]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert f"corpus hash mismatch: {os.path.join(out, 'corpus.txt')} says " in err and "Traceback" not in err
 
 
 def test_matrix_outputs_and_determinism(tmp_path):

@@ -3,9 +3,10 @@ against their scalar tabulation.
 
 Row i of ``uniform_block(entropy, n)`` must equal ``stream(*entropy_i).random(n)``
 bit for bit, and row i of ``word_block`` the 32-bit words that stream's
-``integers`` draws from, for every entropy layout driftlab uses. Problem sets
-drawn from word blocks must equal ``generate_problem`` on each problem's own
-stream, a rejected bounded draw included. ``seed_words`` must equal
+``integers`` draws from, for every entropy layout driftlab uses. Row i of
+``integers_block`` must equal that stream's ``integers`` calls one by one,
+rejected words included, and problem sets drawn from it the scalar-draw
+``reference_problems`` on each problem's own stream. ``seed_words`` must equal
 ``SeedSequence.generate_state(1)``, ``permutations`` each epoch's
 ``Generator.permutation``, and the online steps of ``train`` the first draws
 of their streams, so that no run needs ``numpy.random`` for them.
@@ -18,12 +19,12 @@ import pytest
 from driftlab import harness, streams, task, training
 from driftlab.config import default_config, parse_config
 from driftlab.objectives import ObjectiveSpec
-from driftlab.policy import TabularPolicy, stream
-from driftlab.streams import normal_block, permutations, seed_words, uniform_block, word_block
-from driftlab.task import TaskConfig, TeacherSpec, generate_corpus, generate_problem, generate_problems, teacher_policy
+from driftlab.policy import TabularPolicy
+from driftlab.streams import integers_block, normal_block, permutations, seed_words, uniform_block, word_block
+from driftlab.task import TaskConfig, TeacherSpec, generate_corpus, generate_problems, teacher_policy
 from driftlab.training import TrainConfig, train
 from driftlab.vocab import ADD, MUL
-from oracles import reference_automaton, reference_normals
+from oracles import reference_automaton, reference_normals, reference_problems, stream
 
 # word values at the edges of SeedSequence's int-to-words split, and the tags
 # of every stream layout: problems (seed, i), corpus (seed, r), drift
@@ -145,24 +146,45 @@ def test_feedforward_init_draws_from_its_stream():
         assert np.array_equal(params, 0.25 * reference_normals((seed, 14), params.size))
 
 
+@pytest.mark.parametrize(
+    "columns",
+    [[41, np.arange(200)], [2**64 - 1, np.arange(60), 2**100], [np.array(EDGES, dtype=np.uint64), 7]],
+    ids=["problems", "wide", "edges"],
+)
+def test_integers_block_equals_generator_integers(columns):
+    # numpy rejects a word for integers(2^31 + 1) when its product's low half
+    # is below 2^31 - 1, about one word in two, so nearly every row reads a
+    # longer block of its stream, and some run out of that one too; bound 1
+    # reads no word, and 2^32 rejects none
+    bounds = [2**31 + 1] * 24 + [1, 5, 2**32, 1, 3, 2**31 + 1, 2]
+    block = integers_block(columns, bounds)
+    rows = len(block)
+    assert block.shape == (rows, len(bounds)) and block.dtype == np.int64
+    tuples = list(zip(*[c.tolist() if isinstance(c, np.ndarray) else [c] * rows for c in columns]))
+    for row, entropy in zip(block, tuples, strict=True):
+        rng = stream(*entropy)
+        assert row.tolist() == [int(rng.integers(b)) for b in bounds], entropy
+    assert integers_block([9, np.arange(0)], bounds).shape == (0, len(bounds))
+    assert integers_block([9, np.arange(3)], []).shape == (3, 0)
+
+
 @pytest.mark.parametrize("ops", [(ADD,), (MUL,), (ADD, MUL), (MUL, ADD)])
-def test_problems_equal_scalar_generate_problem(ops):
+def test_problems_equal_scalar_reference_problems(ops):
     for modulus in range(3, 14):
         for chain_length in range(1, 9):
             cfg = TaskConfig(modulus, chain_length, ops)
             seed = 1000 * modulus + chain_length
-            got = generate_problems(cfg, 12, seed)
-            assert got == [generate_problem(cfg, stream(seed, i)) for i in range(12)]
+            assert generate_problems(cfg, 12, seed) == reference_problems(cfg, 12, seed)
 
 
-def test_problems_of_wide_seeds_equal_scalar_generate_problem():
+def test_problems_of_wide_seeds_equal_scalar_reference_problems():
     cfg = TaskConfig(11, 8)
     for seed in (0, 2**32 - 1, 2**32, 2**64 - 1, 2**90 + 17):
-        assert generate_problems(cfg, 20, seed) == [generate_problem(cfg, stream(seed, i)) for i in range(20)]
+        assert generate_problems(cfg, 20, seed) == reference_problems(cfg, 20, seed)
     assert generate_problems(cfg, 0, 3) == []
 
 
-def test_rejected_bounded_draw_falls_back_to_the_stream(monkeypatch):
+def test_rejected_bounded_draw_reads_a_longer_block_of_its_stream(monkeypatch):
     # numpy rejects a word w for integers(m) when (w * m) mod 2^32 < 2^32 mod m,
     # 1 for m = 5: the word 0 is rejected. Words of real streams hit this about
     # once in 2^32 / m draws, so the rejected rows here are made by hand.
@@ -171,14 +193,20 @@ def test_rejected_bounded_draw_falls_back_to_the_stream(monkeypatch):
     crafted = true_words.copy()
     crafted[1, 0] = 0  # the start value
     crafted[4, 6] = 0  # the last operand
-    _, rejected = task._problems_of_words(cfg, crafted)
-    assert rejected.tolist() == [False, True, False, False, True, False]
-    _, rejected = task._problems_of_words(cfg, true_words)
-    assert not rejected.any()
-    # generate_problems draws the flagged rows again from their streams
-    monkeypatch.setattr(task, "word_block", lambda entropy, n: crafted)
-    assert generate_problems(cfg, 6, 41) == [generate_problem(cfg, stream(41, i)) for i in range(6)]
+    longer = []
 
+    def crafted_first_block(entropy, n):
+        if isinstance(entropy[1], np.ndarray):
+            assert n == 7
+            return crafted
+        longer.append(entropy)
+        return word_block(entropy, n)
+
+    monkeypatch.setattr(streams, "word_block", crafted_first_block)
+    # the flagged rows, and only they, draw again from their own streams,
+    # whose true words numpy does not reject
+    assert generate_problems(cfg, 6, 41) == reference_problems(cfg, 6, 41)
+    assert longer == [(41, 1), (41, 4)]
 
 
 def test_seed_words_equal_seed_sequence_states():

@@ -14,6 +14,7 @@ import pytest
 from driftlab.task import (
     EmptyCorpusError,
     TaskConfig,
+    TaskError,
     TeacherSpec,
     answer_index,
     answer_token,
@@ -56,6 +57,16 @@ def test_chain_step_examples():
     assert chain_step(2, ADD, 3, 5) == 0          # (2+3) mod 5
     assert chain_step(3, MUL, 4, 7) == 5          # 12 mod 7
     assert chain_step(5, ADD, 6, 7) == 4          # 11 mod 7
+    # elementwise over arrays, each element as its scalar step
+    values, operands = np.array([2, 3, 5, 6, 0]), np.array([3, 4, 6, 6, 5])
+    ops = np.array([ADD, MUL, ADD, MUL, MUL])
+    got = chain_step(values, ops, operands, 7)
+    assert got.tolist() == [chain_step(v, op, a, 7) for v, op, a in zip(values.tolist(), ops.tolist(), operands.tolist())]
+    assert got.tolist() == [5, 5, 4, 1, 0]
+    with pytest.raises(TaskError, match="unknown operator token 9"):
+        chain_step(values, np.array([ADD, MUL, 9, ADD, MUL]), operands, 7)
+    with pytest.raises(TaskError, match="unknown operator token 9"):
+        chain_step(2, 9, 3, 5)
 
 
 def test_generated_gold_traces_reverify():
@@ -84,7 +95,7 @@ def test_problem_generation_deterministic():
 @pytest.mark.parametrize("modulus", (3, 5, 7, 11, 13, 97))
 @pytest.mark.parametrize("ops", ((ADD,), (MUL,), (ADD, MUL)))
 def test_problems_equal_scalar_draw_reference(modulus, ops):
-    # the array draws of generate_problem against one scalar draw per value
+    # the array draws of generate_problems against one scalar draw per value
     for chain_length in (1, 2, 5, 9):
         cfg = TaskConfig(modulus=modulus, chain_length=chain_length, ops=ops)
         got = generate_problems(cfg, 40, seed=modulus * chain_length)
