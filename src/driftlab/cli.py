@@ -12,19 +12,19 @@ import sys
 
 from .config import ConfigError, load_config
 from .harness import (
+    QUALITY_COLUMNS,
     HarnessError,
     eval_problems,
     evaluate_policy,
     load_corpus_checked,
     make_student,
-    output_header,
     run_ablate_weights,
     run_drift,
     run_gen_corpus,
     run_matrix,
     run_report,
     save_cell,
-    write_lines,
+    write_table,
 )
 from .policy import load_policy
 from .task import teacher_policy
@@ -111,13 +111,8 @@ def _cmd_eval(cfg, args) -> int:
     problems = eval_problems(cfg)
     acc, quality = evaluate_policy(cfg, policy, problems)
     name = os.path.splitext(os.path.basename(args.policy))[0]
-    lines = [
-        output_header(cfg),
-        "policy,accuracy,mean_len,rep4,post_answer,multi_answer",
-        f"{_csv_field(name)},{acc!r},{quality.mean_length!r},{quality.repeated_4gram_fraction!r},"
-        f"{quality.post_answer_rate!r},{quality.multi_answer_rate!r}",
-    ]
-    write_lines(os.path.join(args.out, f"eval_{name}.csv"), lines)
+    columns = ("policy", "accuracy", *QUALITY_COLUMNS)
+    write_table(cfg, os.path.join(args.out, f"eval_{name}.csv"), columns, [(_csv_field(name), acc, *quality)])
     print(f"{name}: accuracy {acc:.4f} over {len(problems)} problems")
     return EXIT_OK
 

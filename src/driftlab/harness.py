@@ -2,12 +2,11 @@
 study, and the correction-weight ablation.
 
 Every runner is deterministic given the config: problem sets, rollout streams,
-and shuffles all derive from seeds in the config, evaluation streams are
-shared across objectives so comparisons at the same seed are paired, and CSVs
-are emitted with repr-formatted floats so reruns are byte-identical. Each
-output file starts with a comment line carrying the config hash (plus the
-epoch count for training-derived outputs); runners refuse to combine files
-whose hashes disagree.
+and shuffles all derive from seeds in the config, and evaluation streams are
+shared across objectives so comparisons at the same seed are paired. Each
+runner checks every path it will write before any cell trains, scores only
+what it writes, and writes every CSV through ``write_table``: the config hash
+and epoch count, then repr-formatted floats, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from __future__ import annotations
 import functools
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,7 +40,7 @@ from .task import (
     teacher_policy,
     write_corpus,
 )
-from .training import RunHistory, TrainAbortError, train
+from .training import RunHistory, StepRecord, TrainAbortError, train
 
 CORPUS_FILE = "corpus.txt"
 MANIFEST_FILE = "manifest.json"
@@ -61,6 +60,17 @@ ABLATION_VARIANTS: tuple[tuple[str, str, ObjectiveSpec], ...] = (
     ("clipexp_c5", "exp(clip(delta_t,-5,5))", ObjectiveSpec("sft", WeightTransform("clip-exp", clip=5.0))),
     ("relu", "max(delta_t,0)", ObjectiveSpec("sft", WeightTransform("relu"))),
 )
+
+# the CSVs each runner writes, besides each cell's snapshot and history
+RUNNER_CSVS = {
+    "matrix": ("accuracy.csv", "exaccerr.csv", "trace_quality.csv", "summary.csv", "runs.csv"),
+    "drift": ("drift.csv", "drift_runs.csv"),
+    "ablate-weights": ("ablate_weights.csv",),
+}
+CURVE_COLUMNS = ("method", "horizon", "exaccerr")
+# the columns of ``evaluate_policy``'s trace quality, in trace_quality.csv and eval_<name>.csv
+QUALITY_COLUMNS = ("mean_len", "rep4", "post_answer", "multi_answer")
+HISTORY_COLUMNS = tuple(f.name for f in fields(StepRecord))
 
 
 class HarnessError(RuntimeError):
@@ -97,13 +107,18 @@ def rollout_seed(cfg: ExperimentConfig, train_seed: int) -> int:
     return _derived_seeds(cfg.eval.seed, seeds)[2 + seeds.index(train_seed)]
 
 
-def write_lines(path, lines) -> None:
+def write_table(cfg: ExperimentConfig, path, columns, rows) -> None:
+    """Write one CSV: the header line with the config hash and epoch count, the
+    column line, then one line per row. A float is written as
+    ``repr(float(v))``, None as an empty field, anything else with ``str``."""
+
+    def field(value) -> str:
+        return "" if value is None else repr(float(value)) if isinstance(value, float) else str(value)
+
+    lines = [f"# config_hash={config_hash(cfg)} epochs={cfg.train.epochs}", ",".join(columns)]
+    lines += [",".join(map(field, row)) for row in rows]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def output_header(cfg: ExperimentConfig) -> str:
-    return f"# config_hash={config_hash(cfg)} epochs={cfg.train.epochs}"
 
 
 def run_gen_corpus(cfg: ExperimentConfig, out_dir, overwrite: bool = False) -> dict:
@@ -191,10 +206,10 @@ class CellResult:
     label: str
     seed: int
     status: str = "ok"
-    abort_step: int = -1
-    accuracy: float = float("nan")
+    abort_step: int | None = None  # None unless aborted; an aborted cell's scores stay None
+    accuracy: float | None = None
     exaccerr_curve: ExAccErrCurve | None = None
-    quality: object = None
+    quality: tuple[float, ...] | None = None  # the QUALITY_COLUMNS values
     history: RunHistory | None = None
 
 
@@ -209,23 +224,32 @@ def _share_inputs(shared: tuple | None) -> None:
     _shared_inputs = shared
 
 
+def _cell_files(label: str, seed: int) -> tuple[str, str]:
+    """The names of one (objective, seed) cell's policy snapshot and training history."""
+    return f"policy_{label}_s{seed}.txt", f"history_{label}_s{seed}.csv"
+
+
 def save_cell(cfg: ExperimentConfig, out_dir, label: str, seed: int, policy, history: RunHistory) -> None:
     """The files of one trained (objective, seed) cell: its policy snapshot and its training history."""
-    save_policy(policy, os.path.join(out_dir, f"policy_{label}_s{seed}.txt"))
-    write_lines(os.path.join(out_dir, f"history_{label}_s{seed}.csv"), [output_header(cfg)] + history.csv_rows())
+    policy_file, history_file = _cell_files(label, seed)
+    save_policy(policy, os.path.join(out_dir, policy_file))
+    rows = ([getattr(step, name) for name in HISTORY_COLUMNS] for step in history.steps)
+    write_table(cfg, os.path.join(out_dir, history_file), HISTORY_COLUMNS, rows)
 
 
 def evaluate_policy(cfg: ExperimentConfig, policy, problems):
-    """(accuracy, trace quality) of one policy; one greedy decode of the problems feeds both."""
+    """(accuracy, the QUALITY_COLUMNS values) of one policy; one greedy decode of the problems feeds both."""
     traces = rollouts(policy, [p.question for p in problems], cfg.corpus.max_len).traces
-    return final_answer_accuracy(policy, problems, max_len=cfg.corpus.max_len, traces=traces), trace_quality(traces)
+    q = trace_quality(traces)
+    quality = (q.mean_length, q.repeated_4gram_fraction, q.post_answer_rate, q.multi_answer_rate)
+    return final_answer_accuracy(policy, problems, max_len=cfg.corpus.max_len, traces=traces), quality
 
 
 def _run_cell(args) -> tuple[CellResult, ParametricPolicy | None]:
-    """Train one (objective, seed) cell, score its accuracy and trace quality,
-    and save it: the cell and its trained policy, None when training aborted.
+    """Train one (objective, seed) cell, score what its runner writes, and
+    save it: the cell and its trained policy, None when training aborted.
     Any other error ends the study, as a HarnessError naming the cell."""
-    cfg, label, spec, seed, out_dir = args
+    cfg, label, spec, seed, out_dir, runner = args
     corpus, arrays, probs_eval, _, teacher = _shared_inputs
     try:
         student = make_student(cfg, seed)
@@ -233,7 +257,10 @@ def _run_cell(args) -> tuple[CellResult, ParametricPolicy | None]:
             cfg.train, corpus, spec, student, teacher=teacher, max_len=cfg.corpus.max_len, arrays=arrays, seed=seed
         )
         cell = CellResult(label=label, seed=seed, history=history)
-        cell.accuracy, cell.quality = evaluate_policy(cfg, policy, probs_eval)
+        if runner == "matrix":
+            cell.accuracy, cell.quality = evaluate_policy(cfg, policy, probs_eval)
+        else:
+            cell.accuracy = final_answer_accuracy(policy, probs_eval, max_len=cfg.corpus.max_len)
         save_cell(cfg, out_dir, label, seed, policy, history)
     except TrainAbortError as abort:
         return CellResult(label=label, seed=seed, status="aborted", abort_step=abort.step), None
@@ -244,19 +271,20 @@ def _run_cell(args) -> tuple[CellResult, ParametricPolicy | None]:
 
 def _run_seed(args) -> list[CellResult]:
     """Every objective's cell at one seed: train them one by one, then score
-    the drift curves of those that trained in one group. The drift study
-    scores them all on the same teacher and base-student rollouts, the matrix
-    on the same teacher rollouts; a cell that aborted leaves the group. An
-    error while scoring ends the study, as a HarnessError naming the seed."""
-    cfg, objectives, seed, out_dir, do_drift = args
+    the drift curves of those that trained in one group, on the same teacher
+    and base-student rollouts for the drift study, on the same teacher
+    rollouts for the matrix, and not at all for the ablation. A cell that
+    aborted leaves the group; an error while scoring ends the study, as a
+    HarnessError naming the seed."""
+    cfg, objectives, seed, out_dir, runner = args
     _, _, _, probs_drift, teacher = _shared_inputs
-    trained = [_run_cell((cfg, label, spec, seed, out_dir)) for label, spec in objectives]
+    trained = [_run_cell((cfg, label, spec, seed, out_dir, runner)) for label, spec in objectives]
     ok = [(cell, policy) for cell, policy in trained if policy is not None]
-    if ok:
+    if ok and runner != "ablate-weights":
         policies = [policy for _, policy in ok]
         horizons, rseed, max_len = cfg.eval.horizons, rollout_seed(cfg, seed), cfg.corpus.max_len
         try:
-            if do_drift:
+            if runner == "drift":
                 base = make_student(cfg, seed)
                 curves = prefix_drift_eval(base, policies, teacher, probs_drift, horizons, seed=rseed, max_len=max_len)
             else:
@@ -279,7 +307,6 @@ def mean_std(values) -> tuple[float, float]:
 @dataclass
 class MatrixResult:
     cells: list[CellResult]
-    dataset: str
     out_dir: str
 
     def by_label(self) -> dict[str, list[CellResult]]:
@@ -294,14 +321,18 @@ class MatrixResult:
         return {label: [c for c in by_label[label] if c.status == "ok"] for label in sorted(by_label)}
 
 
-def _run_objectives(cfg: ExperimentConfig, objectives, out_dir, jobs: int, do_drift: bool) -> MatrixResult:
+def _run_objectives(cfg: ExperimentConfig, objectives, out_dir, jobs: int, runner: str) -> MatrixResult:
     """Train and evaluate every (objective, seed) cell of ``objectives`` x the
-    config's seeds. The unit of work is one seed's group of cells, so at most
-    one worker process per seed is started, and a one-seed study runs in this
-    process."""
+    config's seeds for ``runner``, once every path it will write is checked.
+    The unit of work is one seed's group of cells, so at most one worker
+    process per seed is started, and a one-seed study runs in this process."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     os.makedirs(out_dir, exist_ok=True)
+    cells = [name for label, _ in objectives for seed in cfg.train.seeds for name in _cell_files(label, seed)]
+    for path in (os.path.join(out_dir, name) for name in (*RUNNER_CSVS[runner], *cells)):
+        if os.path.exists(path) and not os.path.isfile(path):
+            raise HarnessError(f"cannot write {path}: it exists and is not a regular file")
     # the corpus, its arrays, both problem sets and the teacher are the same
     # for every cell: build them once, and hand them to each worker process
     # once rather than with every seed. Every student of the study has the
@@ -311,7 +342,7 @@ def _run_objectives(cfg: ExperimentConfig, objectives, out_dir, jobs: int, do_dr
     with_targets = any(spec.base.endswith("-kl") for _, spec in objectives)
     arrays = TraceBatch.of_corpus(corpus, make_student(cfg, cfg.train.seeds[0]), teacher if with_targets else None)
     shared = (corpus, arrays, eval_problems(cfg), drift_problems(cfg), teacher)
-    args = [(cfg, objectives, seed, out_dir, do_drift) for seed in cfg.train.seeds]
+    args = [(cfg, objectives, seed, out_dir, runner) for seed in cfg.train.seeds]
     workers = min(jobs, len(args))
     if workers > 1:
         # imported here: loading the process pool's modules is a large part
@@ -327,61 +358,44 @@ def _run_objectives(cfg: ExperimentConfig, objectives, out_dir, jobs: int, do_dr
         finally:
             _share_inputs(None)
     results = sorted((cell for group in groups for cell in group), key=lambda c: (c.label, c.seed))
-    dataset = f"chain-m{cfg.task.modulus}-L{cfg.task.chain_length}"
-    return MatrixResult(cells=results, dataset=dataset, out_dir=str(out_dir))
+    return MatrixResult(cells=results, out_dir=str(out_dir))
 
 
-def _write_curves(path, header: str, ok: dict[str, list[CellResult]]) -> None:
-    """Per-label mean of the cells' exaccerr curves, one row per horizon."""
-    lines = [header, "method,horizon,exaccerr"]
+def _curve_rows(ok: dict[str, list[CellResult]]):
+    """Per-label mean of the cells' drift curves: one (label, horizon, mean) row per horizon."""
     for label, group in ok.items():
         if not group:
             continue
         for j, h in enumerate(group[0].exaccerr_curve.horizons):
             mean, _ = mean_std([c.exaccerr_curve.values[j] for c in group])
-            lines.append(f"{label},{h},{mean!r}")
-    write_lines(path, lines)
+            yield label, h, mean
 
 
 def run_matrix(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> MatrixResult:
     """Train every (objective, seed) cell from the shared corpus and initial
     policy, evaluate, and emit per-metric CSVs plus a per-objective summary."""
-    res = _run_objectives(cfg, cfg.objectives, out_dir, jobs, do_drift=False)
-    header = output_header(cfg)
+    res = _run_objectives(cfg, cfg.objectives, out_dir, jobs, "matrix")
     ok = res.ok_by_label()
 
-    acc_lines = [header, "method,dataset,accuracy"]
-    for label, group in ok.items():
-        if group:
-            mean, _ = mean_std([c.accuracy for c in group])
-            acc_lines.append(f"{label},{res.dataset},{mean!r}")
-    write_lines(os.path.join(out_dir, "accuracy.csv"), acc_lines)
+    dataset = f"chain-m{cfg.task.modulus}-L{cfg.task.chain_length}"
+    rows = [(label, dataset, mean_std([c.accuracy for c in group])[0]) for label, group in ok.items() if group]
+    write_table(cfg, os.path.join(out_dir, "accuracy.csv"), ("method", "dataset", "accuracy"), rows)
 
-    _write_curves(os.path.join(out_dir, "exaccerr.csv"), header, ok)
+    write_table(cfg, os.path.join(out_dir, "exaccerr.csv"), CURVE_COLUMNS, _curve_rows(ok))
 
-    tq_lines = [header, "method,mean_len,rep4,post_answer,multi_answer"]
-    for label, group in ok.items():
-        if not group:
-            continue
-        ml, _ = mean_std([c.quality.mean_length for c in group])
-        r4, _ = mean_std([c.quality.repeated_4gram_fraction for c in group])
-        pa, _ = mean_std([c.quality.post_answer_rate for c in group])
-        ma, _ = mean_std([c.quality.multi_answer_rate for c in group])
-        tq_lines.append(f"{label},{ml!r},{r4!r},{pa!r},{ma!r}")
-    write_lines(os.path.join(out_dir, "trace_quality.csv"), tq_lines)
+    rows = [
+        (label, *(mean_std(column)[0] for column in zip(*(c.quality for c in group))))
+        for label, group in ok.items()
+        if group
+    ]
+    write_table(cfg, os.path.join(out_dir, "trace_quality.csv"), ("method", *QUALITY_COLUMNS), rows)
 
-    sum_lines = [header, "method,n_seeds_ok,accuracy_mean,accuracy_std"]
-    for label, group in ok.items():
-        mean, std = mean_std([c.accuracy for c in group])
-        sum_lines.append(f"{label},{len(group)},{mean!r},{std!r}")
-    write_lines(os.path.join(out_dir, "summary.csv"), sum_lines)
+    rows = [(label, len(group), *mean_std([c.accuracy for c in group])) for label, group in ok.items()]
+    columns = ("method", "n_seeds_ok", "accuracy_mean", "accuracy_std")
+    write_table(cfg, os.path.join(out_dir, "summary.csv"), columns, rows)
 
-    run_lines = [header, "method,seed,status,abort_step,accuracy"]
-    for c in res.cells:
-        acc = repr(c.accuracy) if c.status == "ok" else ""
-        run_lines.append(f"{c.label},{c.seed},{c.status},{c.abort_step if c.status != 'ok' else ''},{acc}")
-    write_lines(os.path.join(out_dir, "runs.csv"), run_lines)
-
+    rows = [(c.label, c.seed, c.status, c.abort_step, c.accuracy) for c in res.cells]
+    write_table(cfg, os.path.join(out_dir, "runs.csv"), ("method", "seed", "status", "abort_step", "accuracy"), rows)
     return res
 
 
@@ -397,17 +411,11 @@ def run_drift(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> MatrixResult:
             f"drift horizon {longest} exceeds max_len {cfg.corpus.max_len}: "
             "prefixes are rolled out to at most max_len tokens"
         )
-    res = _run_objectives(cfg, cfg.objectives, out_dir, jobs, do_drift=True)
-    header = output_header(cfg)
-    _write_curves(os.path.join(out_dir, "drift.csv"), header, res.ok_by_label())
-
-    run_lines = [header, "method,seed,horizon,exaccerr"]
-    for c in res.cells:
-        if c.status != "ok":
-            continue
-        for j, h in enumerate(c.exaccerr_curve.horizons):
-            run_lines.append(f"{c.label},{c.seed},{h},{float(c.exaccerr_curve.values[j])!r}")
-    write_lines(os.path.join(out_dir, "drift_runs.csv"), run_lines)
+    res = _run_objectives(cfg, cfg.objectives, out_dir, jobs, "drift")
+    write_table(cfg, os.path.join(out_dir, "drift.csv"), CURVE_COLUMNS, _curve_rows(res.ok_by_label()))
+    ok = [c for c in res.cells if c.status == "ok"]
+    rows = [(c.label, c.seed, h, v) for c in ok for h, v in zip(c.exaccerr_curve.horizons, c.exaccerr_curve.values)]
+    write_table(cfg, os.path.join(out_dir, "drift_runs.csv"), ("method", "seed", "horizon", "exaccerr"), rows)
     return res
 
 
@@ -421,7 +429,7 @@ class AblationResult:
 
 def run_ablate_weights(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> AblationResult:
     """Correction-weight ablation over the fixed variant set, SFT base only."""
-    res = _run_objectives(cfg, [(label, spec) for label, _, spec in ABLATION_VARIANTS], out_dir, jobs, do_drift=False)
+    res = _run_objectives(cfg, [(label, spec) for label, _, spec in ABLATION_VARIANTS], out_dir, jobs, "ablate-weights")
     ok = res.ok_by_label()
 
     rows = []
@@ -435,10 +443,10 @@ def run_ablate_weights(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> Ablatio
         if mins:
             weight_ranges[label] = (min(mins), max(maxs))
 
-    lines = [output_header(cfg), "variant,weight_formula,accuracy_mean,accuracy_std"]
-    for label, formula, mean, std in rows:
-        lines.append(f'{label},"{formula}",{mean!r},{std!r}')
-    write_lines(os.path.join(out_dir, "ablate_weights.csv"), lines)
+    # a formula holds commas, so its field is always quoted
+    quoted = [(label, f'"{formula}"', mean, std) for label, formula, mean, std in rows]
+    columns = ("variant", "weight_formula", "accuracy_mean", "accuracy_std")
+    write_table(cfg, os.path.join(out_dir, "ablate_weights.csv"), columns, quoted)
     return AblationResult(rows=rows, weight_ranges=weight_ranges, cells=res.cells, out_dir=str(out_dir))
 
 

@@ -17,7 +17,7 @@ toward uniform and would confound objective comparisons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -99,11 +99,6 @@ class RunHistory:
 
     def losses(self) -> np.ndarray:
         return np.array([s.loss for s in self.steps])
-
-    def csv_rows(self) -> list[str]:
-        """The history_*.csv header and rows: one column per StepRecord field."""
-        names = [f.name for f in fields(StepRecord)]
-        return [",".join(names)] + [",".join(repr(getattr(s, name)) for name in names) for s in self.steps]
 
 
 def clip_global_norm(grad: np.ndarray, clip_norm: float) -> float:

@@ -565,6 +565,110 @@ def test_gkd_drift_study_output_bytes_are_pinned(tmp_path):
         assert file_hashes(out, GOLDEN_GKD_DRIFT_STUDY) == GOLDEN_GKD_DRIFT_STUDY
 
 
+# SHA-256 of every file that gen-corpus then matrix write on SMALL_CONFIG
+GOLDEN_MATRIX_STUDY = {
+    "accuracy.csv": "2c633436a31741e162cde5f5f8e820ea6a31664227a53ba7e0a3c1d3efae6ffc",
+    "corpus.txt": "a8f88a4f702eec425fc47c85dda2b6fd5f1fff767c60ca0744b5d8fbe902e2cb",
+    "exaccerr.csv": "9db88cc5bb6c4a1386bac41b3d51bc56fe1a7944e790d90e5745261329e6cdb4",
+    "history_sft_s0.csv": "65b1c6747c78c588330bd10b9cdba3b257c46dadefd73e620de89a351ba39eeb",
+    "history_sft_s1.csv": "b9c4c5f2d8339cb362179a65be2658bc798636682440d161c734d400ead30be1",
+    "history_sigmoid_t1_s0.csv": "73179a8bc432c11542d302fa0f4c2b0d0dc73ba48d784b7d4b8380405483bfb0",
+    "history_sigmoid_t1_s1.csv": "f242666a8865307afee918e2289ce908e6371b096d54835c5aeab253841cf85f",
+    "manifest.json": "4986610caef8b7fe3c391906fbd1d4073b9ecdc01e7d4110025e2e8f996015b2",
+    "policy_sft_s0.txt": "3bc4b4aa25863ae6ca06d441a814088ff633be4ef29de4679e1fe6fc31d2ad35",
+    "policy_sft_s1.txt": "8557e21ad6dcce1758b3c2bcdd32a4c272ba99a2d68f67fdb6c41d382967ee99",
+    "policy_sigmoid_t1_s0.txt": "32e86dd25bfeac46c754789581f262a12681a5e160230e38876209408e1011a1",
+    "policy_sigmoid_t1_s1.txt": "1cecae576873538def98abd657a33726073f98032d8deb1289531200d443006e",
+    "runs.csv": "8e537145431dc7d21b3df7fead91f122380c61613c1169b6d360318d087dc831",
+    "summary.csv": "d0c0c9c7c8411bf103f123fc753f608540d609ff8a576ee437e99db01872c98b",
+    "trace_quality.csv": "573fc119a446ef40ada2490c8ccda9df4dd5b8f6d5e2f39255cf436cdfc88286",
+}
+
+# SHA-256 of the CSV that ablate-weights writes on SMALL_CONFIG
+GOLDEN_ABLATION_CSV = {"ablate_weights.csv": "10423c014bcebf2ffb4731a25b103e9de1decec3ee5e4929866feafeab10b181"}
+
+# SHA-256 of the CSVs that eval writes for the matrix's sigmoid_t1 seed-1
+# snapshot, under its own name and under a name that must be quoted
+GOLDEN_EVAL = {
+    "eval_policy_sigmoid_t1_s1.csv": "1fe2aa12230a0b0446eae55a873ad8b53b4c4fba4fbde022dca467737b4e4c2e",
+    "eval_x,y.csv": "cd82b18cc3ca6fa1dd4168c9223f5aa3a26fe6e141b6e4e5465a011a6d7e3444",
+}
+
+
+def test_matrix_ablation_eval_and_train_output_bytes_are_pinned(tmp_path):
+    cfg_path = write_config(tmp_path)
+    corpus = str(tmp_path / "corpus")
+    assert main(["gen-corpus", "--config", cfg_path, "--out", corpus]) == EXIT_OK
+    outs = {}
+    for command in ("matrix", "ablate-weights", "train"):
+        outs[command] = str(tmp_path / command)
+        shutil.copytree(corpus, outs[command])
+        assert main([command, "--config", cfg_path, "--out", outs[command]]) == EXIT_OK
+    assert sorted(os.listdir(outs["matrix"])) == sorted(GOLDEN_MATRIX_STUDY)
+    assert file_hashes(outs["matrix"], GOLDEN_MATRIX_STUDY) == GOLDEN_MATRIX_STUDY
+    assert file_hashes(outs["ablate-weights"], GOLDEN_ABLATION_CSV) == GOLDEN_ABLATION_CSV
+    # train's default cell is the first objective at the first seed
+    cell = {name: GOLDEN_MATRIX_STUDY[name] for name in ("history_sft_s0.csv", "policy_sft_s0.txt")}
+    assert sorted(os.listdir(outs["train"])) == sorted(["corpus.txt", "manifest.json", *cell])
+    assert file_hashes(outs["train"], cell) == cell
+    evals = tmp_path / "eval"
+    evals.mkdir()
+    snapshot = os.path.join(outs["matrix"], "policy_sigmoid_t1_s1.txt")
+    shutil.copy(snapshot, evals / "x,y.txt")
+    for policy in (snapshot, str(evals / "x,y.txt")):
+        assert main(["eval", "--config", cfg_path, "--out", str(evals), "--policy", policy]) == EXIT_OK
+    assert file_hashes(evals, GOLDEN_EVAL) == GOLDEN_EVAL
+
+
+@pytest.mark.parametrize(
+    "command, unused, golden",
+    [
+        ("drift", ["trace_quality"], GOLDEN_DRIFT_STUDY),
+        ("ablate-weights", ["trace_quality", "exaccerr", "prefix_drift_eval"], GOLDEN_ABLATION_CSV),
+    ],
+)
+def test_a_runner_calls_only_the_scorers_it_writes(tmp_path, monkeypatch, command, unused, golden):
+    # drift writes no trace quality, and the ablation no drift curves: their
+    # scorers are never called, and the study writes the same bytes
+    import driftlab.harness as harness
+
+    def unused_scorer(*args, **kwargs):
+        raise AssertionError(f"{command} called a scorer whose result it does not write")
+
+    for name in unused:
+        monkeypatch.setattr(harness, name, unused_scorer)
+    cfg_path = write_config(tmp_path)
+    out = str(tmp_path / "results")
+    assert main(["gen-corpus", "--config", cfg_path, "--out", out]) == EXIT_OK
+    assert main([command, "--config", cfg_path, "--out", out]) == EXIT_OK
+    assert file_hashes(out, golden) == golden
+
+
+@pytest.mark.parametrize(
+    "command, blocked",
+    [
+        ("matrix", "accuracy.csv"),
+        ("matrix", "policy_sigmoid_t1_s1.txt"),
+        ("drift", "drift_runs.csv"),
+        ("drift", "history_sft_s1.csv"),
+        ("ablate-weights", "ablate_weights.csv"),
+    ],
+)
+def test_an_output_path_that_is_not_a_file_exits_3_before_training(tmp_path, capsys, command, blocked):
+    # every path a study will write is checked before any cell trains, so a
+    # directory in the way leaves the study directory as it was
+    cfg_path = write_config(tmp_path)
+    out = tmp_path / "results"
+    assert main(["gen-corpus", "--config", cfg_path, "--out", str(out)]) == EXIT_OK
+    (out / blocked).mkdir()
+    before = sorted(os.listdir(out))
+    capsys.readouterr()
+    assert main([command, "--config", cfg_path, "--out", str(out)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert str(out / blocked) in err and "Traceback" not in err
+    assert sorted(os.listdir(out)) == before
+
+
 def test_drift_runs_values_are_plain_floats(tmp_path):
     cfg_path = write_config(tmp_path)
     out = str(tmp_path / "results")

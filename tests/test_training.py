@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from driftlab.config import config_hash, default_config
+from driftlab.harness import save_cell
 from driftlab.objectives import ObjectiveSpec, WeightTransform, sft_loss
 from driftlab.policy import TabularPolicy
 from driftlab.task import TaskConfig, TeacherSpec, generate_corpus, generate_problems, teacher_policy
@@ -186,11 +188,19 @@ def test_weight_decay_skips_tabular_logits():
     assert np.array_equal(p0.params, p1.params)  # decay never touches logit tables
 
 
-def test_history_csv_schema():
+def test_history_csv_schema(tmp_path):
     corpus = make_corpus(6, seed=29)
     cfg = TrainConfig(epochs=1, batch_size=3)
-    _, history = train(cfg, corpus, ObjectiveSpec("sft"), TabularPolicy(CFG.vocab(), 1), seed=0)
-    rows = history.csv_rows()
+    policy, history = train(cfg, corpus, ObjectiveSpec("sft"), TabularPolicy(CFG.vocab(), 1), seed=0)
+    study = default_config()
+
+    def saved_rows(history):
+        save_cell(study, tmp_path, "sft", 0, policy, history)
+        lines = (tmp_path / "history_sft_s0.csv").read_text().splitlines()
+        assert lines[0] == f"# config_hash={config_hash(study)} epochs={study.train.epochs}"
+        return lines[1:]
+
+    rows = saved_rows(history)
     assert rows[0] == "step,lr,loss,grad_norm_pre,grad_norm_post,mean_weight,weight_min,weight_max"
     assert len(rows) == len(history.steps) + 1
     for row, step in zip(rows[1:], history.steps):
@@ -198,5 +208,5 @@ def test_history_csv_schema():
         assert float(fields[-2]) == step.weight_min and float(fields[-1]) == step.weight_max
 
     # one column per StepRecord field, in field order, each value written with repr
-    one = RunHistory(steps=[StepRecord(3, 0.1, 1.5, 2.0, 1.0, 0.75, 1e-08, 1.25)])
-    assert one.csv_rows()[1] == "3,0.1,1.5,2.0,1.0,0.75,1e-08,1.25"
+    one = RunHistory(steps=[StepRecord(3, 0.1, 1.5, 2.0, -0.0, 0.75, 1e-08, 1.25)])
+    assert saved_rows(one)[1] == "3,0.1,1.5,2.0,-0.0,0.75,1e-08,1.25"
